@@ -10,6 +10,8 @@ particle model, and a verification harness that certifies the
 correspondence numerically.
 """
 
+import importlib
+
 from .types import (
     ModelParams,
     SimplexPoint,
@@ -68,6 +70,15 @@ from .simulate import (
     step_wf_mutation,
     step_wf_neutral,
 )
-from .harness import VerificationReport, run_suite
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The harness imports scipy.stats, which costs more than the rest of the
+    # package together, so it loads on first use.  Spawned pool workers and
+    # callers that never verify do not pay for it.
+    if name in ("harness", "VerificationReport", "run_suite"):
+        harness = importlib.import_module(".harness", __name__)
+        return harness if name == "harness" else getattr(harness, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")

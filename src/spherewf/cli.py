@@ -10,7 +10,7 @@ The default seed comes from the SPHEREWF_SEED environment variable when
 set; an explicit --seed always wins.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
-3 numerical non-convergence.
+3 numerical non-convergence, 141 output pipe closed by its reader.
 """
 
 from __future__ import annotations
@@ -22,12 +22,13 @@ import sys
 
 import numpy as np
 
-from . import harness
 from .simulate import (
+    DEFAULT_SEED,
     Model,
     MoranState,
     moran_event_rate,
     path_rng,
+    pool_map,
     simulate_moran,
     simulate_path,
 )
@@ -45,6 +46,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAIL = 1
 EXIT_CONFIG = 2
 EXIT_NONCONVERGED = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, what a shell reports for a reader that quit
 
 SEED_ENV_VAR = "SPHEREWF_SEED"
 
@@ -73,7 +75,7 @@ def _parse_floats(text: str) -> list[float]:
 def _default_seed() -> int:
     raw = os.environ.get(SEED_ENV_VAR)
     if raw is None:
-        return harness.DEFAULT_SEED
+        return DEFAULT_SEED
     try:
         return int(raw)
     except ValueError:
@@ -224,9 +226,7 @@ def _cmd_density(args) -> int:
 
 def _simulate_one(payload):
     model, start, T, dt, k, c, eps, seed, path_index, stride = payload
-    from .types import ModelParams as MP
-
-    params = MP(k, c, eps)
+    params = ModelParams(k, c, eps)
     return simulate_path(model, start, T, dt, params, path_rng(seed, path_index), stride)
 
 
@@ -236,14 +236,7 @@ def _run_paths(model, start, args, params):
          tuple(params.epsilon), args.seed, i, args.record_stride)
         for i in range(args.paths)
     ]
-    if args.threads > 1 and args.paths > 1:
-        from concurrent.futures import ProcessPoolExecutor
-        from multiprocessing import get_context
-
-        with ProcessPoolExecutor(max_workers=args.threads,
-                                 mp_context=get_context("spawn")) as ex:
-            return list(ex.map(_simulate_one, payloads))
-    return [_simulate_one(p) for p in payloads]
+    return pool_map(_simulate_one, payloads, args.threads)
 
 
 def _cmd_simulate(args) -> int:
@@ -251,6 +244,8 @@ def _cmd_simulate(args) -> int:
         model = Model(args.model)
     except ValueError:
         raise ConfigError(f"simulate: unknown model {args.model!r}") from None
+    if args.paths < 1:
+        raise ConfigError(f"simulate: field 'paths' must be >= 1, got {args.paths}")
     k = args.k
     eps = _parse_floats(args.epsilon) if args.epsilon else None
     if eps is not None and len(eps) == 1:
@@ -284,6 +279,8 @@ def _cmd_simulate(args) -> int:
 # --- verify --------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
+    from . import harness  # scipy.stats: loaded only when verifying
+
     try:
         reports = harness.run_suite(args.suite, seed=args.seed, workers=args.threads,
                                     k=args.k)
@@ -334,14 +331,17 @@ def _cmd_moran(args) -> int:
 # --- parser ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
+    # allow_abbrev=False: the config file's precedence rule needs the flags
+    # the user typed, and an abbreviated flag would hide its destination
     parser = argparse.ArgumentParser(
         prog="spherewf",
+        allow_abbrev=False,
         description="Sphere-diffusion and Wright-Fisher transition densities, "
                     "simulators, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    pd = sub.add_parser("density", help="evaluate exact transition densities")
+    pd = sub.add_parser("density", help="evaluate exact transition densities", allow_abbrev=False)
     pd.add_argument("--kernel", required=True,
                     choices=["sphere", "griffiths", "pushforward", "stationary"])
     pd.add_argument("--t", type=float)
@@ -359,7 +359,7 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--config", type=str)
     pd.set_defaults(func=_cmd_density)
 
-    ps = sub.add_parser("simulate", help="integrate sample paths")
+    ps = sub.add_parser("simulate", help="integrate sample paths", allow_abbrev=False)
     ps.add_argument("--model", required=True,
                     choices=[m.value for m in Model])
     ps.add_argument("--k", type=int, default=3)
@@ -376,9 +376,9 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--config", type=str)
     ps.set_defaults(func=_cmd_simulate)
 
-    pv = sub.add_parser("verify", help="run a verification suite")
+    pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
     pv.add_argument("--suite", required=True,
-                    choices=sorted(harness.SUITES) + ["all"])
+                    help="suite name or 'all' (see README; an unknown name lists them)")
     pv.add_argument("--k", type=int, help="restrict the equivalence suite to one dimension")
     pv.add_argument("--seed", type=int)
     pv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
@@ -387,7 +387,8 @@ def build_parser() -> argparse.ArgumentParser:
     pv.add_argument("--config", type=str)
     pv.set_defaults(func=_cmd_verify)
 
-    pm = sub.add_parser("moran", help="simulate the interacting-particle model")
+    pm = sub.add_parser("moran", help="simulate the interacting-particle model",
+                        allow_abbrev=False)
     pm.add_argument("--k", type=int, default=2)
     pm.add_argument("--N", type=int, default=100)
     pm.add_argument("--lam", type=float, default=1.0)
@@ -411,7 +412,14 @@ def main(argv=None) -> int:
         _apply_config_file(args, keys)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # here, so that a closed pipe is caught below
+        return code
+    except BrokenPipeError:
+        # the reader stopped early (`| head`): end quietly, with stdout on
+        # devnull so that the flush at interpreter exit cannot fail again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -24,7 +24,15 @@ import numpy as np
 from scipy.special import kolmogorov, roots_jacobi
 from scipy.stats import beta as beta_dist
 
-from .simulate import Model, MoranState, ensemble_final, moran_event_rate, path_rng, simulate_moran
+from .simulate import (
+    DEFAULT_SEED,
+    Model,
+    MoranState,
+    ensemble_final,
+    moran_event_rate,
+    path_rng,
+    simulate_moran,
+)
 from .specfun import gegenbauer, gegenbauer_explicit, generating_function_residual, log_gamma
 from .sphere_heat import SPHERE_TRUNCATION, truncation_cutoff, zonal_kernel, zonal_series
 from .types import SimplexPoint, Truncation
@@ -63,8 +71,6 @@ __all__ = [
     "run_suite",
     "SUITES",
 ]
-
-DEFAULT_SEED = 123456789
 
 _X3 = (0.5, 0.3, 0.2)
 _X3B = (0.25, 0.35, 0.40)

@@ -37,9 +37,12 @@ event rate of lam (N-1)/4; `moran_event_rate` exposes that mapping.
 
 from __future__ import annotations
 
+import atexit
 import enum
 import math
+import threading
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache
 from multiprocessing import get_context
@@ -62,17 +65,21 @@ __all__ = [
     "step_wf_isotropic",
     "simulate_path",
     "ensemble_final",
+    "pool_map",
     "path_rng",
     "chunk_rng",
     "moran_event_rate",
     "moran_step",
     "simulate_moran",
     "ENSEMBLE_CHUNK",
+    "DEFAULT_SEED",
 ]
 
 _MASK64 = (1 << 64) - 1
 _ENSEMBLE_SALT = 1 << 63
 ENSEMBLE_CHUNK = 4096
+#: master seed of the CLI and the verification suites when none is given
+DEFAULT_SEED = 123456789
 
 
 class Model(str, enum.Enum):
@@ -309,6 +316,54 @@ def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
     )
 
 
+# --- worker pool -------------------------------------------------------------
+# A spawned worker starts by importing the package, which costs far more
+# than a typical chunk, so one pool serves every pooled call of the process.
+
+_pool: ProcessPoolExecutor | None = None
+_pool_workers = 0
+_pool_lock = threading.Lock()
+
+
+def _shutdown_pool(pool: ProcessPoolExecutor | None = None) -> None:
+    """Shut the shared pool down; given `pool`, only if it is still the shared one."""
+    global _pool
+    with _pool_lock:
+        if _pool is not None and (pool is None or pool is _pool):
+            _pool.shutdown()
+            _pool = None
+
+
+atexit.register(_shutdown_pool)
+
+
+def pool_map(fn, jobs: list, workers: int) -> list:
+    """[fn(job) for job in jobs], on the process's shared spawn pool when
+    workers > 1 and there is more than one job.
+
+    The pool is made on the first pooled call, reused while `workers`
+    stays the same, replaced when it changes and shut down at exit.  A
+    pool broken by a dead worker raises BrokenProcessPool and is
+    discarded, so the next call starts on a fresh one.  `fn` must be a
+    module-level function, since spawned workers import it by name.
+    """
+    global _pool, _pool_workers
+    if workers <= 1 or len(jobs) <= 1:
+        return [fn(job) for job in jobs]
+    with _pool_lock:
+        if _pool is None or _pool_workers != workers:
+            if _pool is not None:
+                _pool.shutdown()
+            _pool = ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn"))
+            _pool_workers = workers
+        pool = _pool
+    try:
+        return list(pool.map(fn, jobs))
+    except BrokenProcessPool:
+        _shutdown_pool(pool)
+        raise
+
+
 # --- vectorized ensembles --------------------------------------------------
 
 @dataclass(frozen=True)
@@ -393,7 +448,8 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
 
     Paths are partitioned into fixed-size chunks, each with its own
     Philox stream keyed by (seed, chunk index), so the result does not
-    depend on `workers`.  Returns (states (n_paths, k), diagnostics).
+    depend on `workers`.  With workers > 1 the chunks run on the shared
+    process pool (see `pool_map`).  Returns (states (n_paths, k), diagnostics).
     """
     model = Model(model)
     if not (t > 0.0 and dt > 0.0 and dt <= t):
@@ -410,11 +466,7 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
                      seed, idx))
         i += n_chunk
         idx += 1
-    if workers > 1 and len(jobs) > 1:
-        with ProcessPoolExecutor(max_workers=workers, mp_context=get_context("spawn")) as ex:
-            results = list(ex.map(_ensemble_worker, jobs))
-    else:
-        results = [_ensemble_worker(j) for j in jobs]
+    results = pool_map(_ensemble_worker, jobs, workers)
     finals = np.concatenate([r[0] for r in results], axis=0)
     total_steps = n_paths * n_steps
     diag = EnsembleDiagnostics(

@@ -1,10 +1,25 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from spherewf.cli import EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
+import spherewf
+from spherewf.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
+
+_ENV = {**os.environ, "PYTHONPATH": str(Path(spherewf.__file__).parents[1])}
+
+
+def _python(code: str) -> str:
+    """Run code in a fresh interpreter; returns its stdout."""
+    done = subprocess.run([sys.executable, "-c", code], env=_ENV, capture_output=True,
+                          text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return done.stdout
 
 
 def _read_csv(path):
@@ -162,3 +177,86 @@ def test_moran_output(tmp_path):
 def test_moran_needs_events_or_time(capsys):
     assert main(["moran", "--k", "2", "--N", "50"]) == EXIT_CONFIG
     assert "'events'" in capsys.readouterr().err
+
+
+def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
+    # an abbreviated --dt used to escape the explicit-flag record, so the
+    # file's dt silently won; abbreviations are now rejected outright
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"dt": 0.5}))
+    with pytest.raises(SystemExit) as exc:
+        main(["simulate", "--model", "sphere", "--T", "1", "--d", "0.25",
+              "--config", str(cfg)])
+    assert exc.value.code == EXIT_CONFIG
+    assert "--d" in capsys.readouterr().err
+    out = tmp_path / "o.csv"
+    assert main(["simulate", "--model", "sphere", "--T", "1", "--dt", "0.25",
+                 "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["dt"] == 0.25
+
+
+@pytest.mark.parametrize("paths", ["0", "-2"])
+def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
+    out = tmp_path / "o.csv"
+    code = main(["simulate", "--model", "sphere", "--T", "0.01", "--dt", "0.01",
+                 "--paths", paths, "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "'paths'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_simulate_threads_match_serial(tmp_path):
+    base = ["simulate", "--model", "wf-isotropic", "--T", "0.01", "--dt", "0.001",
+            "--paths", "3", "--seed", "5"]
+    rows = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}.csv"
+        assert main(base + ["--threads", threads, "--output", str(out)]) == EXIT_OK
+        rows.append(_read_csv(out)[2])
+    assert rows[0] == rows[1]
+
+
+def test_closed_output_pipe_ends_quietly():
+    # about 1 MB of rows, far more than a pipe buffer holds
+    cmd = [sys.executable, "-m", "spherewf.cli", "simulate", "--model", "sphere",
+           "--T", "1", "--dt", "1e-4", "--seed", "1"]
+    proc = subprocess.Popen(cmd, env=_ENV, stdout=subprocess.PIPE, stderr=subprocess.PIPE)
+    assert proc.stdout.readline().startswith(b"# config: ")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait(timeout=300) == EXIT_BROKEN_PIPE
+    assert err == b""
+
+
+def test_verify_unknown_suite_names_the_suites(capsys):
+    assert main(["verify", "--suite", "nope"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "'nope'" in err and "equivalence" in err and "'all'" in err
+
+
+def test_import_defers_the_harness():
+    out = _python(
+        "import sys, spherewf\n"
+        "print('scipy.stats' in sys.modules)\n"
+        "print(spherewf.run_suite.__name__, spherewf.VerificationReport.__name__,\n"
+        "      spherewf.harness.__name__)\n"
+        "try:\n"
+        "    spherewf.no_such_name\n"
+        "except AttributeError as exc:\n"
+        "    print(exc)\n")
+    assert out.splitlines() == [
+        "False", "run_suite VerificationReport spherewf.harness",
+        "module 'spherewf' has no attribute 'no_such_name'"]
+
+
+def test_simulate_does_not_load_scipy_stats(tmp_path):
+    out = tmp_path / "o.csv"
+    printed = _python(
+        "import sys\n"
+        "from spherewf.cli import main\n"
+        f"code = main(['simulate', '--model', 'sphere', '--T', '0.01', '--dt', '0.01', "
+        f"'--output', {str(out)!r}])\n"
+        "print(code, 'scipy.stats' in sys.modules)\n")
+    assert printed.split() == [str(EXIT_OK), "False"]
+    assert out.exists()

@@ -1,8 +1,14 @@
 import math
+import multiprocessing
+import os
+import time
+from concurrent.futures.process import BrokenProcessPool
+from signal import SIGKILL
 
 import numpy as np
 import pytest
 
+from spherewf import simulate
 from spherewf.simulate import (
     ENSEMBLE_CHUNK,
     Model,
@@ -201,6 +207,52 @@ def test_ensemble_chunking_is_invariant():
     b, _ = ensemble_final(Model.WF_NEUTRAL, t=1e-3, dt=1e-3, n_paths=n, seed=17,
                           start=X3.coords)
     assert np.array_equal(a, b)
+
+
+# three chunks, as in the harness's Monte-Carlo shapes
+_POOLED = dict(t=2e-4, dt=1e-4, n_paths=2 * ENSEMBLE_CHUNK + 5, seed=23, start=Y3.coords)
+
+
+def _pool_pids() -> set[int]:
+    return {p.pid for p in multiprocessing.active_children()}
+
+
+def test_pool_is_reused_and_finals_match_serial():
+    ref, _ = ensemble_final(Model.SPHERE, workers=1, **_POOLED)
+    first, _ = ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    pool, pids = simulate._pool, _pool_pids()
+    second, _ = ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    assert simulate._pool is pool
+    assert _pool_pids() == pids  # no worker spawned for the second call
+    assert first.tobytes() == ref.tobytes()
+    assert second.tobytes() == ref.tobytes()
+
+
+def test_pool_replaced_when_worker_count_changes():
+    ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    pool, pids = simulate._pool, _pool_pids()
+    finals, _ = ensemble_final(Model.SPHERE, workers=3, **_POOLED)
+    assert simulate._pool is not pool
+    assert pids.isdisjoint(_pool_pids())  # the old workers were shut down
+    ref, _ = ensemble_final(Model.SPHERE, workers=1, **_POOLED)
+    assert finals.tobytes() == ref.tobytes()
+
+
+def test_broken_pool_is_discarded():
+    ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    pool = simulate._pool
+    pid = pool.submit(os.getpid).result(timeout=60)
+    os.kill(pid, SIGKILL)
+    # the live worker serves these until the pool notices the dead one
+    with pytest.raises(BrokenProcessPool):
+        for _ in range(600):
+            pool.submit(time.sleep, 0.1).result(timeout=60)
+    with pytest.raises(BrokenProcessPool):
+        ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    finals, _ = ensemble_final(Model.SPHERE, workers=2, **_POOLED)
+    assert simulate._pool is not pool
+    ref, _ = ensemble_final(Model.SPHERE, workers=1, **_POOLED)
+    assert finals.tobytes() == ref.tobytes()
 
 
 def test_moran_monomorphic_fixed_point_and_conservation():
