@@ -46,7 +46,6 @@ from .wf_density import (
     DensityValue,
     GriffithsQuery,
     PushforwardQuery,
-    compositions,
     dirichlet_stationary,
     griffiths_density,
     pushforward_density,

@@ -33,7 +33,7 @@ from .simulate import (
     path_rng,
     simulate_moran,
 )
-from .specfun import gegenbauer, gegenbauer_explicit, generating_function_residual, log_gamma
+from .specfun import gegenbauer, gegenbauer_explicit, generating_function_residual
 from .sphere_heat import SPHERE_TRUNCATION, truncation_cutoff, zonal_kernel, zonal_series
 from .types import SimplexPoint, Truncation
 from .wf_density import (
@@ -42,6 +42,7 @@ from .wf_density import (
     dirichlet_stationary,
     griffiths_density,
     pushforward_density,
+    pushforward_log_prefactor,
     pushforward_series_batch,
 )
 
@@ -303,8 +304,7 @@ def prefactor_identity_check(n_points: int = 1000, k_max: int = 6,
     for k in ks:
         pts = _interior_points(rng, k, per_k, 1e-3)
         for row in pts:
-            a = math.exp(log_gamma(0.5 * k) - 0.5 * k * math.log(math.pi)
-                         - 0.5 * float(np.log(row).sum()))
+            a = math.exp(pushforward_log_prefactor(row))
             b = dirichlet_stationary(SimplexPoint(row), 0.5)
             worst = max(worst, abs(a - b) / abs(b))
     return VerificationReport(
@@ -366,13 +366,10 @@ def gegenbauer_check(seed: int = DEFAULT_SEED) -> VerificationReport:
 def _wf_density_grid(x_eval: np.ndarray, x_cond: np.ndarray, t: float, D: float,
                      trunc: Truncation) -> np.ndarray:
     """p(x_eval_i, t | x_cond) for a batch of evaluation points (k = any)."""
-    k = x_cond.size
     series, _, _, _, _, conv = pushforward_series_batch(x_eval, x_cond, t, D, trunc)
     if not conv:
         raise RuntimeError("pushforward series did not converge on the quadrature grid")
-    pref = np.exp(log_gamma(0.5 * k) - 0.5 * k * math.log(math.pi)
-                  - 0.5 * np.log(x_eval).sum(axis=1))
-    return pref * series
+    return np.exp(pushforward_log_prefactor(x_eval)) * series
 
 
 def _simplex_grid_k3(quad_order: int):
@@ -461,9 +458,7 @@ def _ck_wf_residual(t1: float, t2: float, quad_order: int, D: float,
     series_to, _, _, _, _, conv = pushforward_series_batch(pts, x_to, t2, D, trunc)
     if not conv:
         raise RuntimeError("pushforward series did not converge in quadrature")
-    pref_to = math.exp(log_gamma(1.5) - 1.5 * math.log(math.pi)
-                       - 0.5 * float(np.log(x_to).sum()))
-    p_xz = pref_to * series_to                               # p(x_to, t2 | z)
+    p_xz = math.exp(pushforward_log_prefactor(x_to)) * series_to  # p(x_to, t2 | z)
     integral = float((w * p_xz * p_zx * dw).sum())
     direct = pushforward_density(
         PushforwardQuery(SimplexPoint(x_to), SimplexPoint(x_from), t1 + t2, D, trunc)

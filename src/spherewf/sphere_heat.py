@@ -229,38 +229,11 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
 
     Density with respect to the normalized arc measure d(da)/(2*pi).
     """
-    _require_time(t)
     if not (D > 0.0):
         raise ValueError("heat_kernel_circle: D must be > 0")
-    even = 1.0
-    odd = 0.0
-    even_c = 0.0
-    odd_c = 0.0
-    terms = 1
-    tail = math.inf
-    converged = False
-    L = 0
-    while L < trunc.max_terms:
-        L += 1
-        term = 2.0 * math.cos(L * angle_diff) * math.exp(-D * L * L * t)
-        if L % 2 == 0:
-            y = term - even_c
-            s = even + y
-            even_c = (s - even) - y
-            even = s
-        else:
-            y = term - odd_c
-            s = odd + y
-            odd_c = (s - odd) - y
-            odd = s
-        terms += 1
-        b_next = 2.0 * math.exp(-D * (L + 1.0) * (L + 1.0) * t)
-        ratio = math.exp(-D * (2.0 * L + 3.0) * t)
-        tail = b_next / (1.0 - ratio)
-        if tail < trunc.tol:
-            converged = True
-            break
-    return KernelValue(even + odd, terms, tail, converged, even, odd)
+    even, odd, terms, tail, converged = circle_series(angle_diff, t, D, trunc)
+    e, o = float(even), float(odd)
+    return KernelValue(e + o, terms, tail, converged, e, o)
 
 
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):

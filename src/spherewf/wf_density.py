@@ -15,10 +15,11 @@ measure dx_1...dx_{k-1} on the simplex:
   with Q_0 = 1 and, for n >= 1,
 
       Q_n = (mu+2n-1)/n! * sum_{m<=n} (-1)^{n-m} C(n,m) (mu+m)_{(n-1)} xi_m,
-      xi_m = mu_{(m)} Gamma(eps)^k * sum_{|l|=m} m!/prod(l_j!)
-             * prod_j (x_j x'_j)^{l_j} / Gamma(l_j + eps),
+      xi_m = mu_{(m)} Gamma(eps)^k m! [h^m] prod_j f(h x_j x'_j),
+      f(u) = sum_l u^l / (l! Gamma(l + eps)),
 
-  where a_{(m)} is the rising factorial.
+  where a_{(m)} is the rising factorial.  xi_0..xi_n come from k-1
+  truncated convolutions in O(k n^2) time, for any k.
 
 * `pushforward_density` - the sphere heat kernel pushed through
   x_i = y_i^2, summing over the 2^k sign preimages of y (y' is fixed to
@@ -48,7 +49,7 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional
+from typing import Optional
 
 import mpmath
 import numpy as np
@@ -60,16 +61,15 @@ from .types import SimplexPoint, Truncation
 __all__ = [
     "GRIFFITHS_T_MIN",
     "WF_TRUNCATION",
-    "ENUMERATION_BUDGET",
     "GriffithsQuery",
     "PushforwardQuery",
     "DensityValue",
     "dirichlet_stationary",
-    "compositions",
     "xi_m",
     "q_n",
     "griffiths_density",
     "pushforward_density",
+    "pushforward_log_prefactor",
     "pushforward_series_batch",
 ]
 
@@ -79,9 +79,6 @@ GRIFFITHS_T_MIN = 0.01
 
 #: Default truncation for the simplex expansions.
 WF_TRUNCATION = Truncation(max_terms=200, tol=1e-10, consecutive_small=3)
-
-#: xi_m refuses composition enumerations larger than this.
-ENUMERATION_BUDGET = 10_000_000
 
 #: Sign-preimage enumeration guard for the pushforward (2^k terms).
 _MAX_SIGN_K = 20
@@ -140,7 +137,10 @@ class DensityValue:
     Griffiths expansion).  cancellation reports that at least one Q_n
     lost more than ten digits to cancellation; mode records whether the
     direct float scan or the resummed high-precision path produced
-    series_sum.  tail_bound is the heuristic size of the last few terms.
+    series_sum.  tail_bound is in series_sum units: for the pushforward
+    it is the sphere series' rigorous bound on the discarded tail; for
+    the Griffiths expansion it is a heuristic, the largest of the last
+    `consecutive_small` terms.
     """
 
     value: float
@@ -197,83 +197,45 @@ def dirichlet_stationary(x: SimplexPoint, epsilon) -> float:
     return math.exp(_log_dirichlet(c, eps))
 
 
-@lru_cache(maxsize=None)
-def _compositions_cached(m: int, k: int) -> np.ndarray:
-    # iterative odometer over weak compositions of m into k parts; the
-    # index of the first nonzero part is tracked so each step is O(k)
-    arr = np.empty((math.comb(m + k - 1, k - 1), k), dtype=np.int64)
-    comp = [m] + [0] * (k - 1)
-    arr[0] = comp
-    first = 0
-    row = 1
-    while comp[-1] != m:
-        v = comp[first]
-        comp[first] = 0
-        comp[0] = v - 1
-        comp[first + 1] += 1
-        first = 0 if v > 1 else first + 1
-        arr[row] = comp
-        row += 1
-    arr.flags.writeable = False
-    return arr
+def _log_xi_table(log_xx: np.ndarray, k: int, eps: float, n: int) -> np.ndarray:
+    """log xi_0 .. log xi_n from log(x_j * x'_j) by the series product.
 
-
-def compositions(m: int, k: int) -> np.ndarray:
-    """All weak compositions (l_1, ..., l_k) of m, as a C(m+k-1, k-1) x k array."""
-    if m < 0 or k < 1:
-        raise ValueError("compositions: need m >= 0 and k >= 1")
-    return _compositions_cached(m, k)
-
-
-@lru_cache(maxsize=None)
-def _xi_log_const(m: int, k: int, eps: float):
-    """Per-composition x-independent log factors for xi_m, plus the composition matrix."""
-    comp = _compositions_cached(m, k)
-    lf = np.array([log_gamma(j + 1.0) for j in range(m + 1)])
-    lg_eps = np.array([log_gamma(j + eps) for j in range(m + 1)])
-    const = lf[m] - lf[comp].sum(axis=1) - lg_eps[comp].sum(axis=1) + k * log_gamma(eps)
-    const.flags.writeable = False
-    return comp.astype(np.float64), const
-
-
-def _sum_positive(a: np.ndarray) -> float:
-    """Compensated sum of nonnegative terms: exact fsum across block sums."""
-    if a.size <= 512:
-        return math.fsum(a.tolist())
-    blocks = np.add.reduceat(a, np.arange(0, a.size, 512))
-    return math.fsum(blocks.tolist())
-
-
-def _log_xi(m: int, log_xx: np.ndarray, k: int, eps: float) -> float:
-    """log xi_m given log(x_j * x'_j); all composition terms are positive."""
+    The coefficients are positive, so the k-1 truncated convolutions run
+    in the log domain with a max-shifted log-sum-exp per output degree.
+    """
+    lags = np.arange(n + 1)
+    log_fact = np.array([log_gamma(j + 1.0) for j in range(n + 1)])
+    # log of l! Gamma(l + eps) / Gamma(eps), so that the l = 0 term is exactly 0
+    log_denom = log_fact + np.array([log_gamma(j + eps) for j in range(n + 1)]) - log_gamma(eps)
+    acc = lags * log_xx[0] - log_denom
+    for log_z in log_xx[1:]:
+        # view row p, column i: degree n - p - i (-inf below 0); pair row p: degree n - p
+        series = np.concatenate(((lags * log_z - log_denom)[::-1], np.full(n, -np.inf)))
+        pair = np.ndarray((n + 1, n + 1), buffer=series, strides=(8, 8)) + acc
+        top = pair.max(axis=1)
+        pair -= top[:, None]  # pair is the only (n+1)^2 array; exp runs in place
+        acc = (top + np.log(np.exp(pair, out=pair).sum(axis=1)))[::-1].copy()
     mu = k * eps
-    comp, const = _xi_log_const(m, k, eps)
-    logs = const + comp @ log_xx
-    mx = float(logs.max())
-    s = _sum_positive(np.exp(logs - mx))
-    return log_gamma(mu + m) - log_gamma(mu) + mx + math.log(s)
+    log_rising = np.array([log_gamma(mu + j) for j in range(n + 1)]) - log_gamma(mu)
+    return acc + log_fact + log_rising
 
 
-def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float,
-         budget: int = ENUMERATION_BUDGET) -> float:
-    """xi_m of the expansion; enumerates all C(m+k-1, k-1) compositions."""
+def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
+    """xi_m of the expansion: the coefficient of the series product at degree m."""
     if m < 0:
         raise ValueError("xi_m: m must be >= 0")
     if not (epsilon > 0.0):
         raise ValueError("xi_m: epsilon must be > 0")
     if x.k != x_prime.k:
         raise ValueError("xi_m: dimension mismatch")
-    k = x.k
-    if math.comb(m + k - 1, k - 1) > budget:
-        raise ValueError(f"xi_m: composition count C({m + k - 1},{k - 1}) exceeds budget {budget}")
     xx = x.coords * x_prime.coords
     if xx.min() <= 0.0:
         raise ValueError("xi_m: requires interior points")
-    return math.exp(_log_xi(m, np.log(xx), k, float(epsilon)))
+    return math.exp(_log_xi_table(np.log(xx), x.k, float(epsilon), m)[m])
 
 
-def _q_n_terms(n: int, mu: float, log_xi_at: Callable[[int], float]) -> tuple[float, float]:
-    """(Q_n, largest partial term magnitude) for n >= 1 via the alternating m-sum."""
+def _q_n_terms(n: int, mu: float, log_xi: np.ndarray) -> tuple[float, float]:
+    """(Q_n, largest partial term magnitude) for n >= 1 from log xi_0 .. log xi_n."""
     logs = np.empty(n + 1)
     signs = np.empty(n + 1)
     for m in range(n + 1):
@@ -281,7 +243,7 @@ def _q_n_terms(n: int, mu: float, log_xi_at: Callable[[int], float]) -> tuple[fl
             math.log(math.comb(n, m))
             + log_gamma(mu + m + n - 1.0)
             - log_gamma(mu + m)
-            + log_xi_at(m)
+            + log_xi[m]
             - log_gamma(n + 1.0)
         )
         signs[m] = -1.0 if (n - m) % 2 else 1.0
@@ -302,19 +264,11 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
         raise ValueError("q_n: n must be >= 0")
     if n == 0:
         return 1.0
-    k = x.k
     xx = x.coords * x_prime.coords
     if xx.min() <= 0.0:
         raise ValueError("q_n: requires interior points")
-    log_xx = np.log(xx)
-    cache: dict[int, float] = {}
-
-    def log_xi_at(m: int) -> float:
-        if m not in cache:
-            cache[m] = _log_xi(m, log_xx, k, float(epsilon))
-        return cache[m]
-
-    value, _ = _q_n_terms(n, k * float(epsilon), log_xi_at)
+    eps = float(epsilon)
+    value, _ = _q_n_terms(n, x.k * eps, _log_xi_table(np.log(xx), x.k, eps, n))
     return value
 
 
@@ -382,13 +336,9 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     trunc = q.trunc
     prefactor = math.exp(_log_dirichlet(q.x.coords, np.full(k, eps)))
     log_xx = np.log(q.x.coords * q.x_prime.coords)
-    xi_cache: dict[int, float] = {}
-
-    def log_xi_at(m: int) -> float:
-        if m not in xi_cache:
-            xi_cache[m] = _log_xi(m, log_xx, k, eps)
-        return xi_cache[m]
-
+    # doubled only when the scan or the resummation runs past its end
+    n_table = 16
+    log_xi = _log_xi_table(log_xx, k, eps, n_table)
     total = 0.0
     comp = 0.0
     err_est = 0.0
@@ -404,7 +354,10 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
         elif e_n == 0.0:
             term = 0.0
         else:
-            qn, max_partial = _q_n_terms(n, mu, log_xi_at)
+            if n > n_table:
+                n_table = min(2 * n_table, trunc.max_terms)
+                log_xi = _log_xi_table(log_xx, k, eps, n_table)
+            qn, max_partial = _q_n_terms(n, mu, log_xi[:n + 1])
             if abs(qn) < 1e-10 * max_partial:
                 cancellation = True
             err_est += e_n * max_partial * 5e-15
@@ -428,8 +381,10 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
         # negligibly small terms
         n_hp = min(-(-(n_stop + 8) // 8) * 8, trunc.max_terms)
         weights = _hp_weights(q.t, k, eps, n_hp)
+        if n_hp > n_table:
+            log_xi = _log_xi_table(log_xx, k, eps, n_hp)
         series = math.fsum(
-            math.exp(log_xi_at(m)) * weights[m] for m in range(n_hp + 1)
+            math.exp(log_xi[m]) * weights[m] for m in range(n_hp + 1)
         )
         mode = "resummed"
     return DensityValue(
@@ -480,6 +435,16 @@ def pushforward_series_batch(x_batch: np.ndarray, x_other: np.ndarray, t: float,
     return even_agg + odd_agg, even_agg, odd_agg, terms, tail, conv
 
 
+def pushforward_log_prefactor(x: np.ndarray):
+    """log(Gamma(k/2)/pi^{k/2} prod_i x_i^{-1/2}) over the last axis of x.
+
+    The prefactor of the pushed-forward sphere kernel; at eps = 1/2 it is
+    the stationary Dirichlet density.
+    """
+    k = x.shape[-1]
+    return log_gamma(0.5 * k) - 0.5 * k * math.log(math.pi) - 0.5 * np.log(x).sum(axis=-1)
+
+
 def pushforward_density(q: PushforwardQuery) -> DensityValue:
     """Transition density obtained from the sphere kernel via x_i = y_i^2.
 
@@ -488,12 +453,7 @@ def pushforward_density(q: PushforwardQuery) -> DensityValue:
     combines with the kernel normalization into the closed prefactor
     Gamma(k/2)/pi^{k/2} * prod x_i^{-1/2}.
     """
-    k = q.x.k
-    prefactor = math.exp(
-        log_gamma(0.5 * k)
-        - 0.5 * k * math.log(math.pi)
-        - 0.5 * float(np.log(q.x.coords).sum())
-    )
+    prefactor = math.exp(pushforward_log_prefactor(q.x.coords))
     series, even, odd, terms, tail, conv = pushforward_series_batch(
         q.x.coords[None, :], q.x_prime.coords, q.t, q.D, q.trunc
     )

@@ -52,15 +52,18 @@ def test_density_sphere_long_time(tmp_path):
 
 
 def test_density_pushforward_and_griffiths_agree(tmp_path):
-    args = ["--x", "0.5,0.3,0.2", "--x-prime", "0.25,0.35,0.4", "--t", "0.5"]
-    out1 = tmp_path / "p.csv"
-    out2 = tmp_path / "g.csv"
-    assert main(["density", "--kernel", "pushforward", *args, "--output", str(out1)]) == EXIT_OK
-    assert main(["density", "--kernel", "griffiths", "--epsilon", "0.5", *args,
-                 "--output", str(out2)]) == EXIT_OK
-    v1 = float(_read_csv(out1)[2][0][6])
-    v2 = float(_read_csv(out2)[2][0][6])
-    assert v1 == pytest.approx(v2, rel=1e-7)
+    for x, xp, t in (("0.5,0.3,0.2", "0.25,0.35,0.4", "0.5"),
+                     ("0.1,0.15,0.2,0.25,0.2,0.1", "0.3,0.1,0.1,0.2,0.15,0.15", "0.05")):
+        args = ["--x", x, "--x-prime", xp, "--t", t]
+        out1 = tmp_path / "p.csv"
+        out2 = tmp_path / "g.csv"
+        assert main(["density", "--kernel", "pushforward", *args, "--output", str(out1)]) == EXIT_OK
+        assert main(["density", "--kernel", "griffiths", "--epsilon", "0.5", *args,
+                     "--output", str(out2)]) == EXIT_OK
+        k = x.count(",") + 1
+        v1 = float(_read_csv(out1)[2][0][2 * k])
+        v2 = float(_read_csv(out2)[2][0][2 * k])
+        assert v1 == pytest.approx(v2, rel=1e-7)
 
 
 def test_density_rejects_malformed_simplex(tmp_path, capsys):

@@ -154,8 +154,9 @@ def test_mc_vs_analytic_smoke():
 
 
 def test_run_suite_equivalence_k_filter():
-    reports = run_suite("equivalence", k=3)
-    assert len(reports) == 1 and reports[0].name == "equivalence-k3" and reports[0].passed
+    for k in (3, 6):
+        reports = run_suite("equivalence", k=k)
+        assert len(reports) == 1 and reports[0].name == f"equivalence-k{k}" and reports[0].passed
 
 
 def test_stationary_law_smoke():

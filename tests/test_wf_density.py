@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -10,7 +11,6 @@ from spherewf.wf_density import (
     GRIFFITHS_T_MIN,
     GriffithsQuery,
     PushforwardQuery,
-    compositions,
     dirichlet_stationary,
     griffiths_density,
     pushforward_density,
@@ -62,19 +62,29 @@ def test_dirichlet_boundary_conventions():
         dirichlet_stationary(X3, [0.5, -0.5, 1.0])
 
 
-# --- compositions and xi ------------------------------------------------------
+# --- xi ------------------------------------------------------------------------
 
-def test_compositions_enumeration():
-    for m, k in ((0, 3), (1, 3), (4, 3), (5, 2), (3, 4)):
-        arr = compositions(m, k)
-        assert arr.shape == (math.comb(m + k - 1, k - 1), k)
-        assert np.all(arr.sum(axis=1) == m)
-        assert len({tuple(r) for r in arr}) == arr.shape[0]
+def _compositions(m, k):
+    """Weak compositions of m into k parts by stars and bars (small m and k only)."""
+    rows = []
+    for bars in itertools.combinations(range(m + k - 1), k - 1):
+        edges = (-1, *bars, m + k - 1)
+        rows.append([b - a - 1 for a, b in zip(edges, edges[1:])])
+    return np.array(rows)
 
 
-def test_xi_budget_guard():
-    with pytest.raises(ValueError):
-        xi_m(400, X4, X4B, 0.5, budget=1000)
+def _xi_by_enumeration(m, x, xp, eps):
+    """Independent oracle: the defining sum of xi_m over all compositions of m."""
+    z = x.coords * xp.coords
+    k = x.k
+    terms = []
+    for row in _compositions(m, k):
+        term = math.factorial(m)
+        for zj, lj in zip(z, row):
+            term *= zj ** lj / (math.factorial(lj) * math.gamma(lj + eps))
+        terms.append(term)
+    poch = math.prod(k * eps + i for i in range(m))
+    return poch * math.gamma(eps) ** k * math.fsum(terms)
 
 
 def _xi_by_series_product(m, x, xp, eps):
@@ -112,8 +122,38 @@ def test_xi_low_order_closed_forms():
 def test_xi_matches_series_product_oracle():
     for m in range(13):
         got = xi_m(m, X3, X3B, 0.5)
-        ref = _xi_by_series_product(m, X3, X3B, 0.5)
-        assert got == pytest.approx(ref, rel=1e-11)
+        assert got == pytest.approx(_xi_by_series_product(m, X3, X3B, 0.5), rel=1e-11)
+        assert got == pytest.approx(_xi_by_enumeration(m, X3, X3B, 0.5), rel=1e-11)
+    # k = 2..6 with one coordinate of each point at 1e-3
+    for k in range(2, 7):
+        rest = np.linspace(1.0, 2.0, k - 1)
+        x = SimplexPoint(np.append(1e-3, (1.0 - 1e-3) * rest / rest.sum()))
+        xp = SimplexPoint(np.append((1.0 - 1e-3) * rest[::-1] / rest.sum(), 1e-3))
+        for eps in (0.5, 1.7):
+            for m in range(11):
+                ref = _xi_by_enumeration(m, x, xp, eps)
+                assert xi_m(m, x, xp, eps) == pytest.approx(ref, rel=1e-11), (k, eps, m)
+
+
+def test_xi_oracle_property():
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.lists(st.floats(0.0, 1.0), min_size=6, max_size=6)
+
+    @hypothesis.settings(max_examples=60, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(2, 6), m=st.integers(0, 10), eps=st.floats(0.1, 3.0),
+                      w=weights, wp=weights)
+    def check(k, m, eps, w, wp):
+        def point(raw):
+            raw = np.asarray(raw[:k]) + 1e-12
+            return SimplexPoint(1e-3 + (1.0 - k * 1e-3) * raw / raw.sum())
+
+        x, xp = point(w), point(wp)
+        got = xi_m(m, x, xp, eps)
+        assert got == pytest.approx(_xi_by_enumeration(m, x, xp, eps), rel=1e-11)
+        assert got == pytest.approx(_xi_by_series_product(m, x, xp, eps), rel=1e-11)
+
+    check()
 
 
 # --- expansion coefficients -----------------------------------------------------
@@ -139,7 +179,8 @@ def test_qn_reproducing_kernel_montecarlo():
     """E_pi[Q_n Q_m] = delta_nm Q_n(x', x') under the stationary Dirichlet law.
 
     Soft statistical check (4 sigma) with vectorized low-order Q built
-    from the composition enumeration, independent of q_n's internals.
+    from the test's own composition enumeration, independent of q_n's
+    internals.
     """
     rng = np.random.default_rng(31)
     eps = 0.5
@@ -153,7 +194,7 @@ def test_qn_reproducing_kernel_montecarlo():
     def xi_vec(m, pts):
         z = pts * xp[None, :]
         total = np.zeros(pts.shape[0])
-        for row in compositions(m, k):
+        for row in _compositions(m, k):
             coef = math.factorial(m)
             for lj in row:
                 coef /= math.factorial(lj) * math.gamma(lj + eps)
@@ -258,6 +299,19 @@ def test_equivalence_spot_checks_k3():
         g = griffiths_density(GriffithsQuery(X3, X3B, t, 0.5))
         p = pushforward_density(PushforwardQuery(X3, X3B, t))
         assert abs(g.value - p.value) / max(1.0, abs(g.value)) < 1e-6
+
+
+def test_equivalence_at_k6_and_k8():
+    # beyond the reach of a composition enumeration at small t
+    for k in (6, 8):
+        w = np.arange(1.0, k + 1.0)
+        x = SimplexPoint(w / w.sum())
+        xp = SimplexPoint(w[::-1] / w.sum())
+        for t in (0.05, 0.5):
+            g = griffiths_density(GriffithsQuery(x, xp, t, 0.5))
+            p = pushforward_density(PushforwardQuery(x, xp, t))
+            assert g.converged and p.converged
+            assert abs(g.value - p.value) / max(1.0, abs(g.value)) < 1e-6, (k, t)
 
 
 def test_pushforward_k2_circle_route_matches_expansion():
