@@ -56,18 +56,13 @@ from .simulate import (
     Model,
     MoranState,
     PathRecord,
-    SkewIncrements,
+    advance,
     draw_skew,
     ensemble_final,
     moran_event_rate,
-    moran_step,
     path_rng,
     simulate_moran,
     simulate_path,
-    step_sphere,
-    step_wf_isotropic,
-    step_wf_mutation,
-    step_wf_neutral,
 )
 
 __version__ = "0.1.0"

@@ -82,7 +82,28 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _apply_config_file(args: argparse.Namespace, parser_keys: set[str]) -> None:
+def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
+    """The flags of one subcommand, by destination."""
+    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
+
+
+def _config_value(action: argparse.Action, value):
+    """A config file value converted and checked as if typed after its flag."""
+    token = value if isinstance(value, str) else json.dumps(value)
+    if action.type is not None:
+        try:
+            token = action.type(token)
+        except ValueError:
+            raise ConfigError(f"config file: field '{action.dest}': invalid "
+                              f"{action.type.__name__} value {value!r}") from None
+    if action.choices is not None and token not in action.choices:
+        raise ConfigError(f"config file: field '{action.dest}' must be one of "
+                          f"{list(action.choices)}, got {value!r}")
+    return token
+
+
+def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
     if not getattr(args, "config", None):
         return
     try:
@@ -92,13 +113,13 @@ def _apply_config_file(args: argparse.Namespace, parser_keys: set[str]) -> None:
         raise ConfigError(f"config file: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file: top level must be an object")
-    unknown = set(data) - parser_keys
+    unknown = set(data) - set(actions)
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
     for key, value in data.items():
         # CLI flags win: only fill values the user did not pass explicitly
-        if key in args.__dict__ and key not in args._explicit:
-            setattr(args, key, value)
+        if key not in args._explicit:
+            setattr(args, key, _config_value(actions[key], value))
 
 
 _NON_SEMANTIC_KEYS = ("func", "output", "summary", "config")
@@ -408,8 +429,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     args._explicit = _explicit_dests(argv if argv is not None else sys.argv[1:], parser)
     try:
-        keys = {a for a in vars(args) if not a.startswith("_") and a not in ("func", "command")}
-        _apply_config_file(args, keys)
+        _apply_config_file(args, _flag_actions(parser, args.command))
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         code = args.func(args)

@@ -1,4 +1,4 @@
-"""Stochastic simulators: skew Brownian driver, Euler steppers, Moran model.
+"""Stochastic simulators: skew Brownian driver, one Euler step, Moran model.
 
 All continuous models are driven by the same antisymmetric family of
 Brownian increments db_ij (i > j independent, db_ji = -db_ij, variance
@@ -17,15 +17,23 @@ c = 1, (ii) its stationary law is Dirichlet(eps), and (iii) its
 eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 `wf_density`.
 
-Boundary policy for the simplex steppers: negative coordinates are
-clamped to zero and the vector renormalized; the clamp event is
-reported.  The sphere stepper renormalizes every step (projection
-Euler) and reports the pre-renormalization defect |norm(y_raw)^2 - 1|.
+One function, `advance`, takes an Euler step of an (n, k) block of
+paths of any of the four models: a model supplies only its drift, its
+noise amplitude and its boundary rule.  A single path (`simulate_path`)
+is a batch of one, an ensemble chunk a batch of up to ENSEMBLE_CHUNK.
+
+Boundary policy on the simplex: negative coordinates are clamped to
+zero and the vector renormalized; the clamp event is reported.  On the
+sphere every step is renormalized (projection Euler) and the
+pre-renormalization defect |norm(y_raw)^2 - 1| is reported.
 
 RNG: counter-based Philox4x64-10 (numpy.random.Philox).  Single paths
 use key = (master_seed, path_index); vectorized ensembles use one
 stream per fixed-size chunk of paths, key = (master_seed,
 2^63 + chunk_index), so results are independent of the worker count.
+Each step of an n-path batch takes its k(k-1)/2 * n normals from one
+standard_normal call, pair-major: the n draws of pair (1, 0), then of
+(2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in row-major order).
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -53,23 +61,18 @@ from .types import ModelParams, SimplexPoint, SpherePoint
 
 __all__ = [
     "Model",
-    "SkewIncrements",
     "PathRecord",
     "MoranState",
     "MoranRecord",
     "EnsembleDiagnostics",
     "draw_skew",
-    "step_sphere",
-    "step_wf_neutral",
-    "step_wf_mutation",
-    "step_wf_isotropic",
+    "advance",
     "simulate_path",
     "ensemble_final",
     "pool_map",
     "path_rng",
     "chunk_rng",
     "moran_event_rate",
-    "moran_step",
     "simulate_moran",
     "ENSEMBLE_CHUNK",
     "DEFAULT_SEED",
@@ -110,114 +113,117 @@ def chunk_rng(master_seed: int, chunk_index: int) -> np.random.Generator:
 
 @lru_cache(maxsize=None)
 def _pairs(k: int) -> tuple[tuple[int, int], ...]:
-    # (i, j) with i > j, in the flat storage order of SkewIncrements
+    # (i, j) with i > j, in the row order of draw_skew's increments
     return tuple((i, j) for i in range(1, k) for j in range(i))
 
 
-@dataclass(frozen=True, eq=False)
-class SkewIncrements:
-    """One step's antisymmetric Brownian increments.
+@lru_cache(maxsize=None)
+def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
+    # _pairs(k) as index arrays (i of each pair, j of each pair)
+    i, j = np.array(_pairs(k), dtype=np.intp).reshape(-1, 2).T
+    return i.copy(), j.copy()
 
-    Only the k(k-1)/2 entries with i > j are stored; db(i, j) = -db(j, i)
-    holds exactly by construction.
+
+def draw_skew(k: int, dt: float, rng: np.random.Generator, n: int = 1,
+              scale: float = 1.0) -> np.ndarray:
+    """One step's increments scale * db_ij for n independent paths.
+
+    Returns a (k(k-1)/2, n) array of independent Normal(0, scale^2 dt)
+    draws from a single rng.standard_normal call, laid out pair-major:
+    row p holds the pair (i, j) = _pairs(k)[p], i > j, and db_ji = -db_ij.
     """
-
-    k: int
-    upper: np.ndarray
-
-    def __post_init__(self):
-        if self.upper.shape != (self.k * (self.k - 1) // 2,):
-            raise ValueError("SkewIncrements: storage length must be k(k-1)/2")
-
-    def db(self, i: int, j: int) -> float:
-        if i == j:
-            return 0.0
-        if i > j:
-            return float(self.upper[i * (i - 1) // 2 + j])
-        return -float(self.upper[j * (j - 1) // 2 + i])
-
-    def matrix(self) -> np.ndarray:
-        b = np.zeros((self.k, self.k))
-        for idx, (i, j) in enumerate(_pairs(self.k)):
-            b[i, j] = self.upper[idx]
-            b[j, i] = -self.upper[idx]
-        return b
-
-
-def draw_skew(k: int, dt: float, rng: np.random.Generator) -> SkewIncrements:
-    """k(k-1)/2 independent Normal(0, dt) draws, one per unordered pair."""
     if not (dt > 0.0):
         raise ValueError("draw_skew: dt must be > 0")
-    upper = rng.standard_normal(k * (k - 1) // 2) * math.sqrt(dt)
-    upper.flags.writeable = False
-    return SkewIncrements(k, upper)
+    m = k * (k - 1) // 2
+    G = rng.standard_normal(m * n).reshape(m, n)
+    G *= scale * math.sqrt(dt)  # in place: a second (m, n) array costs page faults
+    return G
 
 
-# --- single-step integrators --------------------------------------------
+# --- the Euler step ---------------------------------------------------------
+# Both noise sums add coordinate i's k-1 terms to its drift in ascending
+# order of the partner j, as the pair loop does (every pair (i, j < i)
+# comes before every pair (i' > i, i)), so they give the same bytes.
 
-def _sphere_raw(y: np.ndarray, dt: float, c: float, b: np.ndarray) -> np.ndarray:
-    k = y.size
-    return y + (-c * c / 8.0) * (k - 1.0) * y * dt + 0.5 * c * (b @ y)
+def _noise_by_pairs(sphere: bool, dY: np.ndarray, Y: np.ndarray,
+                    G: np.ndarray) -> np.ndarray:
+    """dY plus the noise, one pair at a time (in place)."""
+    for p, (i, j) in enumerate(_pairs(Y.shape[1])):
+        g = G[p]
+        if sphere:
+            dY[:, i] += g * Y[:, j]
+            dY[:, j] -= g * Y[:, i]
+        else:
+            amp = np.sqrt(Y[:, i] * Y[:, j])
+            dY[:, i] += amp * g
+            dY[:, j] -= amp * g
+    return dY
 
 
-def step_sphere(y: SpherePoint, dt: float, c: float,
-                rng: np.random.Generator) -> tuple[SpherePoint, float]:
-    """One Euler step of the sphere diffusion, renormalized to the sphere.
+def _noise_by_matrix(sphere: bool, dY: np.ndarray, Y: np.ndarray,
+                     G: np.ndarray) -> np.ndarray:
+    """dY plus the noise, as a sum over the columns of the (k, k) matrix
+    of terms, stored partner-major as T[1 + j, path, i]."""
+    n, k = Y.shape
+    i, j = _pair_index(k)
+    T = np.zeros((k + 1, n, k))
+    T[0] = dY
+    B = T[1:]
+    B[j, :, i] = G
+    B[i, :, j] = -G
+    Yj = Y.T[:, :, None]
+    B *= Yj if sphere else np.sqrt(Yj * Y)
+    return np.add.reduce(T, axis=0)
 
-    Returns (new point, defect) with defect = |norm(raw)^2 - 1| measured
-    before renormalization.
+
+#: batches up to this many paths take the matrix noise sum (fewer numpy
+#: calls per step), larger ones the pair loop (less memory traffic per
+#: path); at k = 3 the two cost about the same at 32-64 paths
+_MATRIX_MAX_ROWS = 32
+
+
+def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
+            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+    """One Euler step of each row of the (n, k) block Y.
+
+    `eps` is the mutation vector of Model.WF_MUTATION and is not read by
+    the other models.  Returns (new block, defect per row, clamp count):
+    the defect is the pre-fix |norm(y)^2 - 1| on the sphere and the
+    pre-clamp |sum x - 1| on the simplex; the clamp count is the number of
+    rows that had a negative coordinate.  Y itself is not modified.
     """
-    b = draw_skew(y.k, dt, rng).matrix()
-    raw = _sphere_raw(y.coords, dt, c, b)
-    sq = float(raw @ raw)
-    return SpherePoint(raw / math.sqrt(sq)), abs(sq - 1.0)
-
-
-def _wf_noise(x: np.ndarray, b: np.ndarray, scale: float) -> np.ndarray:
-    # row sums of scale * sqrt(x_i x_j) * b_ij; the (i,j)/(j,i) contributions
-    # cancel exactly in the total because b is antisymmetric
-    g = np.sqrt(np.outer(x, x))
-    return scale * (g * b).sum(axis=1)
-
-
-def _clamp_simplex(raw: np.ndarray) -> tuple[np.ndarray, bool, float]:
-    presum = abs(float(raw.sum()) - 1.0)
-    clamped = bool(raw.min() < 0.0)
-    if clamped:
-        raw = np.clip(raw, 0.0, None)
-    return raw / raw.sum(), clamped, presum
-
-
-def step_wf_neutral(x: SimplexPoint, dt: float, c: float,
-                    rng: np.random.Generator) -> tuple[SimplexPoint, bool]:
-    """One Euler step of the neutral model; returns (new point, clamped)."""
-    b = draw_skew(x.k, dt, rng).matrix()
-    raw = x.coords + _wf_noise(x.coords, b, c)
-    out, clamped, _ = _clamp_simplex(raw)
-    return SimplexPoint(out), clamped
-
-
-def step_wf_mutation(x: SimplexPoint, dt: float, params: ModelParams,
-                     rng: np.random.Generator) -> tuple[SimplexPoint, bool]:
-    """One Euler step with mutation drift (1/2)(eps_i - mu x_i) and unit noise.
-
-    The noise scale is fixed at 1 here; see the module docstring for the
-    time normalization.  params.c is not used by this stepper.
-    """
-    b = draw_skew(x.k, dt, rng).matrix()
-    raw = x.coords + 0.5 * params.drift(x.coords) * dt + _wf_noise(x.coords, b, 1.0)
-    out, clamped, _ = _clamp_simplex(raw)
-    return SimplexPoint(out), clamped
-
-
-def step_wf_isotropic(x: SimplexPoint, dt: float, c: float,
-                      rng: np.random.Generator) -> tuple[SimplexPoint, bool]:
-    """One Euler step of the square-map image of the sphere diffusion."""
-    b = draw_skew(x.k, dt, rng).matrix()
-    k = x.k
-    raw = x.coords + 0.25 * c * c * (1.0 - k * x.coords) * dt + _wf_noise(x.coords, b, c)
-    out, clamped, _ = _clamp_simplex(raw)
-    return SimplexPoint(out), clamped
+    model = Model(model)
+    n, k = Y.shape
+    sphere = model is Model.SPHERE
+    if sphere:
+        dY = (-c * c / 8.0) * (k - 1.0) * dt * Y
+        amp = 0.5 * c
+    elif model is Model.WF_NEUTRAL:
+        dY = np.zeros_like(Y)
+        amp = c
+    elif model is Model.WF_MUTATION:
+        dY = 0.5 * (eps - float(eps.sum()) * Y) * dt
+        amp = 1.0
+    else:
+        dY = 0.25 * c * c * (1.0 - k * Y) * dt
+        amp = c
+    G = draw_skew(k, dt, rng, n, amp)
+    noise = _noise_by_matrix if n <= _MATRIX_MAX_ROWS else _noise_by_pairs
+    Y = Y + noise(sphere, dY, Y, G)
+    if sphere:
+        # projection Euler: back onto the sphere
+        nrm2 = np.einsum("ij,ij->i", Y, Y)
+        Y /= np.sqrt(nrm2)[:, None]
+        return Y, np.abs(nrm2 - 1.0), 0
+    # simplex: clip negative coordinates to zero, then renormalise
+    sums = Y.sum(axis=1)
+    defect = np.abs(sums - 1.0)
+    neg = Y < 0.0
+    clamps = int(np.count_nonzero(neg.any(axis=1))) if neg.any() else 0
+    if clamps:
+        Y = np.clip(Y, 0.0, None)
+        sums = Y.sum(axis=1)
+    return Y / sums[:, None], defect, clamps
 
 
 # --- paths ----------------------------------------------------------------
@@ -243,9 +249,15 @@ class PathRecord:
     n_steps: int
 
 
+def _start_point(model: Model, start) -> SpherePoint | SimplexPoint:
+    """The validated start point of `model` (raises ValueError)."""
+    cls = SpherePoint if model is Model.SPHERE else SimplexPoint
+    return start if isinstance(start, cls) else cls(start)
+
+
 def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
                   rng: np.random.Generator, record_stride: int = 1) -> PathRecord:
-    """Iterate the chosen stepper for round(T/dt) steps.
+    """Advance one path round(T/dt) steps, as a batch of one.
 
     Records the initial state and every record_stride-th step (the final
     step is always recorded).  Deterministic given the generator state.
@@ -258,17 +270,13 @@ def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
         raise ValueError("simulate_path: record_stride must be >= 1")
     n_steps = max(1, int(round(T / dt)))
     model = Model(model)
-    k = params.k
-
-    if model is Model.SPHERE:
-        state = start if isinstance(start, SpherePoint) else SpherePoint(start)
-    else:
-        state = start if isinstance(start, SimplexPoint) else SimplexPoint(start)
-    if state.k != k:
+    point = _start_point(model, start)
+    if point.k != params.k:
         raise ValueError("simulate_path: start dimension does not match params.k")
 
+    Y = point.coords[None, :]
     times = [0.0]
-    states = [state.coords.copy()]
+    states = [Y[0]]
     defects = [0.0]
     clamps = [0]
     clamp_count = 0
@@ -276,30 +284,15 @@ def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
     defect_max = 0.0
 
     for step in range(1, n_steps + 1):
-        b = draw_skew(k, dt, rng).matrix()
-        if model is Model.SPHERE:
-            raw = _sphere_raw(state.coords, dt, params.c, b)
-            sq = float(raw @ raw)
-            defect = abs(sq - 1.0)
-            state = SpherePoint(raw / math.sqrt(sq))
-            clamped = False
-        else:
-            if model is Model.WF_NEUTRAL:
-                raw = state.coords + _wf_noise(state.coords, b, params.c)
-            elif model is Model.WF_MUTATION:
-                raw = state.coords + 0.5 * params.drift(state.coords) * dt \
-                    + _wf_noise(state.coords, b, 1.0)
-            else:
-                raw = state.coords + 0.25 * params.c ** 2 * (1.0 - k * state.coords) * dt \
-                    + _wf_noise(state.coords, b, params.c)
-            out, clamped, defect = _clamp_simplex(raw)
-            state = SimplexPoint(out)
-        clamp_count += int(clamped)
+        # advance returns a new block, so the recorded rows stay as they are
+        Y, d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng)
+        defect = float(d[0])
+        clamp_count += clamped
         defect_sum += defect
         defect_max = max(defect_max, defect)
         if step % record_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(state.coords.copy())
+            states.append(Y[0])
             defects.append(defect)
             clamps.append(clamp_count)
 
@@ -379,55 +372,16 @@ def _run_chunk(model: Model, Y: np.ndarray, n_steps: int, dt: float, c: float,
                eps: np.ndarray | None, rng: np.random.Generator):
     """Advance a (n, k) block n_steps; returns (final, defect_sum, defect_max,
     presum_max, clamp_events)."""
-    n, k = Y.shape
-    sq_dt = math.sqrt(dt)
-    pairs = _pairs(k)
     defect_sum = 0.0
     defect_max = 0.0
-    presum_max = 0.0
     clamp_events = 0
-    if model is Model.WF_MUTATION:
-        mu = float(eps.sum())
     for _ in range(n_steps):
-        if model is Model.SPHERE:
-            dY = (-c * c / 8.0) * (k - 1.0) * dt * Y
-        elif model is Model.WF_NEUTRAL:
-            dY = np.zeros_like(Y)
-        elif model is Model.WF_MUTATION:
-            dY = 0.5 * (eps[None, :] - mu * Y) * dt
-        else:
-            dY = 0.25 * c * c * (1.0 - k * Y) * dt
-        if model is Model.SPHERE:
-            for (i, j) in pairs:
-                g = rng.standard_normal(n) * (0.5 * c * sq_dt)
-                dY[:, i] += g * Y[:, j]
-                dY[:, j] -= g * Y[:, i]
-            Y = Y + dY
-            nrm2 = np.einsum("ij,ij->i", Y, Y)
-            d = np.abs(nrm2 - 1.0)
-            defect_sum += float(d.sum())
-            defect_max = max(defect_max, float(d.max()))
-            Y /= np.sqrt(nrm2)[:, None]
-        else:
-            scale = 1.0 if model is Model.WF_MUTATION else c
-            for (i, j) in pairs:
-                g = rng.standard_normal(n) * (scale * sq_dt)
-                amp = np.sqrt(Y[:, i] * Y[:, j])
-                dY[:, i] += amp * g
-                dY[:, j] -= amp * g
-            Y = Y + dY
-            sums = Y.sum(axis=1)
-            d = np.abs(sums - 1.0)
-            presum_max = max(presum_max, float(d.max()))
-            defect_sum += float(d.sum())
-            defect_max = max(defect_max, float(d.max()))
-            neg = Y < 0.0
-            rows = neg.any(axis=1)
-            if rows.any():
-                clamp_events += int(rows.sum())
-                Y = np.clip(Y, 0.0, None)
-                sums = Y.sum(axis=1)
-            Y = Y / sums[:, None]
+        Y, d, clamps = advance(model, Y, dt, c, eps, rng)
+        defect_sum += float(d.sum())
+        defect_max = max(defect_max, float(d.max()))
+        clamp_events += clamps
+    # a simplex step's defect is its pre-clamp |sum x - 1|
+    presum_max = 0.0 if model is Model.SPHERE else defect_max
     return Y, defect_sum, defect_max, presum_max, clamp_events
 
 
@@ -442,30 +396,31 @@ def _ensemble_worker(args):
 
 
 def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int,
-                   start, c: float = 1.0, epsilon=None, workers: int = 1,
-                   chunk: int = ENSEMBLE_CHUNK) -> tuple[np.ndarray, EnsembleDiagnostics]:
+                   start, c: float = 1.0, epsilon=None,
+                   workers: int = 1) -> tuple[np.ndarray, EnsembleDiagnostics]:
     """Final states of n_paths independent paths at time t (vectorized).
 
-    Paths are partitioned into fixed-size chunks, each with its own
+    Paths are partitioned into chunks of ENSEMBLE_CHUNK, each with its own
     Philox stream keyed by (seed, chunk index), so the result does not
     depend on `workers`.  With workers > 1 the chunks run on the shared
-    process pool (see `pool_map`).  Returns (states (n_paths, k), diagnostics).
+    process pool (see `pool_map`).  The inputs are checked as
+    `simulate_path` checks them (ValueError); every path starts from the
+    caller's `start` as given.  Returns (states (n_paths, k), diagnostics).
     """
     model = Model(model)
     if not (t > 0.0 and dt > 0.0 and dt <= t):
         raise ValueError("ensemble_final: need 0 < dt <= t")
-    n_steps = max(1, int(round(t / dt)))
+    if n_paths < 1:
+        raise ValueError("ensemble_final: n_paths must be >= 1")
+    if model is Model.WF_MUTATION and epsilon is None:
+        raise ValueError("ensemble_final: the wf-mutation model needs epsilon")
     start = np.asarray(start, dtype=float)
-    jobs = []
-    i = 0
-    idx = 0
-    while i < n_paths:
-        n_chunk = min(chunk, n_paths - i)
-        jobs.append((model.value, tuple(start), n_chunk, n_steps, dt, c,
-                     None if epsilon is None else tuple(np.asarray(epsilon, dtype=float)),
-                     seed, idx))
-        i += n_chunk
-        idx += 1
+    params = ModelParams(_start_point(model, start).k, c, epsilon)
+    n_steps = max(1, int(round(t / dt)))
+    eps = None if epsilon is None else tuple(params.epsilon)
+    jobs = [(model.value, tuple(start), min(ENSEMBLE_CHUNK, n_paths - first), n_steps,
+             dt, c, eps, seed, idx)
+            for idx, first in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
     results = pool_map(_ensemble_worker, jobs, workers)
     finals = np.concatenate([r[0] for r in results], axis=0)
     total_steps = n_paths * n_steps
@@ -542,14 +497,6 @@ def _moran_event(counts: np.ndarray, N: int, u1: float, u2: float, u3: float) ->
     winner, loser = (a, b) if u3 < 0.5 else (b, a)
     counts[winner] += 1
     counts[loser] -= 1
-
-
-def moran_step(state: MoranState, rng: np.random.Generator) -> MoranState:
-    """One interaction event; monomorphic states are fixed points."""
-    counts = state.counts.copy()
-    u = rng.random(3)
-    _moran_event(counts, state.N, u[0], u[1], u[2])
-    return MoranState(counts, state.lam)
 
 
 @dataclass(frozen=True, eq=False)

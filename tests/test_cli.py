@@ -263,3 +263,20 @@ def test_simulate_does_not_load_scipy_stats(tmp_path):
         "print(code, 'scipy.stats' in sys.modules)\n")
     assert printed.split() == [str(EXIT_OK), "False"]
     assert out.exists()
+
+
+def test_config_values_follow_their_flags_type(tmp_path, capsys):
+    # a config value is converted as if it had been typed after its flag
+    base = ["simulate", "--model", "sphere", "--T", "0.01", "--dt", "0.01"]
+    cfg = tmp_path / "c.json"
+    out = tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"paths": "3", "c": 2}))
+    assert main(base + ["--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    config, _, rows = _read_csv(out)
+    assert config["paths"] == 3 and config["c"] == 2.0
+    assert sorted({row[0] for row in rows}) == ["0", "1", "2"]
+    for bad in ({"paths": "three"}, {"paths": 2.5}, {"c": True}, {"seed": None}):
+        cfg.write_text(json.dumps(bad))
+        assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
+        key = next(iter(bad))
+        assert f"'{key}'" in capsys.readouterr().err

@@ -13,19 +13,14 @@ from spherewf.simulate import (
     ENSEMBLE_CHUNK,
     Model,
     MoranState,
-    SkewIncrements,
+    advance,
     chunk_rng,
     draw_skew,
     ensemble_final,
     moran_event_rate,
-    moran_step,
     path_rng,
     simulate_moran,
     simulate_path,
-    step_sphere,
-    step_wf_isotropic,
-    step_wf_mutation,
-    step_wf_neutral,
 )
 from spherewf.types import ModelParams, SimplexPoint, SpherePoint
 
@@ -40,23 +35,46 @@ class _ZeroRng:
         return np.zeros(size) if size is not None else 0.0
 
 
+class _IntSizeRng:
+    """Generator stand-in that, like a tracing wrapper, offers only
+    standard_normal(size) with an int size."""
+
+    def __init__(self, gen: np.random.Generator):
+        self._gen = gen
+
+    def standard_normal(self, size):
+        assert type(size) is int, f"size {size!r} is not an int"
+        return self._gen.standard_normal(size)
+
+
+def _step(model, x, dt, c, rng, eps=None):
+    """One advance of a single point; returns (new point, defect, clamped)."""
+    Y, d, clamps = advance(model, np.asarray(x, dtype=float)[None, :], dt, c, eps, rng)
+    return Y[0], float(d[0]), bool(clamps)
+
+
 def test_skew_increment_structure():
-    rng = path_rng(1)
-    inc = draw_skew(4, 0.01, rng)
-    for i in range(4):
-        assert inc.db(i, i) == 0.0
-        for j in range(4):
-            assert inc.db(i, j) == -inc.db(j, i)
-    b = inc.matrix()
-    assert np.array_equal(b, -b.T)
-    assert b[2, 1] == inc.db(2, 1)
+    # one standard_normal call, pair-major: row p is pair _pairs(k)[p]
+    k, n, dt = 4, 5, 0.01
+    G = draw_skew(k, dt, path_rng(1), n, scale=2.0)
+    z = path_rng(1).standard_normal(6 * n)
+    assert simulate._pairs(k) == ((1, 0), (2, 0), (2, 1), (3, 0), (3, 1), (3, 2))
+    assert G.tobytes() == (z.reshape(6, n) * (2.0 * math.sqrt(dt))).tobytes()
+    # both noise sums read the draws as the antisymmetric matrix db_ij:
+    # with y = e_j, the sphere noise of coordinate i is db_ij
+    G = G[:, :1]
+    for noise in (simulate._noise_by_pairs, simulate._noise_by_matrix):
+        b = np.column_stack([noise(True, np.zeros((1, k)), np.eye(k)[j][None, :], G)[0]
+                             for j in range(k)])
+        assert np.array_equal(b, -b.T)
+        for p, (i, j) in enumerate(simulate._pairs(k)):
+            assert b[i, j] == G[p, 0]
 
 
 def test_skew_increment_variance():
-    rng = path_rng(2)
     n = 100_000
     dt = 0.02
-    draws = np.array([draw_skew(3, dt, rng).db(2, 1) for _ in range(n)])
+    draws = draw_skew(3, dt, path_rng(2), n)[2]  # pair (2, 1)
     var = draws.var(ddof=1)
     # chi-square concentration: relative error ~ sqrt(2/n)
     assert abs(var - dt) < 5.0 * dt * math.sqrt(2.0 / n)
@@ -64,24 +82,24 @@ def test_skew_increment_variance():
 
 def test_sphere_step_zero_noise_shrinks_then_renormalizes():
     dt, c = 1e-3, 1.0
-    y_new, defect = step_sphere(Y3, dt, c, _ZeroRng())
+    y_new, defect, _ = _step(Model.SPHERE, Y3.coords, dt, c, _ZeroRng())
     shrink = 1.0 - c * c * (Y3.k - 1) * dt / 8.0
     assert defect == pytest.approx(abs(shrink ** 2 - 1.0), rel=1e-9)
-    assert np.allclose(y_new.coords, Y3.coords, atol=1e-15)  # direction restored
+    assert np.allclose(y_new, Y3.coords, atol=1e-15)  # direction restored
 
 
 def test_sphere_defect_small_and_mean_drift():
     # a T = 1 path at dt = 1e-4: mean pre-renormalization defect < 1e-3,
     # worst step < 1e-2
     rng = path_rng(3)
-    y = Y3
+    y = Y3.coords
     defects = []
     for _ in range(10_000):
-        y, d = step_sphere(y, 1e-4, 1.0, rng)
+        y, d, _ = _step(Model.SPHERE, y, 1e-4, 1.0, rng)
         defects.append(d)
     assert np.mean(defects) < 1e-3
     assert np.max(defects) < 1e-2
-    assert abs(float(y.coords @ y.coords) - 1.0) < 1e-12
+    assert abs(float(y @ y) - 1.0) < 1e-12
 
 
 def test_sphere_one_step_mean_matches_drift():
@@ -95,17 +113,17 @@ def test_sphere_one_step_mean_matches_drift():
 
 def test_wf_neutral_vertex_is_absorbing():
     vertex = SimplexPoint([1.0, 0.0, 0.0])
-    out, clamped = step_wf_neutral(vertex, 1e-3, 1.0, path_rng(5))
-    assert np.array_equal(out.coords, vertex.coords)
+    out, _, clamped = _step(Model.WF_NEUTRAL, vertex.coords, 1e-3, 1.0, path_rng(5))
+    assert np.array_equal(out, vertex.coords)
     assert not clamped
 
 
 def test_wf_neutral_conserves_sum_per_step():
     rng = path_rng(6)
-    x = X3
+    x = X3.coords
     for _ in range(2000):
-        x, _ = step_wf_neutral(x, 1e-4, 1.0, rng)
-        assert abs(float(x.coords.sum()) - 1.0) < 1e-12
+        x, _, _ = _step(Model.WF_NEUTRAL, x, 1e-4, 1.0, rng)
+        assert abs(float(x.sum()) - 1.0) < 1e-12
 
 
 def test_wf_one_step_covariance():
@@ -128,15 +146,15 @@ def test_mutation_drift_sums_to_zero_and_matches_isotropic():
     drift = params.drift(X3.coords)
     assert abs(drift.sum()) < 1e-15
     # identical increments: mutation at eps = 1/2 equals isotropic at c = 1
-    out_m, _ = step_wf_mutation(X3, 1e-3, params, path_rng(8, 0))
-    out_i, _ = step_wf_isotropic(X3, 1e-3, 1.0, path_rng(8, 0))
-    assert np.allclose(out_m.coords, out_i.coords, rtol=0, atol=1e-14)
+    out_m, _, _ = _step(Model.WF_MUTATION, X3.coords, 1e-3, 1.0, path_rng(8, 0), params.epsilon)
+    out_i, _, _ = _step(Model.WF_ISOTROPIC, X3.coords, 1e-3, 1.0, path_rng(8, 0))
+    assert np.allclose(out_m, out_i, rtol=0, atol=1e-14)
 
 
 def test_isotropic_drift_vanishes_at_barycenter():
     bary = SimplexPoint([1 / 3] * 3)
-    out, _ = step_wf_isotropic(bary, 1e-3, 1.0, _ZeroRng())
-    assert np.allclose(out.coords, bary.coords, atol=1e-15)
+    out, _, _ = _step(Model.WF_ISOTROPIC, bary.coords, 1e-3, 1.0, _ZeroRng())
+    assert np.allclose(out, bary.coords, atol=1e-15)
 
 
 def test_isotropic_interior_rarely_clamps():
@@ -144,10 +162,10 @@ def test_isotropic_interior_rarely_clamps():
     # density could not diverge), so clamps do happen; measured frequency
     # from the barycenter is a few per thousand steps at dt = 1e-4
     rng = path_rng(9)
-    x = SimplexPoint([1 / 3] * 3)
+    x = SimplexPoint([1 / 3] * 3).coords
     clamps = 0
     for _ in range(10_000):
-        x, clamped = step_wf_isotropic(x, 1e-4, 1.0, rng)
+        x, _, clamped = _step(Model.WF_ISOTROPIC, x, 1e-4, 1.0, rng)
         clamps += clamped
     assert clamps / 10_000 < 2e-2
 
@@ -187,16 +205,95 @@ def test_simulate_path_records_diagnostics():
     assert sph.max_defect < 1e-1
 
 
-def test_ensemble_matches_scalar_steps_for_single_path():
-    # same Philox stream, same draw order: |difference| is pure roundoff
+def test_single_path_is_an_ensemble_of_one():
+    # same stream, same step: a path is a batch of one, byte for byte
     seed = 16
-    finals, _ = ensemble_final(Model.SPHERE, t=5e-3, dt=1e-3, n_paths=1, seed=seed,
-                               start=Y3.coords, c=1.0)
-    rng = chunk_rng(seed, 0)
-    y = Y3
-    for _ in range(5):
-        y, _ = step_sphere(y, 1e-3, 1.0, rng)
-    assert np.allclose(finals[0], y.coords, rtol=0, atol=1e-13)
+    for model, start, eps in (
+            (Model.SPHERE, Y3, None),
+            (Model.WF_NEUTRAL, X3, None),
+            (Model.WF_MUTATION, SimplexPoint([0.1, 0.2, 0.3, 0.4]), (0.3, 0.5, 0.7, 0.9)),
+            (Model.WF_ISOTROPIC, X3, None)):
+        params = ModelParams(start.k, 1.3, eps)
+        rec = simulate_path(model, start, 0.05, 1e-3, params, chunk_rng(seed, 0))
+        finals, diag = ensemble_final(model, t=0.05, dt=1e-3, n_paths=1, seed=seed,
+                                      start=start.coords, c=1.3, epsilon=eps)
+        assert rec.states[-1].tobytes() == finals[0].tobytes(), model
+        assert rec.max_defect == diag.max_defect
+        assert rec.clamps[-1] == diag.clamp_fraction * rec.n_steps
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_noise_forms_give_the_same_bytes(model, monkeypatch):
+    # the matrix sum (small batches) and the pair loop (large ones) add the
+    # same terms in the same order; 20 steps from points near the boundary
+    # also take the clamp branch
+    rng = np.random.default_rng(40)
+    for k in range(2, 9):
+        eps = rng.uniform(0.1, 2.0, k)
+        for n in (1, 7):
+            if model is Model.SPHERE:
+                Y0 = rng.standard_normal((n, k))
+                Y0 /= np.linalg.norm(Y0, axis=1)[:, None]
+            else:
+                Y0 = rng.dirichlet(np.full(k, 0.3), size=n)
+            out = []
+            for rows in (n, 0):  # all matrix, then all pairs
+                monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", rows)
+                gen, Y, steps = path_rng(41, k), Y0, []
+                for _ in range(20):
+                    Y, d, clamps = advance(model, Y, 1e-2, 1.3, eps, gen)
+                    steps.append((Y.tobytes(), d.tobytes(), clamps))
+                out.append(steps)
+            assert out[0] == out[1], (k, n)
+
+
+def test_trace_hooks_see_one_draw_per_step(monkeypatch):
+    # a tracer wraps simulate.draw_skew and times standard_normal(int) calls
+    # on the generators of simulate.chunk_rng; both must keep working
+    calls = []
+    draw = simulate.draw_skew
+    monkeypatch.setattr(simulate, "draw_skew", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+    params = ModelParams(4, 1.0, (0.3, 0.5, 0.7, 0.9))
+    for model, start in ((Model.SPHERE, [0.5, 0.5, 0.5, 0.5]),
+                         (Model.WF_MUTATION, [0.1, 0.2, 0.3, 0.4])):
+        calls.clear()
+        rec = simulate_path(model, start, 0.02, 1e-3, params, path_rng(42))
+        assert len(calls) == rec.n_steps == 20
+    monkeypatch.undo()
+    kw = dict(t=5e-3, dt=1e-3, n_paths=ENSEMBLE_CHUNK + 3, seed=43, start=X3.coords,
+              epsilon=(0.3, 0.5, 0.7), workers=1)
+    ref, _ = ensemble_final(Model.WF_MUTATION, **kw)
+    monkeypatch.setattr(simulate, "chunk_rng", lambda seed, i: _IntSizeRng(chunk_rng(seed, i)))
+    finals, _ = ensemble_final(Model.WF_MUTATION, **kw)
+    assert finals.tobytes() == ref.tobytes()
+
+
+@pytest.mark.parametrize("change, message", [
+    (dict(n_paths=0), "n_paths"),
+    (dict(model=Model.WF_MUTATION, start=X3.coords, epsilon=None), "needs epsilon"),
+    (dict(start=[1.2, 1.6, 0.0]), "squared norm"),  # norm 2
+    (dict(model=Model.WF_NEUTRAL, start=[0.6, 0.6]), "sum to"),
+    (dict(c=0.0), "c must be"),
+    (dict(model=Model.WF_MUTATION, start=X3.coords, epsilon=(0.5, 0.5)), "length k=3"),
+], ids=["no-paths", "mutation-without-epsilon", "start-norm-2", "start-off-simplex",
+        "c-zero", "epsilon-length"])
+def test_ensemble_final_rejects_invalid_input(change, message):
+    kw = dict(model=Model.SPHERE, t=1e-3, dt=1e-3, n_paths=3, seed=44, start=Y3.coords,
+              c=1.0, epsilon=None)
+    kw.update(change)
+    with pytest.raises(ValueError, match=message):
+        ensemble_final(kw.pop("model"), **kw)
+
+
+def test_ensemble_starts_from_the_callers_bytes(monkeypatch):
+    # inside RENORMALIZE_TOL the start is accepted and used as given
+    start = Y3.coords * (1.0 + 1e-12)
+    seen = []
+    step = simulate.advance
+    monkeypatch.setattr(simulate, "advance", lambda m, Y, *a: seen.append(Y) or step(m, Y, *a))
+    ensemble_final(Model.SPHERE, t=1e-3, dt=1e-3, n_paths=2, seed=45, start=start)
+    assert len(seen) == 1
+    assert seen[0].tobytes() == np.tile(start, (2, 1)).tobytes()
 
 
 def test_ensemble_chunking_is_invariant():
@@ -257,8 +354,8 @@ def test_broken_pool_is_discarded():
 
 def test_moran_monomorphic_fixed_point_and_conservation():
     rng = path_rng(18)
-    mono = MoranState([100, 0], 1.0)
-    assert np.array_equal(moran_step(mono, rng).counts, mono.counts)
+    mono = simulate_moran(MoranState([100, 0], 1.0), 50, rng)
+    assert np.all(mono.counts == [100, 0])
     state = MoranState([30, 30, 40], 2.0)
     rec = simulate_moran(state, 5000, rng, record_stride=100)
     assert set(rec.counts.sum(axis=1).tolist()) == {100}
@@ -303,7 +400,5 @@ def test_invalid_inputs():
         MoranState([5], 1.0)
     with pytest.raises(ValueError):
         MoranState([5, 5], 0.0)
-    with pytest.raises(ValueError):
-        SkewIncrements(3, np.zeros(2))
     with pytest.raises(ValueError):
         simulate_moran(MoranState([5, 5], 1.0), -1, path_rng(0))
