@@ -269,6 +269,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"simulate: field 'paths' must be >= 1, got {args.paths}")
     k = args.k
     eps = _parse_floats(args.epsilon) if args.epsilon else None
+    if model is Model.WF_MUTATION and eps is None:
+        raise ConfigError("simulate: the wf-mutation model needs --epsilon")
     if eps is not None and len(eps) == 1:
         eps = eps * k
     try:

@@ -771,78 +771,30 @@ def control_checks(seed: int = DEFAULT_SEED, threshold: float = 1e-6) -> Verific
 
 # --- suite registry -----------------------------------------------------------
 
-def _suite_equivalence(seed, workers, k=None):
-    if k is not None:
-        return [equivalence_scan(k, seed=seed)]
-    return [equivalence_scan(3, seed=seed), equivalence_scan(4, seed=seed)]
-
-
-def _suite_oddcancel(seed, workers):
-    return [odd_cancellation_check(seed=seed)]
-
-
-def _suite_exponent(seed, workers):
-    return [exponent_match_check()]
-
-
-def _suite_prefactor(seed, workers):
-    return [prefactor_identity_check(seed=seed)]
-
-
-def _suite_gegenbauer(seed, workers):
-    return [gegenbauer_check(seed=seed)]
-
-
-def _suite_kernels(seed, workers):
-    return [
+#: suite name -> fn(seed, workers, k) returning its reports, in run order
+SUITES = {
+    "equivalence": lambda seed, workers, k: [
+        equivalence_scan(dim, seed=seed) for dim in ((3, 4) if k is None else (k,))],
+    "oddcancel": lambda seed, workers, k: [odd_cancellation_check(seed=seed)],
+    "exponent": lambda seed, workers, k: [exponent_match_check()],
+    "prefactor": lambda seed, workers, k: [prefactor_identity_check(seed=seed)],
+    "gegenbauer": lambda seed, workers, k: [gegenbauer_check(seed=seed)],
+    "kernels": lambda seed, workers, k: [
         normalization_check("sphere", t=0.5),
         normalization_check("wf", t=1.0, quad_order=48),
         chapman_kolmogorov("sphere"),
         chapman_kolmogorov("wf", quad_order=48),
         stationary_limit_check(),
-    ]
-
-
-def _suite_mc(seed, workers):
-    return [
+    ],
+    "mc": lambda seed, workers, k: [
         mc_vs_analytic("sphere", seed=seed, workers=workers),
         mc_vs_analytic("wf", seed=seed, workers=workers),
-    ]
-
-
-def _suite_isotropy(seed, workers):
-    return [isotropy_check(seed=seed)]
-
-
-def _suite_conservation(seed, workers):
-    return [conservation_check(seed=seed)]
-
-
-def _suite_moran(seed, workers):
-    return [moran_limit_check(seed=seed)]
-
-
-def _suite_stationary(seed, workers):
-    return [stationary_law_check(seed=seed)]
-
-
-def _suite_controls(seed, workers):
-    return [control_checks(seed=seed)]
-
-
-SUITES = {
-    "equivalence": _suite_equivalence,
-    "oddcancel": _suite_oddcancel,
-    "exponent": _suite_exponent,
-    "prefactor": _suite_prefactor,
-    "gegenbauer": _suite_gegenbauer,
-    "kernels": _suite_kernels,
-    "mc": _suite_mc,
-    "isotropy": _suite_isotropy,
-    "conservation": _suite_conservation,
-    "moran": _suite_moran,
-    "stationary": _suite_stationary,
-    "controls": _suite_controls,
+    ],
+    "isotropy": lambda seed, workers, k: [isotropy_check(seed=seed)],
+    "conservation": lambda seed, workers, k: [conservation_check(seed=seed)],
+    "moran": lambda seed, workers, k: [moran_limit_check(seed=seed)],
+    "stationary": lambda seed, workers, k: [stationary_law_check(seed=seed)],
+    "controls": lambda seed, workers, k: [control_checks(seed=seed)],
 }
 
 
@@ -853,13 +805,7 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1,
     k restricts the equivalence suite to one dimension; other suites run
     at their pinned dimensions regardless.
     """
-    if name == "all":
-        out = []
-        for key in SUITES:
-            out.extend(SUITES[key](seed, workers))
-        return out
-    if name not in SUITES:
+    if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    if name == "equivalence":
-        return _suite_equivalence(seed, workers, k=k)
-    return SUITES[name](seed, workers)
+    names = SUITES if name == "all" else (name,)
+    return [report for key in names for report in SUITES[key](seed, workers, k)]

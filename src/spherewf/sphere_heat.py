@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Optional
 
 import numpy as np
@@ -120,8 +121,13 @@ def _tail_bound_after(L0: int, t: float, D: float, k: int) -> float:
     return b1 / (1.0 - ratio)
 
 
+@lru_cache(maxsize=256)
 def _cutoff_scan(t: float, D: float, k: int, tol: float, hard_cap: int = 200_000):
-    """Smallest L with tail bound below tol; returns (L, tail_bound, achieved)."""
+    """Smallest L with tail bound below tol; returns (L, tail_bound, achieved).
+
+    Depends only on its arguments, so it is memoised: every query at the
+    same (t, D, k, tol) shares one O(L^2) scan.
+    """
     r = 1.0  # poch(k-2, L)/L! at the running L
     b_cur = _term_bound(0, r, t, D, k)
     for L in range(hard_cap):

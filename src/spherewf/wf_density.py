@@ -197,16 +197,27 @@ def dirichlet_stationary(x: SimplexPoint, epsilon) -> float:
     return math.exp(_log_dirichlet(c, eps))
 
 
+@lru_cache(maxsize=128)
+def _xi_constants(k: int, eps: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x-independent parts of the xi table: (log j!, log_denom, log mu_(j)), j = 0..n."""
+    log_fact = np.array([log_gamma(j + 1.0) for j in range(n + 1)])
+    # log of l! Gamma(l + eps) / Gamma(eps), so that the l = 0 term is exactly 0
+    log_denom = log_fact + np.array([log_gamma(j + eps) for j in range(n + 1)]) - log_gamma(eps)
+    mu = k * eps
+    log_rising = np.array([log_gamma(mu + j) for j in range(n + 1)]) - log_gamma(mu)
+    for arr in (log_fact, log_denom, log_rising):
+        arr.flags.writeable = False
+    return log_fact, log_denom, log_rising
+
+
 def _log_xi_table(log_xx: np.ndarray, k: int, eps: float, n: int) -> np.ndarray:
     """log xi_0 .. log xi_n from log(x_j * x'_j) by the series product.
 
     The coefficients are positive, so the k-1 truncated convolutions run
     in the log domain with a max-shifted log-sum-exp per output degree.
     """
+    log_fact, log_denom, log_rising = _xi_constants(k, eps, n)
     lags = np.arange(n + 1)
-    log_fact = np.array([log_gamma(j + 1.0) for j in range(n + 1)])
-    # log of l! Gamma(l + eps) / Gamma(eps), so that the l = 0 term is exactly 0
-    log_denom = log_fact + np.array([log_gamma(j + eps) for j in range(n + 1)]) - log_gamma(eps)
     acc = lags * log_xx[0] - log_denom
     for log_z in log_xx[1:]:
         # view row p, column i: degree n - p - i (-inf below 0); pair row p: degree n - p
@@ -215,8 +226,6 @@ def _log_xi_table(log_xx: np.ndarray, k: int, eps: float, n: int) -> np.ndarray:
         top = pair.max(axis=1)
         pair -= top[:, None]  # pair is the only (n+1)^2 array; exp runs in place
         acc = (top + np.log(np.exp(pair, out=pair).sum(axis=1)))[::-1].copy()
-    mu = k * eps
-    log_rising = np.array([log_gamma(mu + j) for j in range(n + 1)]) - log_gamma(mu)
     return acc + log_fact + log_rising
 
 
@@ -234,23 +243,54 @@ def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> floa
     return math.exp(_log_xi_table(np.log(xx), x.k, float(epsilon), m)[m])
 
 
-def _q_n_terms(n: int, mu: float, log_xi: np.ndarray) -> tuple[float, float]:
-    """(Q_n, largest partial term magnitude) for n >= 1 from log xi_0 .. log xi_n."""
-    logs = np.empty(n + 1)
-    signs = np.empty(n + 1)
-    for m in range(n + 1):
-        logs[m] = (
-            math.log(math.comb(n, m))
-            + log_gamma(mu + m + n - 1.0)
-            - log_gamma(mu + m)
-            + log_xi[m]
-            - log_gamma(n + 1.0)
-        )
-        signs[m] = -1.0 if (n - m) % 2 else 1.0
-    mx = float(logs.max())
-    s = math.fsum(signs * np.exp(logs - mx))
-    scale = (mu + 2.0 * n - 1.0) * math.exp(mx)
-    return scale * s, scale
+#: Most elements in one per-query Q_n block: 125 KiB, under glibc's 128 KiB
+#: mmap threshold, so the temporaries come from the heap, not fresh pages.
+_BLOCK_ELEMS = 16000
+
+
+@lru_cache(maxsize=64)
+def _q_base(mu: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """x-independent parts of Q_n0 .. Q_n1 (n0 >= 1): one row per n, columns m = 0..n1.
+
+    Returns base[n, m] = log C(n, m) + log Gamma(mu+m+n-1) - log Gamma(mu+m)
+    (-inf for m > n), log n! per row and the signs (-1)^(n-m).
+    """
+    base = np.full((n1 - n0 + 1, n1 + 1), -np.inf)
+    for row, n in zip(base, range(n0, n1 + 1)):
+        row[:n + 1] = [math.log(math.comb(n, m)) + log_gamma(mu + m + n - 1.0) - log_gamma(mu + m)
+                       for m in range(n + 1)]
+    log_nfact = np.array([log_gamma(n + 1.0) for n in range(n0, n1 + 1)])
+    parity = np.add.outer(np.arange(n0, n1 + 1), np.arange(n1 + 1)) % 2
+    signs = np.where(parity, -1.0, 1.0)
+    for arr in (base, log_nfact, signs):
+        arr.flags.writeable = False
+    return base, log_nfact, signs
+
+
+def _q_rows(mu: float, log_xi: np.ndarray, n0: int, n1: int) -> tuple[list, list]:
+    """Q_n and its largest partial term magnitude for n = n0 .. n1 (n0 >= 1).
+
+    log_xi holds log xi_0 .. log xi_n1.  Each row is the alternating sum
+    (mu+2n-1)/n! sum_m (-1)^{n-m} C(n,m) (mu+m)_{(n-1)} xi_m, max-shifted
+    and summed exactly with fsum.
+    """
+    base, log_nfact, signs = _q_base(mu, n0, n1)
+    step = max(1, _BLOCK_ELEMS // (n1 + 1))
+    values: list[float] = []
+    scales: list[float] = []
+    for i0 in range(0, n1 - n0 + 1, step):
+        rows = slice(i0, i0 + step)
+        logs = base[rows] + log_xi[:n1 + 1]
+        logs -= log_nfact[rows, None]
+        mx = logs.max(axis=1)
+        logs -= mx[:, None]
+        terms = np.exp(logs, out=logs)
+        terms *= signs[rows]
+        for n, row, top in zip(range(n0 + i0, n1 + 1), terms.tolist(), mx.tolist()):
+            scale = (mu + 2.0 * n - 1.0) * math.exp(top)
+            values.append(scale * math.fsum(row[:n + 1]))
+            scales.append(scale)
+    return values, scales
 
 
 def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
@@ -268,8 +308,8 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
     if xx.min() <= 0.0:
         raise ValueError("q_n: requires interior points")
     eps = float(epsilon)
-    value, _ = _q_n_terms(n, x.k * eps, _log_xi_table(np.log(xx), x.k, eps, n))
-    return value
+    values, _ = _q_rows(x.k * eps, _log_xi_table(np.log(xx), x.k, eps, n), n, n)
+    return values[-1]
 
 
 # --- high-precision resummed weights -----------------------------------
@@ -339,6 +379,8 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     # doubled only when the scan or the resummation runs past its end
     n_table = 16
     log_xi = _log_xi_table(log_xx, k, eps, n_table)
+    # q_vals[i], q_scales[i]: Q_n and its largest partial term for n = q_first + i
+    q_first, q_vals, q_scales = 1, [], []
     total = 0.0
     comp = 0.0
     err_est = 0.0
@@ -354,10 +396,13 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
         elif e_n == 0.0:
             term = 0.0
         else:
-            if n > n_table:
-                n_table = min(2 * n_table, trunc.max_terms)
-                log_xi = _log_xi_table(log_xx, k, eps, n_table)
-            qn, max_partial = _q_n_terms(n, mu, log_xi[:n + 1])
+            if n >= q_first + len(q_vals):
+                if n > n_table:
+                    n_table = min(2 * n_table, trunc.max_terms)
+                    log_xi = _log_xi_table(log_xx, k, eps, n_table)
+                q_first = n
+                q_vals, q_scales = _q_rows(mu, log_xi, n, n_table)
+            qn, max_partial = q_vals[n - q_first], q_scales[n - q_first]
             if abs(qn) < 1e-10 * max_partial:
                 cancellation = True
             err_est += e_n * max_partial * 5e-15
@@ -384,7 +429,7 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
         if n_hp > n_table:
             log_xi = _log_xi_table(log_xx, k, eps, n_hp)
         series = math.fsum(
-            math.exp(log_xi[m]) * weights[m] for m in range(n_hp + 1)
+            math.exp(a) * w for a, w in zip(log_xi[:n_hp + 1].tolist(), weights.tolist())
         )
         mode = "resummed"
     return DensityValue(

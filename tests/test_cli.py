@@ -127,6 +127,16 @@ def test_simulate_mutation_requires_valid_epsilon(capsys):
     assert code == EXIT_CONFIG
 
 
+def test_simulate_mutation_without_epsilon_is_a_config_error(tmp_path, capsys):
+    # eps = 0 would be neutral drift with unit noise, not the mutation model
+    out = tmp_path / "never.csv"
+    code = main(["simulate", "--model", "wf-mutation", "--T", "0.001", "--dt", "0.001",
+                 "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_config_file_precedence_and_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps({"t": 0.5, "x": "0.5,0.5", "epsilon": "1.0,1.0"}))

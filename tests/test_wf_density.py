@@ -5,10 +5,12 @@ import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
 
+from spherewf import sphere_heat, wf_density
 from spherewf.sphere_heat import heat_kernel_circle
 from spherewf.types import SimplexPoint, Truncation
 from spherewf.wf_density import (
     GRIFFITHS_T_MIN,
+    WF_TRUNCATION,
     GriffithsQuery,
     PushforwardQuery,
     dirichlet_stationary,
@@ -314,6 +316,40 @@ def test_equivalence_at_k6_and_k8():
             assert abs(g.value - p.value) / max(1.0, abs(g.value)) < 1e-6, (k, t)
 
 
+def test_equivalence_property():
+    """eps = 1/2 expansion == D = 1/8 pushforward at random (x, x', t), k 2..8.
+
+    Where the true density is nearly zero (a 1e-3 coordinate, small t),
+    either side's float series can come out slightly negative (about
+    -1e-11), so the floor is the series tolerance in density units, not
+    strict positivity.
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+
+    @hypothesis.settings(max_examples=150, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(2, 8), min_coord=st.sampled_from((1e-3, 5e-3, 0.02)),
+                      log_t=st.floats(math.log(0.02), math.log(5.0)), w=weights, wp=weights)
+    def check(k, min_coord, log_t, w, wp):
+        def point(raw):
+            # the first coordinate sits at min_coord, the others above it
+            raw = np.asarray(raw[:k]) + 1e-12
+            raw[0] = 0.0
+            return SimplexPoint(min_coord + (1.0 - k * min_coord) * raw / raw.sum())
+
+        x, xp = point(w), point(wp)
+        t = math.exp(log_t)
+        g = griffiths_density(GriffithsQuery(x, xp, t, 0.5))
+        p = pushforward_density(PushforwardQuery(x, xp, t))
+        assert g.converged and p.converged
+        assert abs(g.value - p.value) / max(1.0, abs(g.value)) < 1e-6
+        for v in (g, p):
+            assert v.value >= -WF_TRUNCATION.tol * v.prefactor
+
+    check()
+
+
 def test_pushforward_k2_circle_route_matches_expansion():
     x = SimplexPoint([0.3, 0.7])
     xp = SimplexPoint([0.6, 0.4])
@@ -339,3 +375,138 @@ def test_pushforward_k2_against_direct_circle_sum():
     ref = (1.0 / math.pi) / math.sqrt(x.coords[0] * x.coords[1]) * total / 4.0
     got = pushforward_density(PushforwardQuery(x, xp, t, trunc=trunc)).value
     assert got == pytest.approx(ref, rel=1e-12)
+
+
+# --- block Q_n rows and cached constants: the scalar forms' bytes -------------------
+
+def _q_n_scalar(n, mu, log_xi):
+    """Oracle: the scalar Q_n loop (Q_n, largest partial term) it replaced."""
+    logs = np.empty(n + 1)
+    signs = np.empty(n + 1)
+    for m in range(n + 1):
+        logs[m] = (
+            math.log(math.comb(n, m))
+            + math.lgamma(mu + m + n - 1.0)
+            - math.lgamma(mu + m)
+            + log_xi[m]
+            - math.lgamma(n + 1.0)
+        )
+        signs[m] = -1.0 if (n - m) % 2 else 1.0
+    mx = float(logs.max())
+    s = math.fsum(signs * np.exp(logs - mx))
+    scale = (mu + 2.0 * n - 1.0) * math.exp(mx)
+    return scale * s, scale
+
+
+def _log_xi_table_inline(log_xx, k, eps, n):
+    """Oracle: the xi table with its x-independent constants built inline."""
+    lags = np.arange(n + 1)
+    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
+    log_denom = log_fact + np.array([math.lgamma(j + eps) for j in range(n + 1)]) - math.lgamma(eps)
+    acc = lags * log_xx[0] - log_denom
+    for log_z in log_xx[1:]:
+        series = np.concatenate(((lags * log_z - log_denom)[::-1], np.full(n, -np.inf)))
+        pair = np.ndarray((n + 1, n + 1), buffer=series, strides=(8, 8)) + acc
+        top = pair.max(axis=1)
+        pair -= top[:, None]
+        acc = (top + np.log(np.exp(pair, out=pair).sum(axis=1)))[::-1].copy()
+    mu = k * eps
+    log_rising = np.array([math.lgamma(mu + j) for j in range(n + 1)]) - math.lgamma(mu)
+    return acc + log_fact + log_rising
+
+
+#: 1/3 makes mu + m + n - 1.0 round differently from mu + (m + n) - 1.0
+SAME_BYTES_EPS = (0.05, 1.0 / 3.0, 0.5, 0.6, 1.7, 4.0)
+#: the row blocks a scan to 200 terms computes: 16, 32, 64, 128, then 200
+SCAN_BLOCKS = ((1, 16), (17, 32), (33, 64), (65, 128), (129, 200))
+
+
+def _seeded_pair(rng, k, min_coord=0.01):
+    def point():
+        w = rng.dirichlet(np.ones(k))
+        return SimplexPoint(min_coord + (1.0 - k * min_coord) * w)
+
+    return point(), point()
+
+
+def _q_rows_by_scalar(mu, log_xi, n0, n1):
+    pairs = [_q_n_scalar(n, mu, log_xi[:n + 1]) for n in range(n0, n1 + 1)]
+    return [p[0] for p in pairs], [p[1] for p in pairs]
+
+
+def test_q_rows_match_the_scalar_loop_bytes():
+    rng = np.random.default_rng(20)
+    for k in range(2, 9):
+        for eps in SAME_BYTES_EPS:
+            x, xp = _seeded_pair(rng, k)
+            log_xx = np.log(x.coords * xp.coords)
+            mu = k * eps
+            for n0, n1 in SCAN_BLOCKS:
+                log_xi = wf_density._log_xi_table(log_xx, k, eps, n1)
+                assert log_xi.tobytes() == _log_xi_table_inline(log_xx, k, eps, n1).tobytes()
+                got = wf_density._q_rows(mu, log_xi, n0, n1)
+                assert got == _q_rows_by_scalar(mu, log_xi, n0, n1), (k, eps, n0, n1)
+            for n in (1, 2, 7, 40, 113, 200):
+                ref = _q_n_scalar(n, mu, _log_xi_table_inline(log_xx, k, eps, n))[0]
+                assert q_n(n, x, xp, eps) == ref, (k, eps, n)
+
+
+def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
+    rng = np.random.default_rng(21)
+    queries = []
+    for k in range(2, 9):
+        for eps in SAME_BYTES_EPS:
+            x, xp = _seeded_pair(rng, k)
+            queries += [GriffithsQuery(x, xp, t, eps) for t in (0.05, 0.3, 2.0)]
+    got = [repr(griffiths_density(q)) for q in queries]
+    assert {v.split("mode=")[1] for v in got} == {"'direct')", "'resummed')"}
+    monkeypatch.setattr(wf_density, "_q_rows", _q_rows_by_scalar)
+    monkeypatch.setattr(wf_density, "_log_xi_table", _log_xi_table_inline)
+    assert got == [repr(griffiths_density(q)) for q in queries]
+
+
+CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._hp_weights,
+          sphere_heat._cutoff_scan)
+
+
+def test_density_caches_are_bounded_and_hold_no_state():
+    for cache in CACHES:
+        maxsize = cache.cache_info().maxsize
+        assert maxsize is not None and 0 < maxsize < 10_000, cache
+    x, xp = _seeded_pair(np.random.default_rng(22), 4)
+    queries = [GriffithsQuery(x, xp, 0.05, 0.5), GriffithsQuery(x, xp, 0.5, 0.6),
+               PushforwardQuery(x, xp, 0.05), PushforwardQuery(x, xp, 0.5)]
+
+    def values():
+        return [repr(griffiths_density(q) if isinstance(q, GriffithsQuery)
+                     else pushforward_density(q)) for q in queries]
+
+    warm = values()
+    assert warm == values()
+    for cache in CACHES:
+        cache.cache_clear()
+    assert values() == warm
+
+
+def test_density_hooks_see_calls_cold_and_warm(monkeypatch):
+    # the benchmark's traced density run wraps these module attributes; a
+    # kernel that stopped calling through them would zero its layer metrics
+    counts = dict.fromkeys(("log_gamma", "zonal_series", "circle_series"), 0)
+    for name in counts:
+        orig = getattr(wf_density, name)
+
+        def counted(*args, _orig=orig, _name=name, **kwargs):
+            counts[_name] += 1
+            return _orig(*args, **kwargs)
+
+        monkeypatch.setattr(wf_density, name, counted)
+    for cache in CACHES:
+        cache.cache_clear()
+    rng = np.random.default_rng(23)
+    for k, series in ((2, "circle_series"), (3, "zonal_series")):
+        x, xp = _seeded_pair(rng, k)
+        for state in ("cold", "warm"):
+            counts.update(dict.fromkeys(counts, 0))
+            griffiths_density(GriffithsQuery(x, xp, 0.05, 0.5))
+            pushforward_density(PushforwardQuery(x, xp, 0.05))
+            assert counts["log_gamma"] > 0 and counts[series] > 0, (k, state, counts)
