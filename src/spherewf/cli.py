@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 
@@ -120,6 +121,18 @@ def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Act
         # CLI flags win: only fill values the user did not pass explicitly
         if key not in args._explicit:
             setattr(args, key, _config_value(actions[key], value))
+
+
+#: fields each subcommand cannot run without; checked after the config file
+#: is merged, so that the file can supply them too
+_REQUIRED = {"density": ("kernel",), "simulate": ("model", "T"), "verify": ("suite",)}
+
+
+def _check_required(args: argparse.Namespace) -> None:
+    for field in _REQUIRED.get(args.command, ()):
+        if getattr(args, field) is None:
+            raise ConfigError(f"{args.command}: field '{field}' is required "
+                              f"(flag --{field} or the config file)")
 
 
 _NON_SEMANTIC_KEYS = ("func", "output", "summary", "config")
@@ -251,13 +264,22 @@ def _simulate_one(payload):
     return simulate_path(model, start, T, dt, params, path_rng(seed, path_index), stride)
 
 
+#: below this many path-steps (paths * T/dt) a run is cheaper serially: on a
+#: 2-core machine the pool's start-up cost about 0.45 s, and two workers
+#: broke even with one near 60,000 k = 3 sphere path-steps
+POOL_MIN_PATH_STEPS = 60_000
+
+
 def _run_paths(model, start, args, params):
     payloads = [
         (model, start, args.T, args.dt, params.k, params.c,
          tuple(params.epsilon), args.seed, i, args.record_stride)
         for i in range(args.paths)
     ]
-    return pool_map(_simulate_one, payloads, args.threads)
+    # a NaN or a zero dt reads as small: simulate_path then refuses it serially
+    path_steps = args.paths * args.T / args.dt if args.dt else 0.0
+    workers = args.threads if path_steps >= POOL_MIN_PATH_STEPS else 1
+    return pool_map(_simulate_one, payloads, workers)
 
 
 def _cmd_simulate(args) -> int:
@@ -323,20 +345,34 @@ def _cmd_verify(args) -> int:
 # --- moran ---------------------------------------------------------------------
 
 def _cmd_moran(args) -> int:
-    counts = [int(v) for v in _parse_floats(args.counts)] if args.counts else None
-    if counts is None:
+    if args.counts:
+        counts = _parse_floats(args.counts)
+        if args.k not in (None, len(counts)):
+            raise ConfigError(f"moran: field 'counts' has {len(counts)} entries, "
+                              f"but field 'k' is {args.k}")
+        args.k = len(counts)
+    else:
+        args.k = 2 if args.k is None else args.k
+        if args.k < 2:
+            raise ConfigError(f"moran: field 'k' must be >= 2, got {args.k}")
         base = args.N // args.k
         counts = [base] * args.k
         counts[0] += args.N - base * args.k
+    if args.record_stride < 1:
+        raise ConfigError(f"moran: field 'record_stride' must be >= 1, got {args.record_stride}")
     try:
         state = MoranState(counts, args.lam)
     except ValueError as exc:
         raise ConfigError(f"moran: {exc}") from None
-    if sum(counts) != args.N:
-        raise ConfigError(f"moran: field 'counts' sums to {sum(counts)}, not N={args.N}")
+    if state.N != args.N:
+        raise ConfigError(f"moran: field 'counts' sums to {state.N}, not N={args.N}")
     if args.events is not None:
+        if args.events < 0:
+            raise ConfigError(f"moran: field 'events' must be >= 0, got {args.events}")
         events = args.events
     elif args.T is not None:
+        if not (0.0 <= args.T < math.inf):
+            raise ConfigError(f"moran: field 'T' must be finite and >= 0, got {args.T}")
         events = int(round(args.T * moran_event_rate(state)))
     else:
         raise ConfigError("moran: one of the fields 'events' or 'T' is required")
@@ -365,7 +401,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     pd = sub.add_parser("density", help="evaluate exact transition densities", allow_abbrev=False)
-    pd.add_argument("--kernel", required=True,
+    pd.add_argument("--kernel",
                     choices=["sphere", "griffiths", "pushforward", "stationary"])
     pd.add_argument("--t", type=float)
     pd.add_argument("--D", type=float, default=0.125)
@@ -383,10 +419,9 @@ def build_parser() -> argparse.ArgumentParser:
     pd.set_defaults(func=_cmd_density)
 
     ps = sub.add_parser("simulate", help="integrate sample paths", allow_abbrev=False)
-    ps.add_argument("--model", required=True,
-                    choices=[m.value for m in Model])
+    ps.add_argument("--model", choices=[m.value for m in Model])
     ps.add_argument("--k", type=int, default=3)
-    ps.add_argument("--T", type=float, required=True)
+    ps.add_argument("--T", type=float)
     ps.add_argument("--dt", type=float, default=1e-4)
     ps.add_argument("--c", type=float, default=1.0)
     ps.add_argument("--epsilon", type=str)
@@ -400,7 +435,7 @@ def build_parser() -> argparse.ArgumentParser:
     ps.set_defaults(func=_cmd_simulate)
 
     pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    pv.add_argument("--suite", required=True,
+    pv.add_argument("--suite",
                     help="suite name or 'all' (see README; an unknown name lists them)")
     pv.add_argument("--k", type=int, help="restrict the equivalence suite to one dimension")
     pv.add_argument("--seed", type=int)
@@ -412,7 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     pm = sub.add_parser("moran", help="simulate the interacting-particle model",
                         allow_abbrev=False)
-    pm.add_argument("--k", type=int, default=2)
+    pm.add_argument("--k", type=int, help="number of types (default: from --counts, else 2)")
     pm.add_argument("--N", type=int, default=100)
     pm.add_argument("--lam", type=float, default=1.0)
     pm.add_argument("--counts", type=str, help="initial counts (default near-even split)")
@@ -432,6 +467,7 @@ def main(argv=None) -> int:
     args._explicit = _explicit_dests(argv if argv is not None else sys.argv[1:], parser)
     try:
         _apply_config_file(args, _flag_actions(parser, args.command))
+        _check_required(args)
         if getattr(args, "seed", None) is None and hasattr(args, "seed"):
             args.seed = _default_seed()
         code = args.func(args)

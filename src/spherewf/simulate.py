@@ -41,6 +41,9 @@ becomes monomorphic for either type with probability 1/2.  Matching the
 per-unit-time covariance c^2 x_i (delta_ij - x_j) with c = sqrt(lam/(2N))
 requires each unordered pair to interact at rate lam/(2N), i.e. a total
 event rate of lam (N-1)/4; `moran_event_rate` exposes that mapping.
+Each event takes 3 uniforms (first particle, second particle, winner),
+drawn in blocks of _MORAN_BLOCK rows; the event loop runs on Python ints
+and floats, which costs a fraction of indexing numpy scalars.
 """
 
 from __future__ import annotations
@@ -444,13 +447,20 @@ class MoranState:
     lam: float
 
     def __init__(self, counts, lam: float):
-        arr = np.array(counts, dtype=np.int64)
+        try:
+            arr = np.array(counts, dtype=np.int64)
+            # the int64 conversion truncates 50.5 to 50; refuse it instead
+            whole = np.array_equal(arr, np.asarray(counts, dtype=float))
+        except (OverflowError, ValueError):  # inf, nan, beyond int64
+            whole = False
+        if not whole:
+            raise ValueError(f"MoranState: counts must be whole numbers, got {counts!r}")
         if arr.ndim != 1 or arr.size < 2:
             raise ValueError("MoranState: counts must be a vector of length >= 2")
         if arr.min() < 0 or arr.sum() < 2:
             raise ValueError("MoranState: counts must be >= 0 and total >= 2")
-        if not (lam > 0.0):
-            raise ValueError("MoranState: lam must be > 0")
+        if not (0.0 < lam < math.inf):
+            raise ValueError("MoranState: lam must be finite and > 0")
         arr.flags.writeable = False
         object.__setattr__(self, "counts", arr)
         object.__setattr__(self, "lam", float(lam))
@@ -478,25 +488,11 @@ def moran_event_rate(state: MoranState) -> float:
     return state.lam * (state.N - 1) / 4.0
 
 
-def _moran_event(counts: np.ndarray, N: int, u1: float, u2: float, u3: float) -> None:
-    # first particle by cumulative counts, second among the rest
-    target = u1 * N
-    acc = 0.0
-    for a in range(counts.size):
-        acc += counts[a]
-        if target < acc:
-            break
-    target = u2 * (N - 1)
-    acc = 0.0
-    for b in range(counts.size):
-        acc += counts[b] - (1 if b == a else 0)
-        if target < acc:
-            break
-    if a == b:
-        return
-    winner, loser = (a, b) if u3 < 0.5 else (b, a)
-    counts[winner] += 1
-    counts[loser] -= 1
+#: rows of uniforms drawn per rng.random call.  Drawing (m, 3) blocks gives
+#: the same stream as one (events, 3) draw.  A block (6 KiB as an array, 18
+#: KiB as Python floats) stays far below glibc's 128 KiB mmap threshold, and
+#: memory stays bounded however long the run
+_MORAN_BLOCK = 256
 
 
 @dataclass(frozen=True, eq=False)
@@ -514,23 +510,49 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     """Run `events` interaction events; record every record_stride-th state.
 
     times = event_index / moran_event_rate(state); heterozygosity is
-    1 - sum x_i^2.
+    1 - sum x_i^2.  Event ev uses row ev - 1 of the generator's uniforms
+    in (events, 3) order: u1 picks the first particle (the first type a
+    with u1 * N below the cumulative count), u2 the second among the other
+    N - 1, and u3 < 0.5 lets the first one win.
     """
     if events < 0:
         raise ValueError("simulate_moran: events must be >= 0")
     if record_stride < 1:
         raise ValueError("simulate_moran: record_stride must be >= 1")
-    counts = state.counts.copy()
+    counts = state.counts.tolist()
     N = state.N
     rate = moran_event_rate(state)
     idx = [0]
-    rows = [counts.copy()]
-    u = rng.random((events, 3))
-    for ev in range(1, events + 1):
-        _moran_event(counts, N, u[ev - 1, 0], u[ev - 1, 1], u[ev - 1, 2])
-        if ev % record_stride == 0 or ev == events:
-            idx.append(ev)
-            rows.append(counts.copy())
+    rows = [counts[:]]
+    next_record = min(record_stride, events)
+    for first in range(0, events, _MORAN_BLOCK):
+        m = min(_MORAN_BLOCK, events - first)
+        u1s, u2s, u3s = rng.random((m, 3)).T.tolist()
+        for ev, u1, u2, u3 in zip(range(first + 1, first + m + 1), u1s, u2s, u3s):
+            # first particle by cumulative counts, second among the rest
+            target = u1 * N
+            acc = 0
+            for a, n in enumerate(counts):
+                acc += n
+                if target < acc:
+                    break
+            target = u2 * (N - 1)
+            acc = 0
+            for b, n in enumerate(counts):
+                acc += n - (b == a)
+                if target < acc:
+                    break
+            if a != b:
+                if u3 < 0.5:
+                    counts[a] += 1
+                    counts[b] -= 1
+                else:
+                    counts[b] += 1
+                    counts[a] -= 1
+            if ev == next_record:
+                idx.append(ev)
+                rows.append(counts[:])
+                next_record = min(ev + record_stride, events)
     counts_arr = np.array(rows, dtype=np.int64)
     x = counts_arr / N
     het = 1.0 - (x * x).sum(axis=1)

@@ -9,7 +9,9 @@ import numpy as np
 import pytest
 
 import spherewf
+from spherewf import cli
 from spherewf.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
+from spherewf.simulate import pool_map
 
 _ENV = {**os.environ, "PYTHONPATH": str(Path(spherewf.__file__).parents[1])}
 
@@ -192,6 +194,63 @@ def test_moran_needs_events_or_time(capsys):
     assert "'events'" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flags,field", [
+    (["--events", "-1"], "'events'"),
+    (["--T", "-3"], "'T'"),
+    (["--T", "nan"], "'T'"),
+    (["--events", "10", "--record-stride", "0"], "'record_stride'"),
+    (["--k", "0", "--events", "10"], "'k'"),
+    (["--counts", "50.5,50", "--events", "10"], "counts must be whole numbers"),
+    (["--counts", "50,50", "--k", "3", "--events", "10"], "'k'"),
+    (["--counts", "50,50", "--lam", "inf", "--events", "10"], "lam"),
+])
+def test_moran_rejects_bad_input(tmp_path, capsys, flags, field):
+    out = tmp_path / "m.csv"
+    assert main(["moran", "--output", str(out)] + flags) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_moran_counts_set_k_unless_k_is_given(tmp_path, capsys):
+    out = tmp_path / "m.csv"
+    assert main(["moran", "--counts", "30,30,40", "--events", "5",
+                 "--output", str(out)]) == EXIT_OK
+    config, header, _ = _read_csv(out)
+    assert config["k"] == 3 and header[2:5] == ["n1", "n2", "n3"]
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"k": 2}))
+    assert main(["moran", "--counts", "30,30,40", "--events", "5",
+                 "--config", str(cfg)]) == EXIT_CONFIG
+    assert "'k'" in capsys.readouterr().err
+
+
+def test_config_file_supplies_required_fields(tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    out = tmp_path / "o.csv"
+    cfg.write_text(json.dumps({"T": 0.001, "dt": 0.001}))
+    assert main(["simulate", "--model", "sphere", "--config", str(cfg),
+                 "--output", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["T"] == 0.001
+    # a typed flag still wins over the file
+    assert main(["simulate", "--model", "sphere", "--T", "0.002", "--config", str(cfg),
+                 "--output", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["T"] == 0.002
+    cfg.write_text(json.dumps({"model": "wf-neutral", "T": 0.001, "dt": 0.001}))
+    assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["model"] == "wf-neutral"
+    cfg.write_text(json.dumps({"kernel": "stationary", "x": "0.5,0.5"}))
+    assert main(["density", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
+    assert _read_csv(out)[0]["kernel"] == "stationary"
+    # still missing: a configuration error that names the field
+    cfg.write_text(json.dumps({"dt": 0.001}))
+    for argv, field in ((["simulate", "--model", "sphere"], "'T'"),
+                        (["simulate", "--T", "0.001"], "'model'"),
+                        (["density", "--x", "0.5,0.5"], "'kernel'"),
+                        (["verify"], "'suite'")):
+        assert main(argv) == EXIT_CONFIG
+        assert field in capsys.readouterr().err
+
+
 def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
     # an abbreviated --dt used to escape the explicit-flag record, so the
     # file's dt silently won; abbreviations are now rejected outright
@@ -218,15 +277,28 @@ def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
     assert not out.exists()
 
 
-def test_simulate_threads_match_serial(tmp_path):
-    base = ["simulate", "--model", "wf-isotropic", "--T", "0.01", "--dt", "0.001",
-            "--paths", "3", "--seed", "5"]
-    rows = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}.csv"
-        assert main(base + ["--threads", threads, "--output", str(out)]) == EXIT_OK
-        rows.append(_read_csv(out)[2])
-    assert rows[0] == rows[1]
+def test_simulate_threads_match_serial(tmp_path, monkeypatch):
+    workers = []
+
+    def spy(fn, jobs, n):
+        workers.append(n)
+        return pool_map(fn, jobs, n)
+
+    monkeypatch.setattr(cli, "pool_map", spy)
+    # 30 path-steps run serially even with --threads 2; a run at the
+    # constant takes the pool
+    for paths, T in (("3", "0.01"), ("2", repr(cli.POOL_MIN_PATH_STEPS * 0.001 / 2))):
+        base = ["simulate", "--model", "wf-isotropic", "--T", T, "--dt", "0.001",
+                "--paths", paths, "--record-stride", "500", "--seed", "5"]
+        text = []
+        workers.clear()
+        for threads in ("1", "2"):
+            out = tmp_path / f"t{threads}.csv"
+            assert main(base + ["--threads", threads, "--output", str(out)]) == EXIT_OK
+            text.append(out.read_bytes().split(b"\n", 1))  # the config line echoes --threads
+        assert text[0][1] == text[1][1]
+        pooled = int(paths) * float(T) / 0.001 >= cli.POOL_MIN_PATH_STEPS
+        assert workers == [1, 2 if pooled else 1]
 
 
 def test_closed_output_pipe_ends_quietly():

@@ -362,6 +362,75 @@ def test_moran_monomorphic_fixed_point_and_conservation():
     assert rec.heterozygosity[0] == pytest.approx(1 - (0.3 ** 2 + 0.3 ** 2 + 0.4 ** 2))
 
 
+def _oracle_moran_event(counts, N, u1, u2, u3):
+    # the numpy-scalar event of the first Moran implementation, kept as the oracle
+    target = u1 * N
+    acc = 0.0
+    for a in range(counts.size):
+        acc += counts[a]
+        if target < acc:
+            break
+    target = u2 * (N - 1)
+    acc = 0.0
+    for b in range(counts.size):
+        acc += counts[b] - (1 if b == a else 0)
+        if target < acc:
+            break
+    if a == b:
+        return
+    winner, loser = (a, b) if u3 < 0.5 else (b, a)
+    counts[winner] += 1
+    counts[loser] -= 1
+
+
+def _oracle_simulate_moran(state, events, rng, record_stride=1):
+    # the first implementation's loop: one (events, 3) draw, numpy int64 counts
+    counts = state.counts.copy()
+    N = state.N
+    idx = [0]
+    rows = [counts.copy()]
+    u = rng.random((events, 3))
+    for ev in range(1, events + 1):
+        _oracle_moran_event(counts, N, u[ev - 1, 0], u[ev - 1, 1], u[ev - 1, 2])
+        if ev % record_stride == 0 or ev == events:
+            idx.append(ev)
+            rows.append(counts.copy())
+    counts_arr = np.array(rows, dtype=np.int64)
+    x = counts_arr / N
+    idx_arr = np.array(idx, dtype=np.int64)
+    return (idx_arr, idx_arr / moran_event_rate(state), counts_arr,
+            1.0 - (x * x).sum(axis=1))
+
+
+_MORAN_CASES = [
+    ([50, 50], 2000, 50),
+    ([1, 1], 300, 1),  # N = 2
+    ([100, 0], 400, 7),  # the monomorphic fixed point
+    ([30, 0, 70], 999, 100),  # a zero count; events not a multiple of the stride
+    ([5, 7, 9, 11], 500, 1),
+    ([3, 0, 4, 8, 1], 600, 13),
+    ([2, 9, 4, 0, 6, 3], 700, 5),  # k = 6
+    ([40, 60], 0, 3),  # no events
+    ([40, 60], 25, 40),  # stride larger than events
+    ([250] * 4, 2 * simulate._MORAN_BLOCK + 37, 124),  # more than one draw block
+]
+
+
+@pytest.mark.parametrize("seed", [0, 7, 31])
+@pytest.mark.parametrize("counts,events,stride", _MORAN_CASES)
+def test_moran_matches_the_numpy_scalar_loop_bytes(counts, events, stride, seed):
+    state = MoranState(counts, 1.5)
+    rng, ref_rng = path_rng(seed, 3), path_rng(seed, 3)
+    rec = simulate_moran(state, events, rng, stride)
+    ref = _oracle_simulate_moran(state, events, ref_rng, stride)
+    got = (rec.event_index, rec.times, rec.counts, rec.heterozygosity)
+    for field, a, b in zip(("event_index", "times", "counts", "heterozygosity"), got, ref):
+        assert a.dtype == b.dtype and a.shape == b.shape, field
+        assert a.tobytes() == b.tobytes(), field
+    # the block draws leave the generator where the one draw did
+    assert rng.random() == ref_rng.random()
+
+
 def test_moran_event_rate_calibration():
     state = MoranState([50, 50], 1.0)
     assert moran_event_rate(state) == pytest.approx(99.0 / 4.0)
@@ -402,3 +471,12 @@ def test_invalid_inputs():
         MoranState([5, 5], 0.0)
     with pytest.raises(ValueError):
         simulate_moran(MoranState([5, 5], 1.0), -1, path_rng(0))
+    with pytest.raises(ValueError):
+        simulate_moran(MoranState([5, 5], 1.0), 10, path_rng(0), record_stride=0)
+    # counts are not truncated to integers
+    for counts in ([50.5, 50], [np.nan, 5], [np.inf, 5], [1e30, 5]):
+        with pytest.raises(ValueError, match="whole numbers"):
+            MoranState(counts, 1.0)
+    assert MoranState([50.0, 50], 1.0).counts.tolist() == [50, 50]
+    with pytest.raises(ValueError):
+        MoranState([5, 5], math.inf)
