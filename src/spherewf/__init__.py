@@ -16,20 +16,16 @@ from .types import (
     ModelParams,
     SimplexPoint,
     SpherePoint,
-    SphericalCoords,
     Truncation,
-    cartesian_from_spherical,
-    spherical_from_cartesian,
     sqrt_lift,
     square_push,
 )
 from .specfun import (
     gegenbauer,
     gegenbauer_explicit,
+    gegenbauer_terms,
     generating_function_residual,
     log_gamma,
-    log_pochhammer,
-    pochhammer,
     sphere_surface_area,
 )
 from .sphere_heat import (
@@ -38,7 +34,6 @@ from .sphere_heat import (
     heat_kernel,
     heat_kernel_circle,
     heat_kernel_unnormalized,
-    sample_uniform_sphere,
     truncation_cutoff,
     zonal_kernel,
 )

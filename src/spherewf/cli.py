@@ -276,9 +276,10 @@ def _run_paths(model, start, args, params):
          tuple(params.epsilon), args.seed, i, args.record_stride)
         for i in range(args.paths)
     ]
-    # a NaN or a zero dt reads as small: simulate_path then refuses it serially
-    path_steps = args.paths * args.T / args.dt if args.dt else 0.0
-    workers = args.threads if path_steps >= POOL_MIN_PATH_STEPS else 1
+    # a count that is not a finite number (NaN or infinite T, zero dt) runs
+    # serially, where simulate_path refuses it before any pool starts
+    path_steps = args.paths * args.T / args.dt if args.dt else math.nan
+    workers = args.threads if POOL_MIN_PATH_STEPS <= path_steps < math.inf else 1
     return pool_map(_simulate_one, payloads, workers)
 
 
@@ -366,6 +367,8 @@ def _cmd_moran(args) -> int:
         raise ConfigError(f"moran: {exc}") from None
     if state.N != args.N:
         raise ConfigError(f"moran: field 'counts' sums to {state.N}, not N={args.N}")
+    if args.events is not None and args.T is not None:
+        raise ConfigError("moran: fields 'events' and 'T' cannot both be set; give one")
     if args.events is not None:
         if args.events < 0:
             raise ConfigError(f"moran: field 'events' must be >= 0, got {args.events}")

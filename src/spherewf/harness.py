@@ -195,6 +195,14 @@ def _timer():
     return lambda: time.perf_counter() - start
 
 
+def _two_stage(attempt, seed: int, failed):
+    """The two-stage rule: run attempt(seed) and, if failed(result), once more
+    on seed + 1, which is decisive.  Returns (first, final, retried)."""
+    first = attempt(seed)
+    retried = failed(first)
+    return first, attempt(seed + 1) if retried else first, retried
+
+
 # --- analytic equivalence ----------------------------------------------------
 
 def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 50,
@@ -552,16 +560,11 @@ def mc_vs_analytic(model: str, n_paths: int | None = None, t: float = 0.5,
                                      seed=s ^ 0x5DEECE66D, start=x0, c=c, workers=workers)
         return ks_two_sample(finals_s[:, 0] ** 2, finals_w[:, 0]), diag
 
-    attempt = attempt_sphere if model == "sphere" else attempt_wf
     if model not in ("sphere", "wf"):
         raise ValueError(f"mc_vs_analytic: unknown model {model!r}")
-    (d1, p1), diag = attempt(seed)
-    retried = p1 < alpha
-    if retried:
-        (d2, p2), diag = attempt(seed + 1)
-        d_final, p_final = d2, p2
-    else:
-        d_final, p_final = d1, p1
+    attempt = attempt_sphere if model == "sphere" else attempt_wf
+    ((_, p1), _), ((d_final, p_final), diag), retried = _two_stage(
+        attempt, seed, lambda result: result[0][1] < alpha)
     return VerificationReport(
         name=f"mc-vs-analytic-{model}",
         params={"n_paths": n_paths or (100_000 if model == "sphere" else 10_000),
@@ -688,14 +691,10 @@ def moran_limit_check(N: int = 100, lam: float = 1.0, replicates: int = 200,
     """
     elapsed = _timer()
     predicted = 2.0 * N / lam
-    tau1 = _moran_tau_fit(N, lam, replicates, T, n_checks, seed)
-    dev1 = abs(tau1 / predicted - 1.0)
-    retried = dev1 > tol
-    if retried:
-        tau2 = _moran_tau_fit(N, lam, replicates, T, n_checks, seed + 1)
-        tau, dev = tau2, abs(tau2 / predicted - 1.0)
-    else:
-        tau, dev = tau1, dev1
+    tau1, tau, retried = _two_stage(
+        lambda s: _moran_tau_fit(N, lam, replicates, T, n_checks, s), seed,
+        lambda tau: abs(tau / predicted - 1.0) > tol)
+    dev = abs(tau / predicted - 1.0)
     return VerificationReport(
         name="moran-diffusion-limit",
         params={"N": N, "lam": lam, "replicates": replicates, "T": T,
@@ -727,12 +726,8 @@ def stationary_law_check(eps: float = 2.0, n_paths: int = 4000, T: float = 6.0,
                                    epsilon=(eps, eps))
         return ks_one_sample(finals[:, 0], cdf)
 
-    d1, p1 = attempt(seed)
-    retried = p1 < alpha
-    if retried:
-        d_final, p_final = attempt(seed + 1)
-    else:
-        d_final, p_final = d1, p1
+    (_, p1), (d_final, p_final), retried = _two_stage(attempt, seed,
+                                                      lambda result: result[1] < alpha)
     return VerificationReport(
         name="stationary-law",
         params={"eps": eps, "n_paths": n_paths, "T": T, "dt": dt, "seed": seed,

@@ -269,6 +269,8 @@ def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
         raise ValueError("simulate_path: need T > 0 and dt > 0")
     if dt > T:
         raise ValueError("simulate_path: dt exceeds T")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"simulate_path: T and T/dt must be finite, got T = {T!r}, dt = {dt!r}")
     if record_stride < 1:
         raise ValueError("simulate_path: record_stride must be >= 1")
     n_steps = max(1, int(round(T / dt)))
@@ -413,6 +415,8 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
     model = Model(model)
     if not (t > 0.0 and dt > 0.0 and dt <= t):
         raise ValueError("ensemble_final: need 0 < dt <= t")
+    if not math.isfinite(t / dt):
+        raise ValueError(f"ensemble_final: t and t/dt must be finite, got t = {t!r}, dt = {dt!r}")
     if n_paths < 1:
         raise ValueError("ensemble_final: n_paths must be >= 1")
     if model is Model.WF_MUTATION and epsilon is None:

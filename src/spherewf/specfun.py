@@ -1,34 +1,35 @@
 """Special functions used by both transition-density kernels.
 
 Gegenbauer (ultraspherical) polynomials C_L^p(z), defined as the
-coefficients of h^L in (1 - 2*z*h + h**2)**(-p); rising factorials;
-log-gamma; and the surface area of S^{k-1}.
+coefficients of h^L in (1 - 2*z*h + h**2)**(-p); log-gamma; and the
+surface area of S^{k-1}.
 
 The production Gegenbauer evaluator is the three-term recurrence
 
     C_0 = 1,  C_1 = 2*p*z,
     C_L = (2*z*(L+p-1)*C_{L-1} - (L+2*p-2)*C_{L-2}) / L,
 
-which is stable on z in [-1, 1].  The explicit alternating sum
+which is stable on z in [-1, 1] and is written once, in
+`gegenbauer_terms`.  The explicit alternating sum
 
     C_L^p(z) = sum_{j=0}^{floor(L/2)} (-1)^j Gamma(L-j+p) /
                (Gamma(p) j! (L-2j)!) * (2z)^{L-2j}
 
 is kept as an independent cross-check oracle.  In float arithmetic that
-sum loses roughly 2^L worth of precision near |z| = 1, so for
-half-integer 2p (the only case this library uses: p = k/2 - 1) it is
-evaluated in exact rational arithmetic and rounded once at the end.
+sum loses roughly 2^L worth of precision near |z| = 1, so it is carried
+out in exact integer arithmetic and rounded once at the end.  It takes
+half-integer p (whole 2p) only, the one case this library uses:
+p = k/2 - 1.
 """
 
 from __future__ import annotations
 
 import math
-from fractions import Fraction
+from itertools import islice
 
 __all__ = [
     "log_gamma",
-    "pochhammer",
-    "log_pochhammer",
+    "gegenbauer_terms",
     "gegenbauer",
     "gegenbauer_explicit",
     "generating_function_residual",
@@ -49,40 +50,27 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def pochhammer(a: float, m: int) -> float:
-    """Rising factorial a*(a+1)*...*(a+m-1); the empty product (m=0) is 1."""
-    if m < 0:
-        raise ValueError("pochhammer: m must be >= 0")
-    value = 1.0
-    for i in range(m):
-        value *= a + i
-    return value
-
-
-def log_pochhammer(a: float, m: int) -> tuple[float, int]:
-    """Rising factorial in log form: (log|value|, sign).
-
-    sign is 0 when the product hits an exact zero (then log|value| is -inf).
-    Safe against overflow for large m, unlike pochhammer().
-    """
-    if m < 0:
-        raise ValueError("log_pochhammer: m must be >= 0")
-    log_abs = 0.0
-    sign = 1
-    for i in range(m):
-        f = a + i
-        if f == 0.0:
-            return float("-inf"), 0
-        if f < 0.0:
-            sign = -sign
-        log_abs += math.log(abs(f))
-    return log_abs, sign
-
-
 def _clamp_z(z: float) -> float:
     if abs(z) > 1.0 + _Z_SLACK:
         raise ValueError(f"gegenbauer: |z| = {abs(z):.17g} exceeds 1")
     return max(-1.0, min(1.0, z))
+
+
+def gegenbauer_terms(p: float, z):
+    """C_0^p(z), C_1^p(z), C_2^p(z), ... by the three-term recurrence.
+
+    An endless generator.  z is a float or a numpy array of values in
+    [-1, 1] (not checked here); each term after C_0 = 1.0 has z's type.
+    """
+    prev2 = 1.0
+    prev1 = 2.0 * p * z
+    yield prev2
+    yield prev1
+    L = 2
+    while True:
+        prev2, prev1 = prev1, (2.0 * z * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
+        yield prev1
+        L += 1
 
 
 def gegenbauer(L: int, p: float, z: float) -> float:
@@ -91,75 +79,37 @@ def gegenbauer(L: int, p: float, z: float) -> float:
         raise ValueError("gegenbauer: L must be >= 0")
     if not (p > 0.0):
         raise ValueError("gegenbauer: p must be > 0 (p = 0 is the circle case)")
-    z = _clamp_z(z)
-    if L == 0:
-        return 1.0
-    prev2 = 1.0
-    prev1 = 2.0 * p * z
-    if L == 1:
-        return prev1
-    for n in range(2, L + 1):
-        prev2, prev1 = prev1, (2.0 * z * (n + p - 1.0) * prev1 - (n + 2.0 * p - 2.0) * prev2) / n
-    return prev1
-
-
-def _pochhammer_fraction(two_p: int, m: int) -> Fraction:
-    # poch(p, m) with p = two_p/2, kept exact
-    value = Fraction(1)
-    for i in range(m):
-        value *= Fraction(two_p + 2 * i, 2)
-    return value
+    return next(islice(gegenbauer_terms(p, _clamp_z(z)), L, None))
 
 
 def gegenbauer_explicit(L: int, p: float, z: float) -> float:
     """C_L^p(z) by the explicit alternating sum (cross-check oracle).
 
-    For half-integer 2p the sum is carried out in exact rational
-    arithmetic (z enters as the exact binary rational of the float), so
-    the only rounding is the final conversion to float.  Other p fall
-    back to per-term log-gamma evaluation, whose accuracy degrades like
-    2^L near |z| = 1.
+    Requires a whole 2p (ValueError otherwise).  With q = 2p and z = a/b
+    the exact binary rational of the float, 2^m poch(p, m) is the integer
+    q (q+2) ... (q+2m-2), so every term is an integer over the common
+    denominator L! 2^(L//2) b^L.  The one rounding is the final int / int
+    division, which Python rounds correctly.
     """
     if L < 0:
         raise ValueError("gegenbauer_explicit: L must be >= 0")
     if not (p > 0.0):
         raise ValueError("gegenbauer_explicit: p must be > 0")
-    z = _clamp_z(z)
     two_p = 2.0 * p
-    if two_p == int(two_p):
-        zf = Fraction(z)
-        total = Fraction(0)
-        for j in range(L // 2 + 1):
-            # Gamma(L-j+p)/Gamma(p) = poch(p, L-j), exact for half-integer p
-            coeff = (
-                _pochhammer_fraction(int(two_p), L - j)
-                / (math.factorial(j) * math.factorial(L - 2 * j))
-                * (2 * zf) ** (L - 2 * j)
-            )
-            total += -coeff if j % 2 else coeff
-        return float(total)
-    # generic p: per-term log-gamma
-    terms = []
-    for j in range(L // 2 + 1):
-        power = L - 2 * j
-        if z == 0.0:
-            if power > 0:
-                continue
-            log_mag = log_gamma(L - j + p) - log_gamma(p) - log_gamma(j + 1.0) - log_gamma(power + 1.0)
-            sign = -1.0 if j % 2 else 1.0
-        else:
-            log_mag = (
-                log_gamma(L - j + p)
-                - log_gamma(p)
-                - log_gamma(j + 1.0)
-                - log_gamma(power + 1.0)
-                + power * math.log(abs(2.0 * z))
-            )
-            sign = -1.0 if j % 2 else 1.0
-            if z < 0.0 and power % 2:
-                sign = -sign
-        terms.append(sign * math.exp(log_mag))
-    return math.fsum(terms)
+    if not two_p.is_integer():
+        raise ValueError(f"gegenbauer_explicit: 2p = {two_p!r} is not a whole number")
+    q = int(two_p)
+    a, b = _clamp_z(z).as_integer_ratio()
+    J = L // 2
+    L_fact = math.factorial(L)
+    numerator = 0
+    for j in range(J + 1):
+        # (-1)^j poch(p, L-j) (2z)^(L-2j) / (j! (L-2j)!), scaled by the denominator
+        term = (math.prod(range(q, q + 2 * (L - j), 2))
+                * (L_fact // (math.factorial(j) * math.factorial(L - 2 * j)))
+                * a ** (L - 2 * j) * b ** (2 * j)) << (J - j)
+        numerator += -term if j % 2 else term
+    return numerator / ((L_fact * b ** L) << J)
 
 
 def generating_function_residual(p: float, z: float, h: float, L_max: int) -> float:
@@ -170,16 +120,11 @@ def generating_function_residual(p: float, z: float, h: float, L_max: int) -> fl
         raise ValueError("generating_function_residual: p must be > 0")
     z = _clamp_z(z)
     target = (1.0 - 2.0 * z * h + h * h) ** (-p)
-    terms = [1.0]
-    if L_max >= 1:
-        prev2 = 1.0
-        prev1 = 2.0 * p * z
-        terms.append(prev1 * h)
-        hp = h
-        for n in range(2, L_max + 1):
-            prev2, prev1 = prev1, (2.0 * z * (n + p - 1.0) * prev1 - (n + 2.0 * p - 2.0) * prev2) / n
-            hp *= h
-            terms.append(prev1 * hp)
+    terms = []
+    hp = 1.0
+    for C in islice(gegenbauer_terms(p, z), L_max + 1):
+        terms.append(C * hp)
+        hp *= h
     return abs(target - math.fsum(terms))
 
 

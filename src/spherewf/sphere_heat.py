@@ -25,11 +25,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import numpy as np
 
-from .specfun import sphere_surface_area
+from .specfun import gegenbauer_terms, sphere_surface_area
 from .types import SpherePoint, Truncation
 
 __all__ = [
@@ -41,7 +40,6 @@ __all__ = [
     "heat_kernel_unnormalized",
     "heat_kernel_circle",
     "zonal_kernel",
-    "sample_uniform_sphere",
     "truncation_cutoff",
 ]
 
@@ -185,18 +183,14 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     odd = np.zeros_like(dots)
     even_c = np.zeros_like(dots)
     odd_c = np.zeros_like(dots)
-    if L_cap >= 1:
-        prev2 = np.ones_like(dots)
-        prev1 = 2.0 * p * dots
-        w = (2.0 + k - 2.0) / (k - 2.0) * math.exp(-D * (k - 1.0) * t)
-        _kahan_add(odd, odd_c, w * prev1)
-        for L in range(2, L_cap + 1):
-            prev2, prev1 = prev1, (2.0 * dots * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
-            w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
-            if L % 2 == 0:
-                _kahan_add(even, even_c, w * prev1)
-            else:
-                _kahan_add(odd, odd_c, w * prev1)
+    polys = gegenbauer_terms(p, dots)
+    next(polys)  # C_0, already in `even`
+    for L, C in zip(range(1, L_cap + 1), polys):
+        w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
+        if L % 2 == 0:
+            _kahan_add(even, even_c, w * C)
+        else:
+            _kahan_add(odd, odd_c, w * C)
     return even, odd, L_cap + 1, tail, converged
 
 
@@ -269,27 +263,3 @@ def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):
             converged = True
             break
     return even, odd, terms, tail, converged
-
-
-def sample_uniform_sphere(k: int, rng: np.random.Generator,
-                          n: Optional[int] = None):
-    """Uniform samples on S^{k-1}: normalized standard Gaussian vectors.
-
-    With n=None returns a single SpherePoint; otherwise an (n, k) array.
-    """
-    if k < 2:
-        raise ValueError("sample_uniform_sphere: k must be >= 2")
-    if n is None:
-        while True:
-            g = rng.standard_normal(k)
-            norm = np.linalg.norm(g)
-            if norm > 1e-12:
-                return SpherePoint(g / norm)
-    g = rng.standard_normal((n, k))
-    norms = np.linalg.norm(g, axis=1, keepdims=True)
-    bad = norms[:, 0] <= 1e-12
-    while np.any(bad):
-        g[bad] = rng.standard_normal((int(bad.sum()), k))
-        norms = np.linalg.norm(g, axis=1, keepdims=True)
-        bad = norms[:, 0] <= 1e-12
-    return g / norms

@@ -18,13 +18,10 @@ __all__ = [
     "RENORMALIZE_TOL",
     "SimplexPoint",
     "SpherePoint",
-    "SphericalCoords",
     "ModelParams",
     "Truncation",
     "sqrt_lift",
     "square_push",
-    "cartesian_from_spherical",
-    "spherical_from_cartesian",
 ]
 
 # Inputs within this distance of the constraint are renormalized and
@@ -92,39 +89,13 @@ class SpherePoint:
 
 
 @dataclass(frozen=True, eq=False)
-class SphericalCoords:
-    """Angles (theta_1, ..., theta_{k-1}) for a point on S^{k-1}.
-
-    theta_1 in [0, 2*pi); theta_i in [0, pi] for i > 1.  The upper
-    endpoint pi is admitted so the antipodal pole is representable.
-    """
-
-    angles: np.ndarray
-
-    def __init__(self, angles):
-        arr = np.atleast_1d(np.array(angles, dtype=float))
-        if arr.ndim != 1 or arr.size < 1:
-            raise ValueError("SphericalCoords: expected at least one angle")
-        if not np.all(np.isfinite(arr)):
-            raise ValueError("SphericalCoords: angles must be finite")
-        if not (0.0 <= arr[0] < 2.0 * math.pi):
-            raise ValueError(f"SphericalCoords: theta_1 = {arr[0]:.17g} outside [0, 2*pi)")
-        if arr.size > 1 and (arr[1:].min() < 0.0 or arr[1:].max() > math.pi):
-            raise ValueError("SphericalCoords: theta_i outside [0, pi] for some i > 1")
-        arr.flags.writeable = False
-        object.__setattr__(self, "angles", arr)
-
-    @property
-    def k(self) -> int:
-        return self.angles.size + 1
-
-
-@dataclass(frozen=True, eq=False)
 class ModelParams:
     """Model parameters: dimension k, noise scale c, mutation vector epsilon.
 
     The diffusion constant of the associated sphere process is D = c**2/8.
-    The mutation drift is M_i(x) = epsilon_i - mu*x_i with mu = sum(epsilon).
+    The mutation drift is M_i(x) = epsilon_i - mu*x_i with mu = sum(epsilon)
+    (`simulate.advance` writes it); `simulate.moran_event_rate` states the
+    Moran model's c.
     """
 
     k: int
@@ -150,33 +121,9 @@ class ModelParams:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "epsilon", eps)
 
-    @classmethod
-    def from_moran(cls, k: int, lam: float, N: int, epsilon=None) -> "ModelParams":
-        """Diffusion-limit parameters of the Moran/pair-interaction model: c = sqrt(lam/(2N))."""
-        if not (lam > 0.0 and N >= 2):
-            raise ValueError("from_moran: need lam > 0 and N >= 2")
-        return cls(k, math.sqrt(lam / (2.0 * N)), epsilon)
-
     @property
     def mu(self) -> float:
         return float(self.epsilon.sum())
-
-    @property
-    def diffusion_constant(self) -> float:
-        return self.c * self.c / 8.0
-
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        """M(x) = epsilon - mu*x; sums to zero on the simplex."""
-        return self.epsilon - self.mu * np.asarray(x, dtype=float)
-
-    def is_common(self) -> bool:
-        return bool(np.all(self.epsilon == self.epsilon[0]))
-
-    @property
-    def common_epsilon(self) -> float:
-        if not self.is_common():
-            raise ValueError("epsilon entries are not all equal")
-        return float(self.epsilon[0])
 
 
 @dataclass(frozen=True)
@@ -211,51 +158,3 @@ def square_push(y: SpherePoint) -> SimplexPoint:
     """Map y to the simplex via x_i = y_i**2."""
     return SimplexPoint(y.coords * y.coords)
 
-
-def cartesian_from_spherical(theta: SphericalCoords) -> SpherePoint:
-    """Cartesian unit vector from spherical angles.
-
-    y_1 = sin(theta_{k-1})...sin(theta_2) sin(theta_1)
-    y_2 = sin(theta_{k-1})...sin(theta_2) cos(theta_1)
-    ...
-    y_{k-1} = sin(theta_{k-1}) cos(theta_{k-2})
-    y_k = cos(theta_{k-1})
-    """
-    a = theta.angles
-    k = theta.k
-    y = np.empty(k)
-    sines = np.sin(a)
-    # suffix[i] = prod of sin(theta_j) over 1-based angle indices j >= i+1
-    suffix = np.ones(k)
-    for i in range(k - 2, -1, -1):
-        suffix[i] = suffix[i + 1] * sines[i]
-    y[k - 1] = math.cos(a[k - 2])
-    for m in range(k - 1, 1, -1):
-        # y_m = cos(theta_{m-1}) * prod_{j=m}^{k-1} sin(theta_j)
-        y[m - 1] = math.cos(a[m - 2]) * suffix[m - 1]
-    y[0] = suffix[0]
-    return SpherePoint(y)
-
-
-def spherical_from_cartesian(y: SpherePoint) -> tuple[SphericalCoords, bool]:
-    """Spherical angles of y, plus a degeneracy flag.
-
-    At a coordinate pole (vanishing partial norm) the unresolved angles
-    take the canonical value theta = 0 (atan2(0, 0) = 0) and the flag is
-    True; the round trip through cartesian_from_spherical still
-    reproduces y exactly there.
-    """
-    c = y.coords
-    k = y.k
-    angles = np.empty(k - 1)
-    prefix = np.sqrt(np.cumsum(c * c))  # prefix[m-1] = ||(y_1, ..., y_m)||
-    theta1 = math.atan2(c[0], c[1])
-    if theta1 < 0.0:
-        theta1 += 2.0 * math.pi
-    if theta1 >= 2.0 * math.pi:  # rounding at the wrap point
-        theta1 = 0.0
-    angles[0] = theta1
-    for m in range(3, k + 1):
-        angles[m - 2] = math.atan2(prefix[m - 2], c[m - 1])
-    degenerate = bool(np.any(prefix[1 : k - 1] < 1e-14))
-    return SphericalCoords(angles), degenerate

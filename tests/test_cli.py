@@ -203,6 +203,7 @@ def test_moran_needs_events_or_time(capsys):
     (["--counts", "50.5,50", "--events", "10"], "counts must be whole numbers"),
     (["--counts", "50,50", "--k", "3", "--events", "10"], "'k'"),
     (["--counts", "50,50", "--lam", "inf", "--events", "10"], "lam"),
+    (["--N", "10", "--events", "3", "--T", "50"], "'events' and 'T'"),
 ])
 def test_moran_rejects_bad_input(tmp_path, capsys, flags, field):
     out = tmp_path / "m.csv"
@@ -265,6 +266,19 @@ def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
     assert main(["simulate", "--model", "sphere", "--T", "1", "--dt", "0.25",
                  "--config", str(cfg), "--output", str(out)]) == EXIT_OK
     assert _read_csv(out)[0]["dt"] == 0.25
+
+
+@pytest.mark.parametrize("T, dt", [("inf", "0.001"), ("1e300", "1e-300")])
+def test_simulate_refuses_non_finite_step_counts(tmp_path, capsys, monkeypatch, T, dt):
+    workers = []
+    monkeypatch.setattr(cli, "pool_map", lambda fn, jobs, n: workers.append(n) or pool_map(fn, jobs, n))
+    out = tmp_path / "o.csv"
+    code = main(["simulate", "--model", "sphere", "--T", T, "--dt", dt, "--paths", "4",
+                 "--threads", "2", "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "must be finite" in capsys.readouterr().err
+    assert workers == [1]  # refused serially, before any pool starts
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("paths", ["0", "-2"])

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from spherewf import harness
 from spherewf.harness import (
     chapman_kolmogorov,
     control_checks,
@@ -151,6 +152,21 @@ def test_mc_vs_analytic_smoke():
     # identical seeds give identical statistics
     rep3 = mc_vs_analytic("sphere", n_paths=4000, t=0.3, dt=1e-3, seed=13)
     assert rep3.statistic == rep.statistic and rep3.stats["D"] == rep.stats["D"]
+    with pytest.raises(ValueError, match="unknown model"):
+        mc_vs_analytic("circle", n_paths=10)
+
+
+def test_two_stage_rule_retries_once_on_the_next_seed():
+    seen = []
+
+    def attempt(s):
+        seen.append(s)
+        return s
+
+    assert harness._two_stage(attempt, 5, lambda r: r == 5) == (5, 6, True)
+    assert harness._two_stage(attempt, 7, lambda r: True) == (7, 8, True)  # the retry decides
+    assert harness._two_stage(attempt, 9, lambda r: False) == (9, 9, False)
+    assert seen == [5, 6, 7, 8, 9]
 
 
 def test_run_suite_equivalence_k_filter():

@@ -143,7 +143,7 @@ def test_wf_one_step_covariance():
 
 def test_mutation_drift_sums_to_zero_and_matches_isotropic():
     params = ModelParams(3, 1.0, 0.5)
-    drift = params.drift(X3.coords)
+    drift = params.epsilon - params.mu * X3.coords
     assert abs(drift.sum()) < 1e-15
     # identical increments: mutation at eps = 1/2 equals isotropic at c = 1
     out_m, _, _ = _step(Model.WF_MUTATION, X3.coords, 1e-3, 1.0, path_rng(8, 0), params.epsilon)
@@ -192,6 +192,9 @@ def test_simulate_path_one_step_and_determinism():
     assert not np.array_equal(a.states, c.states)
     with pytest.raises(ValueError):
         simulate_path(Model.SPHERE, [0.0, 0.0, 1.0], 1e-4, 1e-3, params, path_rng(13))
+    for T, dt in ((math.inf, 1e-3), (1e300, 1e-300)):  # T, or T/dt, not finite
+        with pytest.raises(ValueError, match="must be finite"):
+            simulate_path(Model.SPHERE, [0.0, 0.0, 1.0], T, dt, params, path_rng(13))
 
 
 def test_simulate_path_records_diagnostics():
@@ -275,8 +278,10 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     (dict(model=Model.WF_NEUTRAL, start=[0.6, 0.6]), "sum to"),
     (dict(c=0.0), "c must be"),
     (dict(model=Model.WF_MUTATION, start=X3.coords, epsilon=(0.5, 0.5)), "length k=3"),
+    (dict(t=math.inf), "must be finite"),
+    (dict(t=1e300, dt=1e-300), "must be finite"),  # t/dt overflows
 ], ids=["no-paths", "mutation-without-epsilon", "start-norm-2", "start-off-simplex",
-        "c-zero", "epsilon-length"])
+        "c-zero", "epsilon-length", "t-inf", "steps-overflow"])
 def test_ensemble_final_rejects_invalid_input(change, message):
     kw = dict(model=Model.SPHERE, t=1e-3, dt=1e-3, n_paths=3, seed=44, start=Y3.coords,
               c=1.0, epsilon=None)

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import mpmath
 import numpy as np
@@ -9,8 +10,6 @@ from spherewf.specfun import (
     gegenbauer_explicit,
     generating_function_residual,
     log_gamma,
-    log_pochhammer,
-    pochhammer,
     sphere_surface_area,
 )
 
@@ -38,6 +37,8 @@ def test_gegenbauer_input_validation():
         gegenbauer(2, 0.5, 1.5)
     with pytest.raises(ValueError):
         gegenbauer_explicit(2, -1.0, 0.5)
+    with pytest.raises(ValueError, match="whole number"):
+        gegenbauer_explicit(2, 0.77, 0.5)  # only half-integer p
 
 
 def test_recurrence_matches_explicit_sum_on_grid():
@@ -52,12 +53,36 @@ def test_recurrence_matches_explicit_sum_on_grid():
     assert worst < 1e-11
 
 
-def test_explicit_sum_generic_p_small_degree():
-    # non-half-integer order goes through the log-gamma path
-    for L in (0, 1, 2, 5, 8):
-        a = gegenbauer(L, 0.77, 0.4)
-        b = gegenbauer_explicit(L, 0.77, 0.4)
-        assert a == pytest.approx(b, rel=1e-10, abs=1e-12)
+def _fraction_explicit(L, p, z):
+    # the earlier oracle, kept as written: a Fraction sum rounded once
+    def poch(two_p, m):
+        value = Fraction(1)
+        for i in range(m):
+            value *= Fraction(two_p + 2 * i, 2)
+        return value
+
+    zf = Fraction(max(-1.0, min(1.0, z)))
+    total = Fraction(0)
+    for j in range(L // 2 + 1):
+        coeff = (poch(int(2.0 * p), L - j) / (math.factorial(j) * math.factorial(L - 2 * j))
+                 * (2 * zf) ** (L - 2 * j))
+        total += -coeff if j % 2 else coeff
+    return float(total)
+
+
+def test_integer_explicit_sum_matches_the_fraction_sum_bits():
+    # the same exact rational, so the same correctly rounded float; the
+    # Fraction form costs ~L^2 per call, so the grid takes every degree to
+    # 12 and three larger ones up to 60
+    degrees = list(range(13)) + [25, 40, 60]
+    for p in (0.5, 1.0, 1.5, 2.0, 3.0):
+        for L in degrees:
+            for z in list(np.arange(-1.0, 1.0 + 1e-12, 0.1)) + [-0.0, 2.0 ** -60, -3e-5]:
+                assert gegenbauer_explicit(L, p, float(z)) == _fraction_explicit(L, p, float(z))
+    rng = np.random.default_rng(26)
+    for z in rng.uniform(-1.0, 1.0, 200):
+        L, p = int(rng.integers(0, 61)), float(rng.choice([0.5, 1.0, 1.5, 2.0, 3.0]))
+        assert gegenbauer_explicit(L, p, float(z)) == _fraction_explicit(L, p, float(z))
 
 
 def test_gegenbauer_parity():
@@ -71,7 +96,7 @@ def test_gegenbauer_parity():
 def test_gegenbauer_bounded_by_value_at_one():
     for L in range(0, 30, 3):
         for p in (0.5, 1.0, 1.5):
-            cap = pochhammer(2 * p, L) / math.factorial(L)
+            cap = math.prod(2 * p + i for i in range(L)) / math.factorial(L)
             for z in np.linspace(-1, 1, 21):
                 assert abs(gegenbauer(L, p, float(z))) <= cap * (1 + 1e-12)
 
@@ -94,27 +119,6 @@ def test_generating_function_converged_by_sixty_terms():
         for h in (-0.5, -0.2, 0.2, 0.5):
             for z in np.linspace(-1, 1, 9):
                 assert generating_function_residual(p, float(z), h, 60) < 1e-8
-
-
-def test_pochhammer():
-    assert pochhammer(2.0, 3) == 24.0
-    assert pochhammer(123.4, 0) == 1.0
-    assert pochhammer(0.5, 1) == 0.5
-    with pytest.raises(ValueError):
-        pochhammer(1.0, -1)
-
-
-def test_log_pochhammer_matches_direct():
-    for a in (0.5, 1.5, 7.0):
-        for m in (0, 1, 5, 20):
-            log_abs, sign = log_pochhammer(a, m)
-            assert sign == 1
-            assert log_abs == pytest.approx(math.log(pochhammer(a, m)), abs=1e-12)
-    # sign tracking through negative factors
-    log_abs, sign = log_pochhammer(-2.5, 4)  # (-2.5)(-1.5)(-0.5)(0.5)
-    assert sign == -1
-    assert math.exp(log_abs) == pytest.approx(abs(-2.5 * -1.5 * -0.5 * 0.5), rel=1e-12)
-    assert log_pochhammer(-3.0, 5)[1] == 0  # hits zero
 
 
 def test_sphere_surface_area():

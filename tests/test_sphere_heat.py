@@ -3,14 +3,15 @@ import math
 import numpy as np
 import pytest
 
+from spherewf import sphere_heat
 from spherewf.sphere_heat import (
     SPHERE_TRUNCATION,
+    T_MIN,
     KernelValue,
     SphereKernelQuery,
     heat_kernel,
     heat_kernel_circle,
     heat_kernel_unnormalized,
-    sample_uniform_sphere,
     truncation_cutoff,
     zonal_kernel,
     zonal_series,
@@ -36,8 +37,8 @@ def _legendre_sum(z: float, t: float, D: float) -> float:
 def test_long_time_limit_is_one():
     rng = np.random.default_rng(21)
     for k in (3, 4, 5):
-        y = sample_uniform_sphere(k, rng)
-        yp = sample_uniform_sphere(k, rng)
+        g, gp = rng.standard_normal(k), rng.standard_normal(k)
+        y, yp = SpherePoint(g / np.linalg.norm(g)), SpherePoint(gp / np.linalg.norm(gp))
         res = heat_kernel(SphereKernelQuery(y, yp, 1e3, 0.125))
         assert abs(res.value - 1.0) < 1e-12
         assert res.converged
@@ -46,8 +47,8 @@ def test_long_time_limit_is_one():
 def test_exchange_symmetry_exact():
     rng = np.random.default_rng(22)
     for _ in range(10):
-        y = sample_uniform_sphere(4, rng)
-        yp = sample_uniform_sphere(4, rng)
+        g, gp = rng.standard_normal(4), rng.standard_normal(4)
+        y, yp = SpherePoint(g / np.linalg.norm(g)), SpherePoint(gp / np.linalg.norm(gp))
         a = heat_kernel(SphereKernelQuery(y, yp, 0.3, 0.125))
         b = heat_kernel(SphereKernelQuery(yp, y, 0.3, 0.125))
         assert a.value == b.value
@@ -144,19 +145,51 @@ def test_truncation_cutoff_properties():
         truncation_cutoff(0.5, 0.125, 2, 1e-8)
 
 
-def test_uniform_sampler_moments():
-    rng = np.random.default_rng(25)
-    n = 100_000
-    for k in (2, 3, 5):
-        pts = sample_uniform_sphere(k, rng, n=n)
-        assert np.max(np.abs((pts ** 2).sum(axis=1) - 1.0)) < 1e-14
-        assert np.max(np.abs(pts.mean(axis=0))) < 4.0 / math.sqrt(n)
-        assert np.max(np.abs((pts ** 2).mean(axis=0) - 1.0 / k)) < 4.0 / math.sqrt(n)
-    single = sample_uniform_sphere(3, rng)
-    assert isinstance(single, SpherePoint)
-
-
 def test_kernel_value_float_conversion():
     res = zonal_kernel(0.1, 0.5, 0.125, 3)
     assert isinstance(res, KernelValue)
     assert float(res) == res.value
+
+
+def _zonal_series_inline(dots, t, D, k, trunc):
+    # zonal_series as it was with its own copy of the Gegenbauer recurrence
+    dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
+    p = 0.5 * k - 1.0
+    L_needed, tail, achieved = sphere_heat._cutoff_scan(t, D, k, trunc.tol)
+    L_cap = min(L_needed, trunc.max_terms)
+    converged = achieved and (L_needed <= trunc.max_terms)
+    if not converged:
+        tail = sphere_heat._tail_bound_after(L_cap, t, D, k)
+    kahan_add = sphere_heat._kahan_add
+    even = np.ones_like(dots)
+    odd = np.zeros_like(dots)
+    even_c = np.zeros_like(dots)
+    odd_c = np.zeros_like(dots)
+    if L_cap >= 1:
+        prev2 = np.ones_like(dots)
+        prev1 = 2.0 * p * dots
+        w = (2.0 + k - 2.0) / (k - 2.0) * math.exp(-D * (k - 1.0) * t)
+        kahan_add(odd, odd_c, w * prev1)
+        for L in range(2, L_cap + 1):
+            prev2, prev1 = prev1, (2.0 * dots * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
+            w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
+            if L % 2 == 0:
+                kahan_add(even, even_c, w * prev1)
+            else:
+                kahan_add(odd, odd_c, w * prev1)
+    return even, odd, L_cap + 1, tail, converged
+
+
+@pytest.mark.parametrize("k", range(3, 11))
+def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
+    rng = np.random.default_rng(30 + k)
+    dots = np.concatenate([[-1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12], rng.uniform(-1.0, 1.0, 40)])
+    for d in (dots, np.asarray(dots[-1])):
+        for t in (T_MIN, 0.01, 0.1, 1.0):
+            for max_terms in (1, 2, 3, 17, 400):
+                trunc = Truncation(max_terms=max_terms, tol=1e-12)
+                even, odd, *rest = zonal_series(d, t, 0.125, k, trunc)
+                ref_even, ref_odd, *ref_rest = _zonal_series_inline(d, t, 0.125, k, trunc)
+                assert even.tobytes() == ref_even.tobytes()
+                assert odd.tobytes() == ref_odd.tobytes()
+                assert rest == ref_rest  # terms, tail bound, converged

@@ -7,10 +7,7 @@ from spherewf.types import (
     ModelParams,
     SimplexPoint,
     SpherePoint,
-    SphericalCoords,
     Truncation,
-    cartesian_from_spherical,
-    spherical_from_cartesian,
     sqrt_lift,
     square_push,
 )
@@ -77,55 +74,14 @@ def test_lift_push_round_trips():
         assert np.allclose(there.coords, y.coords, rtol=0, atol=1e-12)
 
 
-def test_spherical_coordinate_examples():
-    y = cartesian_from_spherical(SphericalCoords([0.0, math.pi / 2]))
-    assert np.allclose(y.coords, [0.0, 1.0, 0.0], atol=1e-15)
-    y2 = cartesian_from_spherical(SphericalCoords([0.0]))
-    assert np.allclose(y2.coords, [0.0, 1.0], atol=1e-15)
-
-
-def test_spherical_round_trip_and_unit_norm():
-    rng = np.random.default_rng(12)
-    for k in (2, 3, 5):
-        for _ in range(40):
-            angles = np.empty(k - 1)
-            angles[0] = rng.uniform(0, 2 * math.pi)
-            if k > 2:
-                angles[1:] = rng.uniform(0.05, math.pi - 0.05, size=k - 2)
-            theta = SphericalCoords(angles)
-            y = cartesian_from_spherical(theta)
-            assert abs(y.coords @ y.coords - 1.0) < 1e-14
-            back, degenerate = spherical_from_cartesian(y)
-            assert not degenerate
-            assert np.allclose(back.angles, angles, rtol=0, atol=1e-12)
-
-
-def test_spherical_inverse_at_pole_is_canonical():
-    theta, degenerate = spherical_from_cartesian(SpherePoint([0.0, 0.0, 1.0]))
-    assert degenerate
-    assert theta.angles[0] == 0.0
-    roundtrip = cartesian_from_spherical(theta)
-    assert np.allclose(roundtrip.coords, [0.0, 0.0, 1.0], atol=1e-15)
-    # antipodal pole representable via theta_{k-1} = pi
-    theta2, deg2 = spherical_from_cartesian(SpherePoint([0.0, 0.0, -1.0]))
-    assert deg2 and abs(theta2.angles[-1] - math.pi) < 1e-15
-
-
 def test_model_params():
     p = ModelParams(3, 2.0, [0.1, 0.2, 0.3])
     assert p.mu == pytest.approx(0.6)
-    assert p.diffusion_constant == pytest.approx(0.5)
-    assert not p.is_common()
-    drift = p.drift(np.array([0.2, 0.3, 0.5]))
+    assert p.epsilon.tolist() == [0.1, 0.2, 0.3]
+    drift = p.epsilon - p.mu * np.array([0.2, 0.3, 0.5])  # M(x) = eps - mu*x
     assert abs(drift.sum()) < 1e-15
     common = ModelParams(4, 1.0, 0.5)
-    assert common.is_common() and common.common_epsilon == 0.5
-
-
-def test_model_params_from_moran():
-    p = ModelParams.from_moran(2, lam=1.0, N=100)
-    assert p.c == pytest.approx(math.sqrt(1.0 / 200.0))
-    assert p.diffusion_constant == pytest.approx(1.0 / 1600.0)
+    assert common.epsilon.tolist() == [0.5] * 4 and common.mu == 2.0
 
 
 def test_model_params_validation():

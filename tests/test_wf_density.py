@@ -350,6 +350,37 @@ def test_equivalence_property():
     check()
 
 
+def test_reversibility_property():
+    """pi(x') p(t, x | x') = pi(x) p(t, x' | x) with pi the Dirichlet(eps) law.
+
+    The Griffiths density at eps in {0.3, 0.5, 0.6, 1.7}, and the
+    pushforward density with pi Dirichlet(1/2), at random (x, x', t).
+    """
+    hypothesis = pytest.importorskip("hypothesis")
+    st = hypothesis.strategies
+    weights = st.lists(st.floats(0.0, 1.0), min_size=8, max_size=8)
+
+    @hypothesis.settings(max_examples=100, deadline=None, database=None)
+    @hypothesis.given(k=st.integers(2, 8), min_coord=st.sampled_from((1e-3, 5e-3, 0.02)),
+                      log_t=st.floats(math.log(0.02), math.log(5.0)),
+                      eps=st.sampled_from((0.3, 0.5, 0.6, 1.7)), w=weights, wp=weights)
+    def check(k, min_coord, log_t, eps, w, wp):
+        def point(raw):
+            raw = np.asarray(raw[:k]) + 1e-12
+            raw[0] = 0.0
+            return SimplexPoint(min_coord + (1.0 - k * min_coord) * raw / raw.sum())
+
+        x, xp = point(w), point(wp)
+        t = math.exp(log_t)
+        for e, density in ((eps, lambda a, b: griffiths_density(GriffithsQuery(a, b, t, eps))),
+                           (0.5, lambda a, b: pushforward_density(PushforwardQuery(a, b, t)))):
+            forward = dirichlet_stationary(xp, e) * density(x, xp).value
+            backward = dirichlet_stationary(x, e) * density(xp, x).value
+            assert abs(forward - backward) <= 1e-12 * max(abs(forward), abs(backward))
+
+    check()
+
+
 def test_pushforward_k2_circle_route_matches_expansion():
     x = SimplexPoint([0.3, 0.7])
     xp = SimplexPoint([0.6, 0.4])
