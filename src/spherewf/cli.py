@@ -21,17 +21,14 @@ import math
 import os
 import sys
 
-import numpy as np
-
 from .simulate import (
     DEFAULT_SEED,
     Model,
     MoranState,
+    _simulate_paths,
     moran_event_rate,
     path_rng,
-    pool_map,
     simulate_moran,
-    simulate_path,
 )
 from .sphere_heat import SphereKernelQuery, heat_kernel
 from .types import ModelParams, SimplexPoint, SpherePoint, Truncation
@@ -156,16 +153,29 @@ def _write_csv(path: str | None, header: list[str], rows, config: dict) -> None:
             out.close()
 
 
-def _trunc_from_args(args) -> Truncation:
-    return Truncation(max_terms=args.max_terms, tol=args.tol,
-                      consecutive_small=args.consecutive_small)
+def _refuse_unread(args, fields, reader: str) -> None:
+    """Refuse the fields among `fields` that are set but that `reader` never reads."""
+    given = [f"'{f}'" for f in fields if getattr(args, f) is not None]
+    if given:
+        raise ConfigError(f"{args.command}: {reader} does not read field(s) "
+                          f"{', '.join(given)} (flag or config file); remove them")
 
 
 # --- density -----------------------------------------------------------------
 
+#: the point fields each kernel reads when there is no --input
+_KERNEL_POINTS = {"stationary": ("x",), "sphere": ("y", "y_prime"),
+                  "griffiths": ("x", "x_prime"), "pushforward": ("x", "x_prime")}
+
+
 def _density_rows(args) -> tuple[list[str], list[list]]:
     kernel = args.kernel
-    trunc = _trunc_from_args(args)
+    read = () if args.input else _KERNEL_POINTS[kernel]
+    unread = [f for f in ("x", "x_prime", "y", "y_prime") if f not in read]
+    if kernel in ("sphere", "pushforward"):  # both fix eps = 1/2
+        unread.append("epsilon")
+    _refuse_unread(args, unread, f"kernel={kernel}" + (" with --input" if args.input else ""))
+    trunc = Truncation(max_terms=args.max_terms, tol=args.tol)
     pairs: list[tuple[list[float], list[float] | None]] = []
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -181,19 +191,14 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
                         raise ConfigError("input: rows must hold two points (2k columns)")
                     half = len(vals) // 2
                     pairs.append((vals[:half], vals[half:]))
+        if not pairs:
+            raise ConfigError(f"density: field 'input': {args.input!r} holds no data rows")
     else:
-        if kernel == "stationary":
-            if args.x is None:
-                raise ConfigError("density: field 'x' is required for kernel=stationary")
-            pairs.append((_parse_floats(args.x), None))
-        elif kernel == "sphere":
-            if args.y is None or args.y_prime is None:
-                raise ConfigError("density: fields 'y' and 'y-prime' are required for kernel=sphere")
-            pairs.append((_parse_floats(args.y), _parse_floats(args.y_prime)))
-        else:
-            if args.x is None or args.x_prime is None:
-                raise ConfigError(f"density: fields 'x' and 'x-prime' are required for kernel={kernel}")
-            pairs.append((_parse_floats(args.x), _parse_floats(args.x_prime)))
+        if any(getattr(args, f) is None for f in read):
+            raise ConfigError(f"density: field(s) {', '.join(repr(f) for f in read)} "
+                              f"are required for kernel={kernel}")
+        points = [_parse_floats(getattr(args, f)) for f in read]
+        pairs.append((points[0], points[1] if len(points) == 2 else None))
 
     def _point(cls, vals, field):
         try:
@@ -205,8 +210,7 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
     for a, b in pairs:
         try:
             if kernel == "stationary":
-                eps = args.epsilon if args.epsilon is not None else "0.5"
-                eps_vec = _parse_floats(eps) if isinstance(eps, str) else [float(eps)]
+                eps_vec = _parse_floats(args.epsilon if args.epsilon is not None else "0.5")
                 if len(eps_vec) == 1:
                     eps_vec = eps_vec * len(a)
                 value = dirichlet_stationary(_point(SimplexPoint, a, "x"), eps_vec)
@@ -223,12 +227,10 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
                 res = griffiths_density(GriffithsQuery(_point(SimplexPoint, a, "x"),
                                                        _point(SimplexPoint, b, "x-prime"),
                                                        args.t, eps, trunc))
-            elif kernel == "pushforward":
+            else:  # pushforward
                 res = pushforward_density(PushforwardQuery(_point(SimplexPoint, a, "x"),
                                                            _point(SimplexPoint, b, "x-prime"),
                                                            args.t, args.D, trunc))
-            else:
-                raise ConfigError(f"density: unknown kernel {kernel!r}")
         except ValueError as exc:
             raise ConfigError(f"density: {exc}") from None
         if not res.converged:
@@ -238,15 +240,12 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
             )
         rows.append(list(a) + list(b) + [res.value, res.terms_used, res.tail_bound,
                                          int(res.converged)])
-    if kernel == "stationary":
-        kcols = len(pairs[0][0])
-        header = [f"x{i + 1}" for i in range(kcols)] + ["value", "terms", "tail_bound", "converged"]
-    else:
-        ka = len(pairs[0][0])
-        pref = "y" if kernel == "sphere" else "x"
-        header = [f"{pref}{i + 1}" for i in range(ka)] \
-            + [f"{pref}p{i + 1}" for i in range(ka)] \
-            + ["value", "terms", "tail_bound", "converged"]
+    ka = len(pairs[0][0])
+    pref = "y" if kernel == "sphere" else "x"
+    header = [f"{pref}{i + 1}" for i in range(ka)]
+    if kernel != "stationary":
+        header += [f"{pref}p{i + 1}" for i in range(ka)]
+    header += ["value", "terms", "tail_bound", "converged"]
     return header, rows
 
 
@@ -258,31 +257,6 @@ def _cmd_density(args) -> int:
 
 # --- simulate ------------------------------------------------------------------
 
-def _simulate_one(payload):
-    model, start, T, dt, k, c, eps, seed, path_index, stride = payload
-    params = ModelParams(k, c, eps)
-    return simulate_path(model, start, T, dt, params, path_rng(seed, path_index), stride)
-
-
-#: below this many path-steps (paths * T/dt) a run is cheaper serially: on a
-#: 2-core machine the pool's start-up cost about 0.45 s, and two workers
-#: broke even with one near 60,000 k = 3 sphere path-steps
-POOL_MIN_PATH_STEPS = 60_000
-
-
-def _run_paths(model, start, args, params):
-    payloads = [
-        (model, start, args.T, args.dt, params.k, params.c,
-         tuple(params.epsilon), args.seed, i, args.record_stride)
-        for i in range(args.paths)
-    ]
-    # a count that is not a finite number (NaN or infinite T, zero dt) runs
-    # serially, where simulate_path refuses it before any pool starts
-    path_steps = args.paths * args.T / args.dt if args.dt else math.nan
-    workers = args.threads if POOL_MIN_PATH_STEPS <= path_steps < math.inf else 1
-    return pool_map(_simulate_one, payloads, workers)
-
-
 def _cmd_simulate(args) -> int:
     try:
         model = Model(args.model)
@@ -290,6 +264,8 @@ def _cmd_simulate(args) -> int:
         raise ConfigError(f"simulate: unknown model {args.model!r}") from None
     if args.paths < 1:
         raise ConfigError(f"simulate: field 'paths' must be >= 1, got {args.paths}")
+    if model is not Model.WF_MUTATION:
+        _refuse_unread(args, ("epsilon",), f"model={model.value}")
     k = args.k
     eps = _parse_floats(args.epsilon) if args.epsilon else None
     if model is Model.WF_MUTATION and eps is None:
@@ -308,8 +284,10 @@ def _cmd_simulate(args) -> int:
         start = [0.0] * (k - 1) + [1.0]
     else:
         start = [1.0 / k] * k
+    rngs = [path_rng(args.seed, i) for i in range(args.paths)]
     try:
-        records = _run_paths(model, start, args, params)
+        records = _simulate_paths(model, start, args.T, args.dt, params, rngs,
+                                  args.record_stride)
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from None
     rows = []
@@ -416,7 +394,6 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--input", type=str, help="CSV of point pairs, one per row")
     pd.add_argument("--tol", type=float, default=1e-10)
     pd.add_argument("--max-terms", dest="max_terms", type=int, default=400)
-    pd.add_argument("--consecutive-small", dest="consecutive_small", type=int, default=3)
     pd.add_argument("--output", type=str)
     pd.add_argument("--config", type=str)
     pd.set_defaults(func=_cmd_density)
@@ -432,7 +409,6 @@ def build_parser() -> argparse.ArgumentParser:
     ps.add_argument("--paths", type=int, default=1)
     ps.add_argument("--record-stride", dest="record_stride", type=int, default=1)
     ps.add_argument("--seed", type=int)
-    ps.add_argument("--threads", type=int, default=os.cpu_count() or 1)
     ps.add_argument("--output", type=str)
     ps.add_argument("--config", type=str)
     ps.set_defaults(func=_cmd_simulate)

@@ -218,7 +218,7 @@ def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 
     passes iff max |a - b| / max(1, |a|) < threshold.
     """
     elapsed = _timer()
-    trunc = trunc or Truncation(max_terms=200, tol=1e-10, consecutive_small=3)
+    trunc = trunc or Truncation(max_terms=200, tol=1e-10)
     rng = path_rng(seed, 0xE0)
     xs = _interior_points(rng, k, n_points, min_coord)
     xps = _interior_points(rng, k, n_points, min_coord)
@@ -419,7 +419,7 @@ def normalization_check(kernel: str, t: float, quad_order: int = 256,
         threshold = 5e-3 if threshold is None else threshold
         pts, w, dw = _simplex_grid_k3(quad_order)
         dens = _wf_density_grid(pts, np.asarray(x_cond, dtype=float), t, D,
-                                Truncation(max_terms=400, tol=1e-12, consecutive_small=3))
+                                Truncation(max_terms=400, tol=1e-12))
         total = float((w * dens * dw).sum())
         conv = True
     else:
@@ -460,7 +460,7 @@ def _ck_wf_residual(t1: float, t2: float, quad_order: int, D: float,
                     x_to=_X3, x_from=_X3B) -> float:
     x_to = np.asarray(x_to, dtype=float)
     x_from = np.asarray(x_from, dtype=float)
-    trunc = Truncation(max_terms=400, tol=1e-12, consecutive_small=3)
+    trunc = Truncation(max_terms=400, tol=1e-12)
     pts, w, dw = _simplex_grid_k3(quad_order)
     p_zx = _wf_density_grid(pts, x_from, t1, D, trunc)      # p(z, t1 | x_from)
     series_to, _, _, _, _, conv = pushforward_series_batch(pts, x_to, t2, D, trunc)

@@ -20,7 +20,8 @@ eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 One function, `advance`, takes an Euler step of an (n, k) block of
 paths of any of the four models: a model supplies only its drift, its
 noise amplitude and its boundary rule.  A single path (`simulate_path`)
-is a batch of one, an ensemble chunk a batch of up to ENSEMBLE_CHUNK.
+is a batch of one, an ensemble chunk a batch of up to ENSEMBLE_CHUNK,
+and the CLI's paths one batch whose rows draw from their own streams.
 
 Boundary policy on the simplex: negative coordinates are clamped to
 zero and the vector renormalized; the clamp event is reported.  On the
@@ -28,12 +29,13 @@ sphere every step is renormalized (projection Euler) and the
 pre-renormalization defect |norm(y_raw)^2 - 1| is reported.
 
 RNG: counter-based Philox4x64-10 (numpy.random.Philox).  Single paths
-use key = (master_seed, path_index); vectorized ensembles use one
-stream per fixed-size chunk of paths, key = (master_seed,
-2^63 + chunk_index), so results are independent of the worker count.
-Each step of an n-path batch takes its k(k-1)/2 * n normals from one
-standard_normal call, pair-major: the n draws of pair (1, 0), then of
-(2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in row-major order).
+use key = (master_seed, path_index), also as the rows of one batch;
+vectorized ensembles use one stream per fixed-size chunk of paths, key
+= (master_seed, 2^63 + chunk_index), so results are independent of the
+worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
+normals from one standard_normal call, pair-major: the n draws of pair
+(1, 0), then of (2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in
+row-major order).
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -127,18 +129,26 @@ def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     return i.copy(), j.copy()
 
 
-def draw_skew(k: int, dt: float, rng: np.random.Generator, n: int = 1,
+def draw_skew(k: int, dt: float, rng: np.random.Generator | list, n: int = 1,
               scale: float = 1.0) -> np.ndarray:
     """One step's increments scale * db_ij for n independent paths.
 
     Returns a (k(k-1)/2, n) array of independent Normal(0, scale^2 dt)
-    draws from a single rng.standard_normal call, laid out pair-major:
-    row p holds the pair (i, j) = _pairs(k)[p], i > j, and db_ji = -db_ij.
+    draws laid out pair-major: row p holds the pair (i, j) = _pairs(k)[p],
+    i > j, and db_ji = -db_ij.  `rng` is one generator, drawing the whole
+    array in a single standard_normal call, or a list of n generators,
+    column r then holding what a batch of one draws from rng[r].
     """
     if not (dt > 0.0):
         raise ValueError("draw_skew: dt must be > 0")
     m = k * (k - 1) // 2
-    G = rng.standard_normal(m * n).reshape(m, n)
+    if isinstance(rng, list):
+        G = np.empty((n, m))
+        for r, gen in enumerate(rng):
+            gen.standard_normal(out=G[r])
+        G = G.T
+    else:
+        G = rng.standard_normal(m * n).reshape(m, n)
     G *= scale * math.sqrt(dt)  # in place: a second (m, n) array costs page faults
     return G
 
@@ -184,18 +194,24 @@ def _noise_by_matrix(sphere: bool, dY: np.ndarray, Y: np.ndarray,
 #: path); at k = 3 the two cost about the same at 32-64 paths
 _MATRIX_MAX_ROWS = 32
 
+#: the clamped rows of a step that clamps none
+_NO_ROWS = np.empty(0, dtype=np.intp)
+
 
 def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
-            rng: np.random.Generator) -> tuple[np.ndarray, np.ndarray, int]:
+            rng: np.random.Generator | list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """One Euler step of each row of the (n, k) block Y.
 
     `eps` is the mutation vector of Model.WF_MUTATION and is not read by
-    the other models.  Returns (new block, defect per row, clamp count):
-    the defect is the pre-fix |norm(y)^2 - 1| on the sphere and the
-    pre-clamp |sum x - 1| on the simplex; the clamp count is the number of
-    rows that had a negative coordinate.  Y itself is not modified.
+    the other models.  `rng` is one generator for the whole block, or a
+    list of one per row (see `draw_skew`).  Returns (new block, defect per
+    row, clamped rows): the defect is the pre-fix |norm(y)^2 - 1| on the
+    sphere and the pre-clamp |sum x - 1| on the simplex; the clamped rows
+    are the ascending indices of the rows that had a negative coordinate
+    (empty on the sphere).  Y itself is not modified.
     """
-    model = Model(model)
+    # a member passes through: Model(member) would cost a tenth of a small step
+    model = model if isinstance(model, Model) else Model(model)
     n, k = Y.shape
     sphere = model is Model.SPHERE
     if sphere:
@@ -217,16 +233,15 @@ def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | 
         # projection Euler: back onto the sphere
         nrm2 = np.einsum("ij,ij->i", Y, Y)
         Y /= np.sqrt(nrm2)[:, None]
-        return Y, np.abs(nrm2 - 1.0), 0
+        return Y, np.abs(nrm2 - 1.0), _NO_ROWS
     # simplex: clip negative coordinates to zero, then renormalise
     sums = Y.sum(axis=1)
     defect = np.abs(sums - 1.0)
     neg = Y < 0.0
-    clamps = int(np.count_nonzero(neg.any(axis=1))) if neg.any() else 0
-    if clamps:
-        Y = np.clip(Y, 0.0, None)
-        sums = Y.sum(axis=1)
-    return Y / sums[:, None], defect, clamps
+    if not neg.any():  # the common case, so the per-row test waits for a clamp
+        return Y / sums[:, None], defect, _NO_ROWS
+    Y = np.clip(Y, 0.0, None)
+    return Y / Y.sum(axis=1)[:, None], defect, np.flatnonzero(neg.any(axis=1))
 
 
 # --- paths ----------------------------------------------------------------
@@ -258,6 +273,16 @@ def _start_point(model: Model, start) -> SpherePoint | SimplexPoint:
     return start if isinstance(start, cls) else cls(start)
 
 
+def _step_count(who: str, T: float, dt: float, name: str) -> int:
+    """round(T/dt), once 0 < dt <= T and T/dt is finite (ValueError otherwise)."""
+    if not (T > 0.0 and dt > 0.0 and dt <= T):
+        raise ValueError(f"{who}: need 0 < dt <= {name}")
+    if not math.isfinite(T / dt):
+        raise ValueError(f"{who}: {name} and {name}/dt must be finite, "
+                         f"got {name} = {T!r}, dt = {dt!r}")
+    return int(round(T / dt))
+
+
 def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
                   rng: np.random.Generator, record_stride: int = 1) -> PathRecord:
     """Advance one path round(T/dt) steps, as a batch of one.
@@ -265,53 +290,57 @@ def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
     Records the initial state and every record_stride-th step (the final
     step is always recorded).  Deterministic given the generator state.
     """
-    if not (T > 0.0 and dt > 0.0):
-        raise ValueError("simulate_path: need T > 0 and dt > 0")
-    if dt > T:
-        raise ValueError("simulate_path: dt exceeds T")
-    if not math.isfinite(T / dt):
-        raise ValueError(f"simulate_path: T and T/dt must be finite, got T = {T!r}, dt = {dt!r}")
+    return _simulate_paths(model, start, T, dt, params, [rng], record_stride)[0]
+
+
+def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParams,
+                    rngs: list, record_stride: int) -> list[PathRecord]:
+    """The records of len(rngs) paths from `start`, stepped as one batch.
+
+    Row r draws from rngs[r] one step at a time, so its record is the one
+    `simulate_path(..., rngs[r], record_stride)` gives, byte for byte.
+    """
+    n_steps = _step_count("simulate_path", T, dt, "T")
     if record_stride < 1:
         raise ValueError("simulate_path: record_stride must be >= 1")
-    n_steps = max(1, int(round(T / dt)))
     model = Model(model)
     point = _start_point(model, start)
     if point.k != params.k:
         raise ValueError("simulate_path: start dimension does not match params.k")
 
-    Y = point.coords[None, :]
-    times = [0.0]
-    states = [Y[0]]
-    defects = [0.0]
-    clamps = [0]
-    clamp_count = 0
-    defect_sum = 0.0
-    defect_max = 0.0
+    n = len(rngs)
+    rng = rngs[0] if n == 1 else rngs  # a batch of one draws straight from its generator
+    Y = np.tile(point.coords, (n, 1))
+    # per row, as Python numbers: cheaper per step than numpy arrays of n
+    clamp_counts = [0] * n
+    defect_sums = [0.0] * n
+    defect_maxes = [0.0] * n
+    times, states, defects, clamps = [0.0], [Y], [[0.0] * n], [clamp_counts]
 
     for step in range(1, n_steps + 1):
-        # advance returns a new block, so the recorded rows stay as they are
+        # advance returns a new block, so the recorded blocks stay as they are
         Y, d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng)
-        defect = float(d[0])
-        clamp_count += clamped
-        defect_sum += defect
-        defect_max = max(defect_max, defect)
+        if clamped.size:
+            clamp_counts = clamp_counts[:]  # and so do the recorded counts
+            for r in clamped.tolist():
+                clamp_counts[r] += 1
+        d = d.tolist()
+        for r, defect in enumerate(d):
+            defect_sums[r] += defect
+            if defect > defect_maxes[r]:
+                defect_maxes[r] = defect
         if step % record_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(Y[0])
-            defects.append(defect)
-            clamps.append(clamp_count)
+            states.append(Y)
+            defects.append(d)
+            clamps.append(clamp_counts)
 
-    return PathRecord(
-        model=model,
-        dt=dt,
-        times=np.array(times),
-        states=np.array(states),
-        defects=np.array(defects),
-        clamps=np.array(clamps, dtype=np.int64),
-        mean_defect=defect_sum / n_steps,
-        max_defect=defect_max,
-        n_steps=n_steps,
-    )
+    # indexed [record, row]
+    states = np.concatenate(states).reshape(len(times), n, -1)
+    defects, clamps = np.array(defects), np.array(clamps, dtype=np.int64)
+    return [PathRecord(model, dt, np.array(times), states[:, r], defects[:, r], clamps[:, r],
+                       defect_sums[r] / n_steps, defect_maxes[r], n_steps)
+            for r in range(n)]
 
 
 # --- worker pool -------------------------------------------------------------
@@ -381,10 +410,10 @@ def _run_chunk(model: Model, Y: np.ndarray, n_steps: int, dt: float, c: float,
     defect_max = 0.0
     clamp_events = 0
     for _ in range(n_steps):
-        Y, d, clamps = advance(model, Y, dt, c, eps, rng)
+        Y, d, clamped = advance(model, Y, dt, c, eps, rng)
         defect_sum += float(d.sum())
         defect_max = max(defect_max, float(d.max()))
-        clamp_events += clamps
+        clamp_events += clamped.size
     # a simplex step's defect is its pre-clamp |sum x - 1|
     presum_max = 0.0 if model is Model.SPHERE else defect_max
     return Y, defect_sum, defect_max, presum_max, clamp_events
@@ -413,17 +442,13 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
     caller's `start` as given.  Returns (states (n_paths, k), diagnostics).
     """
     model = Model(model)
-    if not (t > 0.0 and dt > 0.0 and dt <= t):
-        raise ValueError("ensemble_final: need 0 < dt <= t")
-    if not math.isfinite(t / dt):
-        raise ValueError(f"ensemble_final: t and t/dt must be finite, got t = {t!r}, dt = {dt!r}")
+    n_steps = _step_count("ensemble_final", t, dt, "t")
     if n_paths < 1:
         raise ValueError("ensemble_final: n_paths must be >= 1")
     if model is Model.WF_MUTATION and epsilon is None:
         raise ValueError("ensemble_final: the wf-mutation model needs epsilon")
     start = np.asarray(start, dtype=float)
     params = ModelParams(_start_point(model, start).k, c, epsilon)
-    n_steps = max(1, int(round(t / dt)))
     eps = None if epsilon is None else tuple(params.epsilon)
     jobs = [(model.value, tuple(start), min(ENSEMBLE_CHUNK, n_paths - first), n_steps,
              dt, c, eps, seed, idx)

@@ -48,7 +48,7 @@ __all__ = [
 T_MIN = 1e-3
 
 #: Default truncation for the spectral series.
-SPHERE_TRUNCATION = Truncation(max_terms=5000, tol=1e-12, consecutive_small=3)
+SPHERE_TRUNCATION = Truncation(max_terms=5000, tol=1e-12)
 
 
 @dataclass(frozen=True)

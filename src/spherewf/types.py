@@ -121,32 +121,23 @@ class ModelParams:
         object.__setattr__(self, "c", c)
         object.__setattr__(self, "epsilon", eps)
 
-    @property
-    def mu(self) -> float:
-        return float(self.epsilon.sum())
-
 
 @dataclass(frozen=True)
 class Truncation:
     """Series truncation policy.
 
-    max_terms bounds any series loop; tol is the per-term / tail target;
-    a running evaluation stops once `consecutive_small` successive terms
-    fall below tol (where a dynamic rule applies).  Evaluators report
-    whether tol was met.
+    max_terms bounds any series loop; tol is the per-term / tail target.
+    Evaluators report whether tol was met.
     """
 
     max_terms: int = 200
     tol: float = 1e-10
-    consecutive_small: int = 3
 
     def __post_init__(self):
         if self.max_terms < 1:
             raise ValueError("Truncation: max_terms must be >= 1")
         if not (self.tol > 0.0):
             raise ValueError("Truncation: tol must be > 0")
-        if self.consecutive_small < 1:
-            raise ValueError("Truncation: consecutive_small must be >= 1")
 
 
 def sqrt_lift(x: SimplexPoint) -> SpherePoint:

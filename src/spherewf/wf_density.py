@@ -78,7 +78,10 @@ __all__ = [
 GRIFFITHS_T_MIN = 0.01
 
 #: Default truncation for the simplex expansions.
-WF_TRUNCATION = Truncation(max_terms=200, tol=1e-10, consecutive_small=3)
+WF_TRUNCATION = Truncation(max_terms=200, tol=1e-10)
+
+#: The Griffiths scan stops after this many successive terms below tol.
+_CONSECUTIVE_SMALL = 3
 
 #: Sign-preimage enumeration guard for the pushforward (2^k terms).
 _MAX_SIGN_K = 20
@@ -140,7 +143,7 @@ class DensityValue:
     series_sum.  tail_bound is in series_sum units: for the pushforward
     it is the sphere series' rigorous bound on the discarded tail; for
     the Griffiths expansion it is a heuristic, the largest of the last
-    `consecutive_small` terms.
+    three terms (`_CONSECUTIVE_SMALL`).
     """
 
     value: float
@@ -364,7 +367,7 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     """Transition density via the orthogonal-polynomial expansion.
 
     Runs the n-ordered scan in float arithmetic with the truncation rule
-    (stop after `consecutive_small` terms below tol, n >= 5 required, Q_n
+    (stop after `_CONSECUTIVE_SMALL` terms below tol, n >= 5 required, Q_n
     can grow before the exponential wins).  If the accumulated
     cancellation estimate endangers ~1e-10 relative accuracy, the series
     is re-evaluated as sum_m xi_m W_m(t) with cached high-precision
@@ -414,10 +417,10 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
         recent.append(abs(term))
         small_run = small_run + 1 if abs(term) < trunc.tol else 0
         n_stop = n
-        if small_run >= trunc.consecutive_small and n >= 5:
+        if small_run >= _CONSECUTIVE_SMALL and n >= 5:
             converged = True
             break
-    tail = max(recent[-trunc.consecutive_small:]) if recent else math.inf
+    tail = max(recent[-_CONSECUTIVE_SMALL:]) if recent else math.inf
     mode = "direct"
     series = total
     if err_est > 1e-10 * max(1.0, abs(total)):

@@ -1,5 +1,6 @@
 import json
 import math
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -9,9 +10,10 @@ import numpy as np
 import pytest
 
 import spherewf
-from spherewf import cli
-from spherewf.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, main
-from spherewf.simulate import pool_map
+from spherewf import simulate
+from spherewf.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, _fmt, main
+from spherewf.simulate import Model, path_rng, simulate_path
+from spherewf.types import ModelParams
 
 _ENV = {**os.environ, "PYTHONPATH": str(Path(spherewf.__file__).parents[1])}
 
@@ -92,6 +94,54 @@ def test_density_input_csv(tmp_path):
     _, _, rows = _read_csv(out)
     assert len(rows) == 2
     assert all(float(r[6]) > 0 for r in rows)
+
+
+@pytest.mark.parametrize("text", ["", "# x1,x2,x3\n\n   \n# no data\n"],
+                         ids=["empty", "comments-only"])
+@pytest.mark.parametrize("kernel", ["stationary", "pushforward"])
+def test_density_input_without_rows_is_a_config_error(tmp_path, capsys, text, kernel):
+    src = tmp_path / "pairs.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    assert main(["density", "--kernel", kernel, "--t", "0.5", "--input", str(src),
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert "'input'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("source", ["flag", "file"])
+@pytest.mark.parametrize("argv, unread", [
+    (["density", "--kernel", "pushforward", "--x", "0.5,0.3,0.2", "--x-prime", "0.25,0.35,0.4",
+      "--t", "0.5"], {"epsilon": "0.7"}),
+    (["density", "--kernel", "sphere", "--y", "0,0,1", "--y-prime", "0.6,0.8,0", "--t", "1"],
+     {"epsilon": "0.5"}),
+    (["density", "--kernel", "pushforward", "--t", "0.5", "--input", "{input}"],
+     {"x": "0.5,0.3,0.2", "x_prime": "0.25,0.35,0.4"}),
+    (["density", "--kernel", "sphere", "--t", "1", "--input", "{input}"],
+     {"y": "0,0,1", "y_prime": "0.6,0.8,0"}),
+    (["simulate", "--model", "sphere", "--T", "0.01", "--dt", "0.01"], {"epsilon": "0.3"}),
+    (["simulate", "--model", "wf-neutral", "--T", "0.01", "--dt", "0.01"], {"epsilon": "0.3"}),
+    (["simulate", "--model", "wf-isotropic", "--T", "0.01", "--dt", "0.01"],
+     {"epsilon": "0.5"}),
+], ids=["pushforward-epsilon", "sphere-epsilon", "input-x", "input-y", "sphere-model",
+        "neutral-model", "isotropic-model"])
+def test_fields_that_are_never_read_are_refused(tmp_path, capsys, source, argv, unread):
+    # a value that no step reads would be echoed in '# config:' as if it took effect
+    src = tmp_path / "pairs.csv"
+    src.write_text("0.5,0.3,0.2,0.25,0.35,0.4\n")
+    argv = [a.format(input=src) for a in argv]
+    if source == "flag":
+        for key, value in unread.items():
+            argv += ["--" + key.replace("_", "-"), value]
+    else:
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(unread))
+        argv += ["--config", str(cfg)]
+    out = tmp_path / "o.csv"
+    assert main(argv + ["--output", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert all(f"'{key}'" in err for key in unread), err
+    assert not out.exists()
 
 
 def test_simulate_one_step_and_determinism(tmp_path):
@@ -269,15 +319,12 @@ def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("T, dt", [("inf", "0.001"), ("1e300", "1e-300")])
-def test_simulate_refuses_non_finite_step_counts(tmp_path, capsys, monkeypatch, T, dt):
-    workers = []
-    monkeypatch.setattr(cli, "pool_map", lambda fn, jobs, n: workers.append(n) or pool_map(fn, jobs, n))
+def test_simulate_refuses_non_finite_step_counts(tmp_path, capsys, T, dt):
     out = tmp_path / "o.csv"
     code = main(["simulate", "--model", "sphere", "--T", T, "--dt", dt, "--paths", "4",
-                 "--threads", "2", "--output", str(out)])
+                 "--output", str(out)])
     assert code == EXIT_CONFIG
     assert "must be finite" in capsys.readouterr().err
-    assert workers == [1]  # refused serially, before any pool starts
     assert not out.exists()
 
 
@@ -291,28 +338,55 @@ def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
     assert not out.exists()
 
 
-def test_simulate_threads_match_serial(tmp_path, monkeypatch):
-    workers = []
+@pytest.mark.parametrize("stride", [1, 7])
+@pytest.mark.parametrize("model, start", [
+    ("sphere", "0.6,-0.64,0.48"),
+    ("wf-neutral", "0.01,0.02,0.03,0.94"),  # near the boundary: rows clamp
+], ids=["sphere", "wf-neutral"])
+@pytest.mark.parametrize("paths", [3, 40])  # either side of simulate._MATRIX_MAX_ROWS
+def test_simulate_paths_step_as_one_batch(tmp_path, paths, model, start, stride):
+    # the rows of a --paths P run are the P records simulate_path gives
+    # one at a time, row r from path_rng(seed, r)
+    assert 3 <= simulate._MATRIX_MAX_ROWS < 40
+    out = tmp_path / "o.csv"
+    k = start.count(",") + 1
+    assert main(["simulate", "--model", model, "--k", str(k), "--start", start,
+                 "--T", "0.1", "--dt", "0.001", "--paths", str(paths),
+                 "--record-stride", str(stride), "--seed", "31",
+                 "--output", str(out)]) == EXIT_OK
+    expected, clamps = [], 0
+    for i in range(paths):
+        rec = simulate_path(Model(model), [float(v) for v in start.split(",")], 0.1, 0.001,
+                            ModelParams(k, 1.0), path_rng(31, i), stride)
+        clamps += int(rec.clamps[-1])
+        for j in range(rec.times.size):
+            row = [i, rec.times[j]] + list(rec.states[j]) + [rec.defects[j], int(rec.clamps[j])]
+            expected.append(",".join(_fmt(v) for v in row))
+    assert out.read_text().splitlines()[2:] == expected
+    assert (clamps > 0) == (model == "wf-neutral")
 
-    def spy(fn, jobs, n):
-        workers.append(n)
-        return pool_map(fn, jobs, n)
 
-    monkeypatch.setattr(cli, "pool_map", spy)
-    # 30 path-steps run serially even with --threads 2; a run at the
-    # constant takes the pool
-    for paths, T in (("3", "0.01"), ("2", repr(cli.POOL_MIN_PATH_STEPS * 0.001 / 2))):
-        base = ["simulate", "--model", "wf-isotropic", "--T", T, "--dt", "0.001",
-                "--paths", paths, "--record-stride", "500", "--seed", "5"]
-        text = []
-        workers.clear()
-        for threads in ("1", "2"):
-            out = tmp_path / f"t{threads}.csv"
-            assert main(base + ["--threads", threads, "--output", str(out)]) == EXIT_OK
-            text.append(out.read_bytes().split(b"\n", 1))  # the config line echoes --threads
-        assert text[0][1] == text[1][1]
-        pooled = int(paths) * float(T) / 0.001 >= cli.POOL_MIN_PATH_STEPS
-        assert workers == [1, 2 if pooled else 1]
+def test_simulate_starts_no_process_pool(tmp_path, monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("simulate started a process pool")
+
+    monkeypatch.setattr(simulate, "pool_map", refuse)
+    monkeypatch.setattr(simulate, "ProcessPoolExecutor", refuse)
+    children = set(multiprocessing.active_children())
+    out = tmp_path / "o.csv"
+    base = ["simulate", "--model", "sphere", "--T", "1", "--dt", "0.001", "--paths", "64"]
+    assert main(base + ["--record-stride", "1000", "--output", str(out)]) == EXIT_OK
+    assert set(multiprocessing.active_children()) == children
+    assert len(_read_csv(out)[2]) == 64 * 2
+    # no flag or config key sets a worker count any more
+    with pytest.raises(SystemExit) as exc:
+        main(base + ["--threads", "2"])
+    assert exc.value.code == EXIT_CONFIG
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"threads": 2}))
+    capsys.readouterr()
+    assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
+    assert "threads" in capsys.readouterr().err
 
 
 def test_closed_output_pipe_ends_quietly():

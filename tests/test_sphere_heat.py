@@ -101,7 +101,7 @@ def test_time_floor_enforced():
 
 
 def test_non_convergence_reported_when_capped():
-    tight = Truncation(max_terms=3, tol=1e-12, consecutive_small=3)
+    tight = Truncation(max_terms=3, tol=1e-12)
     res = zonal_kernel(0.2, 0.01, 0.125, 3, tight)
     assert not res.converged
     assert res.tail_bound > 1e-12

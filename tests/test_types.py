@@ -76,12 +76,13 @@ def test_lift_push_round_trips():
 
 def test_model_params():
     p = ModelParams(3, 2.0, [0.1, 0.2, 0.3])
-    assert p.mu == pytest.approx(0.6)
+    mu = p.epsilon.sum()
+    assert mu == pytest.approx(0.6)
     assert p.epsilon.tolist() == [0.1, 0.2, 0.3]
-    drift = p.epsilon - p.mu * np.array([0.2, 0.3, 0.5])  # M(x) = eps - mu*x
+    drift = p.epsilon - mu * np.array([0.2, 0.3, 0.5])  # M(x) = eps - mu*x
     assert abs(drift.sum()) < 1e-15
     common = ModelParams(4, 1.0, 0.5)
-    assert common.epsilon.tolist() == [0.5] * 4 and common.mu == 2.0
+    assert common.epsilon.tolist() == [0.5] * 4 and common.epsilon.sum() == 2.0
 
 
 def test_model_params_validation():
@@ -96,10 +97,8 @@ def test_model_params_validation():
 
 
 def test_truncation_validation():
-    Truncation(10, 1e-8, 1)
+    Truncation(10, 1e-8)
     with pytest.raises(ValueError):
-        Truncation(0, 1e-8, 1)
+        Truncation(0, 1e-8)
     with pytest.raises(ValueError):
-        Truncation(10, 0.0, 1)
-    with pytest.raises(ValueError):
-        Truncation(10, 1e-8, 0)
+        Truncation(10, 0.0)

@@ -395,7 +395,7 @@ def test_pushforward_k2_against_direct_circle_sum():
     x = SimplexPoint([0.3, 0.7])
     xp = SimplexPoint([0.6, 0.4])
     t = 0.4
-    trunc = Truncation(max_terms=400, tol=1e-13, consecutive_small=3)
+    trunc = Truncation(max_terms=400, tol=1e-13)
     y = np.sqrt(x.coords)
     yp = np.sqrt(xp.coords)
     total = 0.0
