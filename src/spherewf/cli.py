@@ -6,8 +6,10 @@ configuration) or JSON lines for verification reports.  Reals are
 written with 17 significant digits so files round-trip exactly.
 
 Config precedence: command-line flags > --config JSON file > defaults.
-The default seed comes from the SPHEREWF_SEED environment variable when
-set; an explicit --seed always wins.
+Each run reads the fields `_READS` lists for it: one still missing is an
+error, and so is one that is set but never read, so '# config:' echoes
+only values that took effect.  The default seed comes from the
+SPHEREWF_SEED environment variable when set; an explicit --seed wins.
 
 Exit codes: 0 success, 1 verification failure, 2 configuration error,
 3 numerical non-convergence, 141 output pipe closed by its reader.
@@ -102,7 +104,7 @@ def _config_value(action: argparse.Action, value):
 
 
 def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
-    if not getattr(args, "config", None):
+    if not args.config:
         return
     try:
         with open(args.config, "r", encoding="utf-8") as fh:
@@ -115,33 +117,70 @@ def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Act
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
     for key, value in data.items():
-        # CLI flags win: only fill values the user did not pass explicitly
-        if key not in args._explicit:
+        # every flag parses to None unless typed, and a typed flag wins
+        if getattr(args, key) is None:
             setattr(args, key, _config_value(actions[key], value))
 
 
-#: fields each subcommand cannot run without; checked after the config file
-#: is merged, so that the file can supply them too
-_REQUIRED = {"density": ("kernel",), "simulate": ("model", "T"), "verify": ("suite",)}
+#: marks a field that has no built-in default
+_NEEDED = object()
 
+_SERIES = {"t": _NEEDED, "tol": 1e-10, "max_terms": 400}
 
-def _check_required(args: argparse.Namespace) -> None:
-    for field in _REQUIRED.get(args.command, ()):
-        if getattr(args, field) is None:
-            raise ConfigError(f"{args.command}: field '{field}' is required "
-                              f"(flag --{field} or the config file)")
-
+#: the fields each run reads, each with its built-in default (a callable is
+#: called for it).  Per command: the field that picks the variant (None if
+#: there is none), the fields every run reads, and each variant's own fields.
+_READS = {
+    "density": ("kernel", {"input": None}, {
+        "stationary": {"x": _NEEDED, "epsilon": "0.5"},
+        "sphere": {"y": _NEEDED, "y_prime": _NEEDED, **_SERIES, "D": 0.125},
+        "griffiths": {"x": _NEEDED, "x_prime": _NEEDED, **_SERIES, "epsilon": "0.5"},
+        "pushforward": {"x": _NEEDED, "x_prime": _NEEDED, **_SERIES, "D": 0.125},
+    }),
+    "simulate": ("model", {"k": 3, "T": _NEEDED, "dt": 1e-4, "start": None, "paths": 1,
+                           "record_stride": 1, "seed": _default_seed}, {
+        "sphere": {"c": 1.0}, "wf-neutral": {"c": 1.0}, "wf-isotropic": {"c": 1.0},
+        "wf-mutation": {"epsilon": _NEEDED},  # advance never reads c for this model
+    }),
+    "verify": ("suite", {"seed": _default_seed, "threads": os.cpu_count() or 1},
+               {"equivalence": {"k": None}, "all": {"k": None}}),
+    "moran": (None, {"k": None, "N": 100, "lam": 1.0, "counts": None, "events": None,
+                     "T": None, "record_stride": 1, "seed": _default_seed}, {}),
+}
 
 _NON_SEMANTIC_KEYS = ("func", "output", "summary", "config")
 
 
-def _config_dict(args: argparse.Namespace) -> dict:
-    # file locations are excluded so identical runs give identical bytes
-    return {k: v for k, v in sorted(vars(args).items())
-            if not k.startswith("_") and k not in _NON_SEMANTIC_KEYS and v is not None}
+def _resolve(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+    """Check a run against `_READS` once the config file is merged, and fill its defaults."""
+    pick, reads, variants = _READS[args.command]
+    reader = args.command
+    if pick:
+        value = getattr(args, pick)
+        reads = {pick: _NEEDED, **reads, **variants.get(value, {})}
+        reader = f"{pick}={value}"
+    if getattr(args, "input", None):  # the points come from the file
+        reads = {f: d for f, d in reads.items() if f not in ("x", "x_prime", "y", "y_prime")}
+        reader += " with --input"
+    missing = [f"'{f}'" for f, d in reads.items() if d is _NEEDED and getattr(args, f) is None]
+    if missing:
+        raise ConfigError(f"{args.command}: field(s) {', '.join(missing)} required "
+                          f"(flag or config file)")
+    unread = [f"'{f}'" for f in actions if f not in reads and f not in _NON_SEMANTIC_KEYS
+              and getattr(args, f) is not None]
+    if unread:
+        raise ConfigError(f"{args.command}: {reader} does not read field(s) "
+                          f"{', '.join(unread)} (flag or config file); remove them")
+    for f, default in reads.items():
+        if getattr(args, f) is None:
+            setattr(args, f, default() if callable(default) else default)
 
 
-def _write_csv(path: str | None, header: list[str], rows, config: dict) -> None:
+def _write_csv(args: argparse.Namespace, header: list[str], rows) -> None:
+    # file locations are left out of '# config:' so identical runs give identical bytes
+    config = {k: v for k, v in sorted(vars(args).items())
+              if k not in _NON_SEMANTIC_KEYS and v is not None}
+    path = args.output
     out = sys.stdout if path in (None, "-") else open(path, "w", encoding="utf-8", newline="")
     try:
         out.write("# config: " + json.dumps(config, sort_keys=True) + "\n")
@@ -153,29 +192,11 @@ def _write_csv(path: str | None, header: list[str], rows, config: dict) -> None:
             out.close()
 
 
-def _refuse_unread(args, fields, reader: str) -> None:
-    """Refuse the fields among `fields` that are set but that `reader` never reads."""
-    given = [f"'{f}'" for f in fields if getattr(args, f) is not None]
-    if given:
-        raise ConfigError(f"{args.command}: {reader} does not read field(s) "
-                          f"{', '.join(given)} (flag or config file); remove them")
-
-
 # --- density -----------------------------------------------------------------
 
-#: the point fields each kernel reads when there is no --input
-_KERNEL_POINTS = {"stationary": ("x",), "sphere": ("y", "y_prime"),
-                  "griffiths": ("x", "x_prime"), "pushforward": ("x", "x_prime")}
-
-
-def _density_rows(args) -> tuple[list[str], list[list]]:
+def _cmd_density(args) -> int:
     kernel = args.kernel
-    read = () if args.input else _KERNEL_POINTS[kernel]
-    unread = [f for f in ("x", "x_prime", "y", "y_prime") if f not in read]
-    if kernel in ("sphere", "pushforward"):  # both fix eps = 1/2
-        unread.append("epsilon")
-    _refuse_unread(args, unread, f"kernel={kernel}" + (" with --input" if args.input else ""))
-    trunc = Truncation(max_terms=args.max_terms, tol=args.tol)
+    pref = "y" if kernel == "sphere" else "x"
     pairs: list[tuple[list[float], list[float] | None]] = []
     if args.input:
         with open(args.input, "r", encoding="utf-8") as fh:
@@ -194,11 +215,8 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
         if not pairs:
             raise ConfigError(f"density: field 'input': {args.input!r} holds no data rows")
     else:
-        if any(getattr(args, f) is None for f in read):
-            raise ConfigError(f"density: field(s) {', '.join(repr(f) for f in read)} "
-                              f"are required for kernel={kernel}")
-        points = [_parse_floats(getattr(args, f)) for f in read]
-        pairs.append((points[0], points[1] if len(points) == 2 else None))
+        second = None if kernel == "stationary" else _parse_floats(getattr(args, pref + "_prime"))
+        pairs.append((_parse_floats(getattr(args, pref)), second))
 
     def _point(cls, vals, field):
         try:
@@ -207,73 +225,63 @@ def _density_rows(args) -> tuple[list[str], list[list]]:
             raise ConfigError(f"density: field '{field}': {exc}") from None
 
     rows = []
-    for a, b in pairs:
-        try:
+    try:
+        if kernel == "stationary":
+            eps_vec = _parse_floats(args.epsilon)
+        else:
+            trunc = Truncation(max_terms=args.max_terms, tol=args.tol)
+        for a, b in pairs:
             if kernel == "stationary":
-                eps_vec = _parse_floats(args.epsilon if args.epsilon is not None else "0.5")
-                if len(eps_vec) == 1:
-                    eps_vec = eps_vec * len(a)
-                value = dirichlet_stationary(_point(SimplexPoint, a, "x"), eps_vec)
+                value = dirichlet_stationary(_point(SimplexPoint, a, "x"),
+                                             eps_vec * len(a) if len(eps_vec) == 1 else eps_vec)
                 rows.append(list(a) + [value, 0, 0.0, 1])
                 continue
-            if args.t is None:
-                raise ConfigError("density: field 't' is required")
             if kernel == "sphere":
                 res = heat_kernel(SphereKernelQuery(_point(SpherePoint, a, "y"),
                                                     _point(SpherePoint, b, "y-prime"),
                                                     args.t, args.D, trunc))
             elif kernel == "griffiths":
-                eps = float(args.epsilon) if args.epsilon is not None else 0.5
                 res = griffiths_density(GriffithsQuery(_point(SimplexPoint, a, "x"),
                                                        _point(SimplexPoint, b, "x-prime"),
-                                                       args.t, eps, trunc))
+                                                       args.t, float(args.epsilon), trunc))
             else:  # pushforward
                 res = pushforward_density(PushforwardQuery(_point(SimplexPoint, a, "x"),
                                                            _point(SimplexPoint, b, "x-prime"),
                                                            args.t, args.D, trunc))
-        except ValueError as exc:
-            raise ConfigError(f"density: {exc}") from None
-        if not res.converged:
-            raise NonConvergence(
-                f"density: series not converged within max_terms={args.max_terms} "
-                f"(tail bound {res.tail_bound:.3e})"
-            )
-        rows.append(list(a) + list(b) + [res.value, res.terms_used, res.tail_bound,
-                                         int(res.converged)])
+            if not res.converged:
+                raise NonConvergence(
+                    f"density: series not converged within max_terms={args.max_terms} "
+                    f"(tail bound {res.tail_bound:.3e})"
+                )
+            rows.append(list(a) + list(b) + [res.value, res.terms_used, res.tail_bound,
+                                             int(res.converged)])
+    except ValueError as exc:
+        raise ConfigError(f"density: {exc}") from None
     ka = len(pairs[0][0])
-    pref = "y" if kernel == "sphere" else "x"
     header = [f"{pref}{i + 1}" for i in range(ka)]
     if kernel != "stationary":
         header += [f"{pref}p{i + 1}" for i in range(ka)]
     header += ["value", "terms", "tail_bound", "converged"]
-    return header, rows
-
-
-def _cmd_density(args) -> int:
-    header, rows = _density_rows(args)
-    _write_csv(args.output, header, rows, _config_dict(args))
+    # rows is a list, not a stream: an error can arrive mid-evaluation, and
+    # no partial file may be written
+    _write_csv(args, header, rows)
     return EXIT_OK
 
 
 # --- simulate ------------------------------------------------------------------
 
 def _cmd_simulate(args) -> int:
-    try:
-        model = Model(args.model)
-    except ValueError:
-        raise ConfigError(f"simulate: unknown model {args.model!r}") from None
+    model = Model(args.model)
     if args.paths < 1:
         raise ConfigError(f"simulate: field 'paths' must be >= 1, got {args.paths}")
-    if model is not Model.WF_MUTATION:
-        _refuse_unread(args, ("epsilon",), f"model={model.value}")
     k = args.k
-    eps = _parse_floats(args.epsilon) if args.epsilon else None
-    if model is Model.WF_MUTATION and eps is None:
-        raise ConfigError("simulate: the wf-mutation model needs --epsilon")
-    if eps is not None and len(eps) == 1:
-        eps = eps * k
+    c, eps = args.c, None
+    if model is Model.WF_MUTATION:  # ModelParams needs a valid c that advance never reads
+        c, eps = 1.0, _parse_floats(args.epsilon)
+        if len(eps) == 1:
+            eps = eps * k
     try:
-        params = ModelParams(k, args.c, eps)
+        params = ModelParams(k, c, eps)
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from None
     if args.start:
@@ -290,13 +298,11 @@ def _cmd_simulate(args) -> int:
                                   args.record_stride)
     except ValueError as exc:
         raise ConfigError(f"simulate: {exc}") from None
-    rows = []
-    for path_index, rec in enumerate(records):
-        for i in range(rec.times.size):
-            rows.append([path_index, rec.times[i]] + list(rec.states[i])
-                        + [rec.defects[i], int(rec.clamps[i])])
+    rows = ([path_index, rec.times[i]] + list(rec.states[i])
+            + [rec.defects[i], int(rec.clamps[i])]
+            for path_index, rec in enumerate(records) for i in range(rec.times.size))
     header = ["path", "t"] + [f"s{i + 1}" for i in range(k)] + ["defect", "clamps"]
-    _write_csv(args.output, header, rows, _config_dict(args))
+    _write_csv(args, header, rows)
     return EXIT_OK
 
 
@@ -358,21 +364,22 @@ def _cmd_moran(args) -> int:
     else:
         raise ConfigError("moran: one of the fields 'events' or 'T' is required")
     rec = simulate_moran(state, events, path_rng(args.seed, 0), args.record_stride)
-    rows = [
+    rows = (
         [int(rec.event_index[i]), rec.times[i]] + [int(c) for c in rec.counts[i]]
         + [rec.heterozygosity[i]]
         for i in range(rec.event_index.size)
-    ]
+    )
     header = ["event", "t"] + [f"n{i + 1}" for i in range(state.k)] + ["heterozygosity"]
-    _write_csv(args.output, header, rows, _config_dict(args))
+    _write_csv(args, header, rows)
     return EXIT_OK
 
 
 # --- parser ----------------------------------------------------------------------
 
 def build_parser() -> argparse.ArgumentParser:
-    # allow_abbrev=False: the config file's precedence rule needs the flags
-    # the user typed, and an abbreviated flag would hide its destination
+    # Every flag defaults to None, so a value after parsing is one the user
+    # typed; `_READS` holds the built-in defaults.  allow_abbrev=False: full
+    # flags only, so a flag added later cannot change what an abbreviation meant.
     parser = argparse.ArgumentParser(
         prog="spherewf",
         allow_abbrev=False,
@@ -385,29 +392,29 @@ def build_parser() -> argparse.ArgumentParser:
     pd.add_argument("--kernel",
                     choices=["sphere", "griffiths", "pushforward", "stationary"])
     pd.add_argument("--t", type=float)
-    pd.add_argument("--D", type=float, default=0.125)
+    pd.add_argument("--D", type=float)
     pd.add_argument("--epsilon", type=str)
     pd.add_argument("--x", type=str, help="comma-separated simplex point")
     pd.add_argument("--x-prime", dest="x_prime", type=str)
     pd.add_argument("--y", type=str, help="comma-separated unit vector")
     pd.add_argument("--y-prime", dest="y_prime", type=str)
     pd.add_argument("--input", type=str, help="CSV of point pairs, one per row")
-    pd.add_argument("--tol", type=float, default=1e-10)
-    pd.add_argument("--max-terms", dest="max_terms", type=int, default=400)
+    pd.add_argument("--tol", type=float)
+    pd.add_argument("--max-terms", dest="max_terms", type=int)
     pd.add_argument("--output", type=str)
     pd.add_argument("--config", type=str)
     pd.set_defaults(func=_cmd_density)
 
     ps = sub.add_parser("simulate", help="integrate sample paths", allow_abbrev=False)
     ps.add_argument("--model", choices=[m.value for m in Model])
-    ps.add_argument("--k", type=int, default=3)
+    ps.add_argument("--k", type=int)
     ps.add_argument("--T", type=float)
-    ps.add_argument("--dt", type=float, default=1e-4)
-    ps.add_argument("--c", type=float, default=1.0)
+    ps.add_argument("--dt", type=float)
+    ps.add_argument("--c", type=float)
     ps.add_argument("--epsilon", type=str)
     ps.add_argument("--start", type=str)
-    ps.add_argument("--paths", type=int, default=1)
-    ps.add_argument("--record-stride", dest="record_stride", type=int, default=1)
+    ps.add_argument("--paths", type=int)
+    ps.add_argument("--record-stride", dest="record_stride", type=int)
     ps.add_argument("--seed", type=int)
     ps.add_argument("--output", type=str)
     ps.add_argument("--config", type=str)
@@ -418,7 +425,7 @@ def build_parser() -> argparse.ArgumentParser:
                     help="suite name or 'all' (see README; an unknown name lists them)")
     pv.add_argument("--k", type=int, help="restrict the equivalence suite to one dimension")
     pv.add_argument("--seed", type=int)
-    pv.add_argument("--threads", type=int, default=os.cpu_count() or 1)
+    pv.add_argument("--threads", type=int)
     pv.add_argument("--output", type=str, help="JSONL report path")
     pv.add_argument("--summary", type=str, help="CSV summary path")
     pv.add_argument("--config", type=str)
@@ -427,12 +434,12 @@ def build_parser() -> argparse.ArgumentParser:
     pm = sub.add_parser("moran", help="simulate the interacting-particle model",
                         allow_abbrev=False)
     pm.add_argument("--k", type=int, help="number of types (default: from --counts, else 2)")
-    pm.add_argument("--N", type=int, default=100)
-    pm.add_argument("--lam", type=float, default=1.0)
+    pm.add_argument("--N", type=int)
+    pm.add_argument("--lam", type=float)
     pm.add_argument("--counts", type=str, help="initial counts (default near-even split)")
     pm.add_argument("--events", type=int)
     pm.add_argument("--T", type=float)
-    pm.add_argument("--record-stride", dest="record_stride", type=int, default=1)
+    pm.add_argument("--record-stride", dest="record_stride", type=int)
     pm.add_argument("--seed", type=int)
     pm.add_argument("--output", type=str)
     pm.add_argument("--config", type=str)
@@ -443,12 +450,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    args._explicit = _explicit_dests(argv if argv is not None else sys.argv[1:], parser)
     try:
-        _apply_config_file(args, _flag_actions(parser, args.command))
-        _check_required(args)
-        if getattr(args, "seed", None) is None and hasattr(args, "seed"):
-            args.seed = _default_seed()
+        actions = _flag_actions(parser, args.command)
+        _apply_config_file(args, actions)
+        _resolve(args, actions)
         code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe is caught below
         return code
@@ -463,15 +468,6 @@ def main(argv=None) -> int:
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NONCONVERGED
-
-
-def _explicit_dests(tokens, parser) -> set[str]:
-    """Destinations the user set on the command line (for config precedence)."""
-    explicit = set()
-    for tok in tokens:
-        if tok.startswith("--"):
-            explicit.add(tok[2:].split("=", 1)[0].replace("-", "_"))
-    return explicit
 
 
 if __name__ == "__main__":

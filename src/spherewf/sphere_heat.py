@@ -91,7 +91,7 @@ class KernelValue:
 
 
 def _require_time(t: float) -> None:
-    if t < T_MIN:
+    if not (t >= T_MIN):  # NaN too
         raise ValueError(f"t = {t:.3e} below the supported floor {T_MIN:.0e}")
 
 

@@ -102,7 +102,7 @@ class GriffithsQuery:
             raise ValueError("GriffithsQuery: dimension mismatch")
         if not (self.epsilon > 0.0):
             raise ValueError("GriffithsQuery: epsilon must be > 0")
-        if self.t < GRIFFITHS_T_MIN:
+        if not (self.t >= GRIFFITHS_T_MIN):  # NaN too
             raise ValueError(f"GriffithsQuery: t below supported floor {GRIFFITHS_T_MIN}")
         if not (self.x.is_interior() and self.x_prime.is_interior()):
             raise ValueError("GriffithsQuery: expansion requires interior points (all x_j > 0)")
@@ -123,7 +123,7 @@ class PushforwardQuery:
             raise ValueError("PushforwardQuery: dimension mismatch")
         if not (self.D > 0.0):
             raise ValueError("PushforwardQuery: D must be > 0")
-        if self.t < T_MIN:
+        if not (self.t >= T_MIN):  # NaN too
             raise ValueError(f"PushforwardQuery: t below supported floor {T_MIN}")
         if self.x.k > _MAX_SIGN_K:
             raise ValueError(f"PushforwardQuery: k > {_MAX_SIGN_K} not supported (2^k sign sum)")

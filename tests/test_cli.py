@@ -4,13 +4,14 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import spherewf
-from spherewf import simulate
+from spherewf import cli, simulate
 from spherewf.cli import EXIT_BROKEN_PIPE, EXIT_CONFIG, EXIT_NONCONVERGED, EXIT_OK, _fmt, main
 from spherewf.simulate import Model, path_rng, simulate_path
 from spherewf.types import ModelParams
@@ -84,6 +85,21 @@ def test_density_nonconvergence_exit_code(tmp_path):
     assert code == EXIT_NONCONVERGED
 
 
+@pytest.mark.parametrize("kernel, flags, field", [
+    ("pushforward", ["--max-terms", "0"], "max_terms"),
+    ("griffiths", ["--tol", "-1"], "tol"),
+    ("griffiths", ["--t", "nan"], "floor"),
+    ("pushforward", ["--t", "nan"], "floor"),
+])
+def test_density_bad_series_settings_are_config_errors(tmp_path, capsys, kernel, flags, field):
+    out = tmp_path / "o.csv"
+    t = [] if "--t" in flags else ["--t", "0.5"]
+    assert main(["density", "--kernel", kernel, "--x", "0.5,0.3,0.2",
+                 "--x-prime", "0.25,0.35,0.4", *t, *flags, "--output", str(out)]) == EXIT_CONFIG
+    assert field in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_density_input_csv(tmp_path):
     src = tmp_path / "pairs.csv"
     src.write_text("0.5,0.3,0.2,0.25,0.35,0.4\n0.2,0.3,0.5,0.4,0.4,0.2\n")
@@ -103,7 +119,8 @@ def test_density_input_without_rows_is_a_config_error(tmp_path, capsys, text, ke
     src = tmp_path / "pairs.csv"
     src.write_text(text)
     out = tmp_path / "out.csv"
-    assert main(["density", "--kernel", kernel, "--t", "0.5", "--input", str(src),
+    t = [] if kernel == "stationary" else ["--t", "0.5"]  # stationary reads no time
+    assert main(["density", "--kernel", kernel, *t, "--input", str(src),
                  "--output", str(out)]) == EXIT_CONFIG
     assert "'input'" in capsys.readouterr().err
     assert not out.exists()
@@ -123,8 +140,16 @@ def test_density_input_without_rows_is_a_config_error(tmp_path, capsys, text, ke
     (["simulate", "--model", "wf-neutral", "--T", "0.01", "--dt", "0.01"], {"epsilon": "0.3"}),
     (["simulate", "--model", "wf-isotropic", "--T", "0.01", "--dt", "0.01"],
      {"epsilon": "0.5"}),
+    (["simulate", "--model", "wf-mutation", "--epsilon", "0.5", "--T", "0.01", "--dt", "0.01"],
+     {"c": "7"}),
+    (["density", "--kernel", "stationary", "--x", "0.5,0.5"],
+     {"t": "0.5", "D": "0.2", "tol": "1e-9", "max_terms": "50"}),
+    (["density", "--kernel", "griffiths", "--x", "0.5,0.3,0.2", "--x-prime", "0.25,0.35,0.4",
+      "--t", "0.5"], {"D": "0.2"}),
+    (["verify", "--suite", "exponent"], {"k": "3"}),
 ], ids=["pushforward-epsilon", "sphere-epsilon", "input-x", "input-y", "sphere-model",
-        "neutral-model", "isotropic-model"])
+        "neutral-model", "isotropic-model", "mutation-c", "stationary-series", "griffiths-D",
+        "exponent-k"])
 def test_fields_that_are_never_read_are_refused(tmp_path, capsys, source, argv, unread):
     # a value that no step reads would be echoed in '# config:' as if it took effect
     src = tmp_path / "pairs.csv"
@@ -191,7 +216,7 @@ def test_simulate_mutation_without_epsilon_is_a_config_error(tmp_path, capsys):
 
 def test_config_file_precedence_and_unknown_keys(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps({"t": 0.5, "x": "0.5,0.5", "epsilon": "1.0,1.0"}))
+    cfg.write_text(json.dumps({"x": "0.5,0.5", "epsilon": "1.0,1.0"}))
     out = tmp_path / "o.csv"
     code = main(["density", "--kernel", "stationary", "--config", str(cfg),
                  "--output", str(out)])
@@ -286,6 +311,11 @@ def test_config_file_supplies_required_fields(tmp_path, capsys):
     assert main(["simulate", "--model", "sphere", "--T", "0.002", "--config", str(cfg),
                  "--output", str(out)]) == EXIT_OK
     assert _read_csv(out)[0]["T"] == 0.002
+    # ... also when the typed value equals the built-in default
+    assert main(["simulate", "--model", "sphere", "--dt", "0.0001", "--config", str(cfg),
+                 "--output", str(out)]) == EXIT_OK
+    config, _, rows = _read_csv(out)
+    assert config["dt"] == 0.0001 and len(rows) == 11
     cfg.write_text(json.dumps({"model": "wf-neutral", "T": 0.001, "dt": 0.001}))
     assert main(["simulate", "--config", str(cfg), "--output", str(out)]) == EXIT_OK
     assert _read_csv(out)[0]["model"] == "wf-neutral"
@@ -300,6 +330,17 @@ def test_config_file_supplies_required_fields(tmp_path, capsys):
                         (["verify"], "'suite'")):
         assert main(argv) == EXIT_CONFIG
         assert field in capsys.readouterr().err
+
+
+def test_every_flag_defaults_to_none_and_some_run_reads_it():
+    # a value after parsing is then one the user typed, and cli._READS holds
+    # every built-in default
+    parser = cli.build_parser()
+    for command, (pick, common, variants) in cli._READS.items():
+        actions = cli._flag_actions(parser, command)
+        assert [d for d, a in actions.items() if a.default is not None] == []
+        read = set(common).union(*variants.values(), [pick] if pick else [])
+        assert set(actions) - {"output", "summary", "config"} == read, command
 
 
 def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
@@ -387,6 +428,33 @@ def test_simulate_starts_no_process_pool(tmp_path, monkeypatch, capsys):
     capsys.readouterr()
     assert main(base + ["--config", str(cfg)]) == EXIT_CONFIG
     assert "threads" in capsys.readouterr().err
+
+
+def _peak_bytes(fn) -> int:
+    fn()  # warm caches first
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("argv, run", [
+    (["simulate", "--model", "sphere", "--T", "0.1", "--dt", "1e-4", "--paths", "16"],
+     lambda: simulate._simulate_paths(Model.SPHERE, [0.0, 0.0, 1.0], 0.1, 1e-4,
+                                      ModelParams(3, 1.0),
+                                      [path_rng(5, i) for i in range(16)], 1)),
+    (["moran", "--N", "100", "--events", "20000"],
+     lambda: simulate.simulate_moran(simulate.MoranState([50, 50], 1.0), 20000,
+                                     path_rng(5, 0), 1)),
+], ids=["simulate", "moran"])
+def test_rows_are_streamed_not_held(tmp_path, argv, run):
+    # writing the rows adds little to the run's own peak; holding the 16,016
+    # (20,001) rows as Python lists added 3.1 (1.0) MB
+    out = tmp_path / "o.csv"
+    cli_peak = _peak_bytes(lambda: main(argv + ["--seed", "5", "--output", str(out)]))
+    assert cli_peak < _peak_bytes(run) + 0.5e6
 
 
 def test_closed_output_pipe_ends_quietly():

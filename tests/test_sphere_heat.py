@@ -98,6 +98,10 @@ def test_time_floor_enforced():
         zonal_kernel(0.5, 1e-4, 0.125, 3)
     with pytest.raises(ValueError):
         heat_kernel_circle(0.3, 1e-4, 0.125)
+    with pytest.raises(ValueError, match="floor"):  # NaN compares False with the floor
+        zonal_kernel(0.5, math.nan, 0.125, 3)
+    with pytest.raises(ValueError, match="floor"):
+        heat_kernel_circle(0.3, math.nan, 0.125)
 
 
 def test_non_convergence_reported_when_capped():

@@ -254,6 +254,8 @@ def test_griffiths_series_symmetric_in_endpoints():
 def test_griffiths_validation():
     with pytest.raises(ValueError):
         GriffithsQuery(X3, X3B, GRIFFITHS_T_MIN / 2, 0.5)
+    with pytest.raises(ValueError, match="floor"):
+        GriffithsQuery(X3, X3B, math.nan, 0.5)
     with pytest.raises(ValueError):
         GriffithsQuery(X3, X3B, 0.5, 0.0)
     with pytest.raises(ValueError):
@@ -294,6 +296,8 @@ def test_pushforward_rejects_boundary_and_bad_t():
         PushforwardQuery(SimplexPoint([0.0, 0.5, 0.5]), X3B, 0.5)
     with pytest.raises(ValueError):
         PushforwardQuery(X3, X3B, 1e-5)
+    with pytest.raises(ValueError, match="floor"):  # NaN compares False with the floor
+        PushforwardQuery(X3, X3B, math.nan)
 
 
 def test_equivalence_spot_checks_k3():
