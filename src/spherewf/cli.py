@@ -82,28 +82,7 @@ def _default_seed() -> int:
         raise ConfigError(f"{SEED_ENV_VAR} must be an integer, got {raw!r}") from None
 
 
-def _flag_actions(parser: argparse.ArgumentParser, command: str) -> dict[str, argparse.Action]:
-    """The flags of one subcommand, by destination."""
-    sub = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
-    return {a.dest: a for a in sub.choices[command]._actions if a.dest != "help"}
-
-
-def _config_value(action: argparse.Action, value):
-    """A config file value converted and checked as if typed after its flag."""
-    token = value if isinstance(value, str) else json.dumps(value)
-    if action.type is not None:
-        try:
-            token = action.type(token)
-        except ValueError:
-            raise ConfigError(f"config file: field '{action.dest}': invalid "
-                              f"{action.type.__name__} value {value!r}") from None
-    if action.choices is not None and token not in action.choices:
-        raise ConfigError(f"config file: field '{action.dest}' must be one of "
-                          f"{list(action.choices)}, got {value!r}")
-    return token
-
-
-def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+def _apply_config_file(args: argparse.Namespace) -> None:
     if not args.config:
         return
     try:
@@ -113,14 +92,62 @@ def _apply_config_file(args: argparse.Namespace, actions: dict[str, argparse.Act
         raise ConfigError(f"config file: {exc}") from None
     if not isinstance(data, dict):
         raise ConfigError("config file: top level must be an object")
-    unknown = set(data) - set(actions)
+    unknown = set(data) - set(_fields(args.command))
     if unknown:
         raise ConfigError(f"config file: unknown keys {sorted(unknown)}")
     for key, value in data.items():
-        # every flag parses to None unless typed, and a typed flag wins
-        if getattr(args, key) is None:
-            setattr(args, key, _config_value(actions[key], value))
+        if getattr(args, key) is not None:  # every flag parses to None unless typed
+            continue  # and a typed flag wins; a file value is checked as if typed
+        kind = _FIELDS[key][0]
+        token = value if isinstance(value, str) else json.dumps(value)
+        if isinstance(kind, list):
+            if token not in kind:
+                raise ConfigError(f"config file: field '{key}' must be one of {kind}, "
+                                  f"got {value!r}")
+        else:
+            try:
+                token = kind(token)
+            except ValueError:
+                raise ConfigError(f"config file: field '{key}': invalid "
+                                  f"{kind.__name__} value {value!r}") from None
+        setattr(args, key, token)
 
+
+#: every field, in the order of the flags in `--help`: its type (for
+#: `kernel` and `model`, the list of choices) and its help text, by command
+#: where the commands differ
+_FIELDS = {
+    "kernel": (["sphere", "griffiths", "pushforward", "stationary"], None),
+    "model": ([m.value for m in Model], None),
+    "suite": (str, "suite name or 'all' (see README; an unknown name lists them)"),
+    "k": (int, {"verify": "restrict the equivalence suite to one dimension",
+                "moran": "number of types (default: from --counts, else 2)"}),
+    "N": (int, None),
+    "lam": (float, None),
+    "counts": (str, "initial counts (default near-even split)"),
+    "events": (int, None),
+    "T": (float, None),
+    "t": (float, None),
+    "D": (float, None),
+    "dt": (float, None),
+    "c": (float, None),
+    "epsilon": (str, None),
+    "x": (str, "comma-separated simplex point"),
+    "x_prime": (str, None),
+    "y": (str, "comma-separated unit vector"),
+    "y_prime": (str, None),
+    "input": (str, "CSV of point pairs, one per row"),
+    "start": (str, None),
+    "paths": (int, None),
+    "tol": (float, None),
+    "max_terms": (int, None),
+    "record_stride": (int, None),
+    "seed": (int, None),
+    "threads": (int, None),
+    "output": (str, {"verify": "JSONL report path"}),
+    "summary": (str, "CSV summary path"),
+    "config": (str, None),
+}
 
 #: marks a field that has no built-in default
 _NEEDED = object()
@@ -142,7 +169,7 @@ _READS = {
         "sphere": {"c": 1.0}, "wf-neutral": {"c": 1.0}, "wf-isotropic": {"c": 1.0},
         "wf-mutation": {"epsilon": _NEEDED},  # advance never reads c for this model
     }),
-    "verify": ("suite", {"seed": _default_seed, "threads": os.cpu_count() or 1},
+    "verify": ("suite", {"seed": _default_seed, "threads": os.cpu_count() or 1, "summary": None},
                {"equivalence": {"k": None}, "all": {"k": None}}),
     "moran": (None, {"k": None, "N": 100, "lam": 1.0, "counts": None, "events": None,
                      "T": None, "record_stride": 1, "seed": _default_seed}, {}),
@@ -151,12 +178,22 @@ _READS = {
 _NON_SEMANTIC_KEYS = ("func", "output", "summary", "config")
 
 
-def _resolve(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> None:
+def _fields(command: str) -> list[str]:
+    """The fields a command has flags for: those its runs read, `output` and `config`."""
+    pick, reads, variants = _READS[command]
+    names = {pick, *reads, "output", "config"}.union(*variants.values())
+    return [f for f in _FIELDS if f in names]
+
+
+def _resolve(args: argparse.Namespace) -> None:
     """Check a run against `_READS` once the config file is merged, and fill its defaults."""
     pick, reads, variants = _READS[args.command]
     reader = args.command
     if pick:
         value = getattr(args, pick)
+        if pick == "suite" and value is not None:  # an unknown suite is refused first
+            from . import harness  # scipy.stats: loaded only when verifying
+            harness._suite_keys(value)
         reads = {pick: _NEEDED, **reads, **variants.get(value, {})}
         reader = f"{pick}={value}"
     if getattr(args, "input", None):  # the points come from the file
@@ -166,8 +203,8 @@ def _resolve(args: argparse.Namespace, actions: dict[str, argparse.Action]) -> N
     if missing:
         raise ConfigError(f"{args.command}: field(s) {', '.join(missing)} required "
                           f"(flag or config file)")
-    unread = [f"'{f}'" for f in actions if f not in reads and f not in _NON_SEMANTIC_KEYS
-              and getattr(args, f) is not None]
+    unread = [f"'{f}'" for f in _fields(args.command) if f not in reads
+              and f not in _NON_SEMANTIC_KEYS and getattr(args, f) is not None]
     if unread:
         raise ConfigError(f"{args.command}: {reader} does not read field(s) "
                           f"{', '.join(unread)} (flag or config file); remove them")
@@ -214,6 +251,8 @@ def _cmd_density(args) -> int:
                     pairs.append((vals[:half], vals[half:]))
         if not pairs:
             raise ConfigError(f"density: field 'input': {args.input!r} holds no data rows")
+        if any(len(a) != len(pairs[0][0]) for a, _ in pairs):
+            raise ConfigError(f"density: field 'input': {args.input!r} has rows of different k")
     else:
         second = None if kernel == "stationary" else _parse_floats(getattr(args, pref + "_prime"))
         pairs.append((_parse_floats(getattr(args, pref)), second))
@@ -224,39 +263,34 @@ def _cmd_density(args) -> int:
         except ValueError as exc:
             raise ConfigError(f"density: field '{field}': {exc}") from None
 
+    cls = SpherePoint if kernel == "sphere" else SimplexPoint
     rows = []
-    try:
+    if kernel == "stationary":
+        eps_vec = _parse_floats(args.epsilon)
+    else:
+        trunc = Truncation(max_terms=args.max_terms, tol=args.tol)
+    for a, b in pairs:
+        point = _point(cls, a, pref)
         if kernel == "stationary":
-            eps_vec = _parse_floats(args.epsilon)
-        else:
-            trunc = Truncation(max_terms=args.max_terms, tol=args.tol)
-        for a, b in pairs:
-            if kernel == "stationary":
-                value = dirichlet_stationary(_point(SimplexPoint, a, "x"),
-                                             eps_vec * len(a) if len(eps_vec) == 1 else eps_vec)
-                rows.append(list(a) + [value, 0, 0.0, 1])
-                continue
-            if kernel == "sphere":
-                res = heat_kernel(SphereKernelQuery(_point(SpherePoint, a, "y"),
-                                                    _point(SpherePoint, b, "y-prime"),
-                                                    args.t, args.D, trunc))
-            elif kernel == "griffiths":
-                res = griffiths_density(GriffithsQuery(_point(SimplexPoint, a, "x"),
-                                                       _point(SimplexPoint, b, "x-prime"),
-                                                       args.t, float(args.epsilon), trunc))
-            else:  # pushforward
-                res = pushforward_density(PushforwardQuery(_point(SimplexPoint, a, "x"),
-                                                           _point(SimplexPoint, b, "x-prime"),
-                                                           args.t, args.D, trunc))
-            if not res.converged:
-                raise NonConvergence(
-                    f"density: series not converged within max_terms={args.max_terms} "
-                    f"(tail bound {res.tail_bound:.3e})"
-                )
-            rows.append(list(a) + list(b) + [res.value, res.terms_used, res.tail_bound,
-                                             int(res.converged)])
-    except ValueError as exc:
-        raise ConfigError(f"density: {exc}") from None
+            value = dirichlet_stationary(point,
+                                         eps_vec * len(a) if len(eps_vec) == 1 else eps_vec)
+            rows.append(list(a) + [value, 0, 0.0, 1])
+            continue
+        other = _point(cls, b, pref + "-prime")
+        if kernel == "sphere":
+            res = heat_kernel(SphereKernelQuery(point, other, args.t, args.D, trunc))
+        elif kernel == "griffiths":
+            res = griffiths_density(GriffithsQuery(point, other, args.t, float(args.epsilon),
+                                                   trunc))
+        else:  # pushforward
+            res = pushforward_density(PushforwardQuery(point, other, args.t, args.D, trunc))
+        if not res.converged:
+            raise NonConvergence(
+                f"density: series not converged within max_terms={args.max_terms} "
+                f"(tail bound {res.tail_bound:.3e})"
+            )
+        rows.append(list(a) + list(b) + [res.value, res.terms_used, res.tail_bound,
+                                         int(res.converged)])
     ka = len(pairs[0][0])
     header = [f"{pref}{i + 1}" for i in range(ka)]
     if kernel != "stationary":
@@ -280,10 +314,7 @@ def _cmd_simulate(args) -> int:
         c, eps = 1.0, _parse_floats(args.epsilon)
         if len(eps) == 1:
             eps = eps * k
-    try:
-        params = ModelParams(k, c, eps)
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from None
+    params = ModelParams(k, c, eps)
     if args.start:
         start = _parse_floats(args.start)
         if len(start) != k:
@@ -293,11 +324,7 @@ def _cmd_simulate(args) -> int:
     else:
         start = [1.0 / k] * k
     rngs = [path_rng(args.seed, i) for i in range(args.paths)]
-    try:
-        records = _simulate_paths(model, start, args.T, args.dt, params, rngs,
-                                  args.record_stride)
-    except ValueError as exc:
-        raise ConfigError(f"simulate: {exc}") from None
+    records = _simulate_paths(model, start, args.T, args.dt, params, rngs, args.record_stride)
     rows = ([path_index, rec.times[i]] + list(rec.states[i])
             + [rec.defects[i], int(rec.clamps[i])]
             for path_index, rec in enumerate(records) for i in range(rec.times.size))
@@ -311,11 +338,7 @@ def _cmd_simulate(args) -> int:
 def _cmd_verify(args) -> int:
     from . import harness  # scipy.stats: loaded only when verifying
 
-    try:
-        reports = harness.run_suite(args.suite, seed=args.seed, workers=args.threads,
-                                    k=args.k)
-    except ValueError as exc:
-        raise ConfigError(f"verify: {exc}") from None
+    reports = harness.run_suite(args.suite, seed=args.seed, workers=args.threads, k=args.k)
     if args.output:
         harness.write_reports_jsonl(reports, args.output)
     if args.summary:
@@ -345,10 +368,7 @@ def _cmd_moran(args) -> int:
         counts[0] += args.N - base * args.k
     if args.record_stride < 1:
         raise ConfigError(f"moran: field 'record_stride' must be >= 1, got {args.record_stride}")
-    try:
-        state = MoranState(counts, args.lam)
-    except ValueError as exc:
-        raise ConfigError(f"moran: {exc}") from None
+    state = MoranState(counts, args.lam)
     if state.N != args.N:
         raise ConfigError(f"moran: field 'counts' sums to {state.N}, not N={args.N}")
     if args.events is not None and args.T is not None:
@@ -376,6 +396,15 @@ def _cmd_moran(args) -> int:
 
 # --- parser ----------------------------------------------------------------------
 
+#: each command's function and its line in `spherewf --help`
+_COMMANDS = {
+    "density": (_cmd_density, "evaluate exact transition densities"),
+    "simulate": (_cmd_simulate, "integrate sample paths"),
+    "verify": (_cmd_verify, "run a verification suite"),
+    "moran": (_cmd_moran, "simulate the interacting-particle model"),
+}
+
+
 def build_parser() -> argparse.ArgumentParser:
     # Every flag defaults to None, so a value after parsing is one the user
     # typed; `_READS` holds the built-in defaults.  allow_abbrev=False: full
@@ -387,63 +416,14 @@ def build_parser() -> argparse.ArgumentParser:
                     "simulators, and verification suites.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    pd = sub.add_parser("density", help="evaluate exact transition densities", allow_abbrev=False)
-    pd.add_argument("--kernel",
-                    choices=["sphere", "griffiths", "pushforward", "stationary"])
-    pd.add_argument("--t", type=float)
-    pd.add_argument("--D", type=float)
-    pd.add_argument("--epsilon", type=str)
-    pd.add_argument("--x", type=str, help="comma-separated simplex point")
-    pd.add_argument("--x-prime", dest="x_prime", type=str)
-    pd.add_argument("--y", type=str, help="comma-separated unit vector")
-    pd.add_argument("--y-prime", dest="y_prime", type=str)
-    pd.add_argument("--input", type=str, help="CSV of point pairs, one per row")
-    pd.add_argument("--tol", type=float)
-    pd.add_argument("--max-terms", dest="max_terms", type=int)
-    pd.add_argument("--output", type=str)
-    pd.add_argument("--config", type=str)
-    pd.set_defaults(func=_cmd_density)
-
-    ps = sub.add_parser("simulate", help="integrate sample paths", allow_abbrev=False)
-    ps.add_argument("--model", choices=[m.value for m in Model])
-    ps.add_argument("--k", type=int)
-    ps.add_argument("--T", type=float)
-    ps.add_argument("--dt", type=float)
-    ps.add_argument("--c", type=float)
-    ps.add_argument("--epsilon", type=str)
-    ps.add_argument("--start", type=str)
-    ps.add_argument("--paths", type=int)
-    ps.add_argument("--record-stride", dest="record_stride", type=int)
-    ps.add_argument("--seed", type=int)
-    ps.add_argument("--output", type=str)
-    ps.add_argument("--config", type=str)
-    ps.set_defaults(func=_cmd_simulate)
-
-    pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
-    pv.add_argument("--suite",
-                    help="suite name or 'all' (see README; an unknown name lists them)")
-    pv.add_argument("--k", type=int, help="restrict the equivalence suite to one dimension")
-    pv.add_argument("--seed", type=int)
-    pv.add_argument("--threads", type=int)
-    pv.add_argument("--output", type=str, help="JSONL report path")
-    pv.add_argument("--summary", type=str, help="CSV summary path")
-    pv.add_argument("--config", type=str)
-    pv.set_defaults(func=_cmd_verify)
-
-    pm = sub.add_parser("moran", help="simulate the interacting-particle model",
-                        allow_abbrev=False)
-    pm.add_argument("--k", type=int, help="number of types (default: from --counts, else 2)")
-    pm.add_argument("--N", type=int)
-    pm.add_argument("--lam", type=float)
-    pm.add_argument("--counts", type=str, help="initial counts (default near-even split)")
-    pm.add_argument("--events", type=int)
-    pm.add_argument("--T", type=float)
-    pm.add_argument("--record-stride", dest="record_stride", type=int)
-    pm.add_argument("--seed", type=int)
-    pm.add_argument("--output", type=str)
-    pm.add_argument("--config", type=str)
-    pm.set_defaults(func=_cmd_moran)
+    for command, (func, about) in _COMMANDS.items():
+        cmd = sub.add_parser(command, help=about, allow_abbrev=False)
+        for f in _fields(command):
+            kind, text = _FIELDS[f]
+            cmd.add_argument("--" + f.replace("_", "-"),
+                             help=text.get(command) if isinstance(text, dict) else text,
+                             **({"choices": kind} if isinstance(kind, list) else {"type": kind}))
+        cmd.set_defaults(func=func)
     return parser
 
 
@@ -451,9 +431,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        actions = _flag_actions(parser, args.command)
-        _apply_config_file(args, actions)
-        _resolve(args, actions)
+        _apply_config_file(args)
+        _resolve(args)
         code = args.func(args)
         sys.stdout.flush()  # here, so that a closed pipe is caught below
         return code
@@ -464,6 +443,9 @@ def main(argv=None) -> int:
         return EXIT_BROKEN_PIPE
     except ConfigError as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
+    except ValueError as exc:  # the library refused a value of this run
+        print(f"error: {args.command}: {exc}", file=sys.stderr)
         return EXIT_CONFIG
     except NonConvergence as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -17,8 +17,9 @@ import csv
 import json
 import math
 import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
+from functools import wraps
 
 import numpy as np
 from scipy.special import kolmogorov, roots_jacobi
@@ -190,9 +191,14 @@ def _interior_points(rng: np.random.Generator, k: int, n: int, min_coord: float)
     return out
 
 
-def _timer():
-    start = time.perf_counter()
-    return lambda: time.perf_counter() - start
+def _timed(check):
+    """`check` with its report's wall_time_s set to the time the call took."""
+    @wraps(check)
+    def timed(*args, **kwargs):
+        start = time.perf_counter()
+        report = check(*args, **kwargs)
+        return replace(report, wall_time_s=time.perf_counter() - start)
+    return timed
 
 
 def _two_stage(attempt, seed: int, failed):
@@ -203,8 +209,31 @@ def _two_stage(attempt, seed: int, failed):
     return first, attempt(seed + 1) if retried else first, retried
 
 
+def _ks_report(name: str, params: dict, attempt, seed: int, alpha: float) -> VerificationReport:
+    """The two-stage verdict of a KS check whose attempt(s) returns ((D, p),
+    extra stats); it passes iff the decisive p is at least alpha."""
+    ((_, p1), _), ((d_final, p_final), extra), retried = _two_stage(
+        attempt, seed, lambda result: result[0][1] < alpha)
+    return VerificationReport(
+        name=name,
+        params=params,
+        statistic=p_final,
+        threshold=alpha,
+        passed=p_final >= alpha,
+        stats={"D": d_final, "p_value": p_final, "first_p": p1, "retried": retried, **extra},
+    )
+
+
+def _converged(series: tuple) -> tuple:
+    """A quadrature grid's series result (converged flag last), which must have converged."""
+    if not series[-1]:
+        raise RuntimeError("kernel series did not converge on the quadrature grid")
+    return series
+
+
 # --- analytic equivalence ----------------------------------------------------
 
+@_timed
 def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 50,
                      seed: int = DEFAULT_SEED, griffiths_epsilon: float = 0.5,
                      D: float = 0.125, threshold: float = 1e-6,
@@ -217,7 +246,6 @@ def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 
     describe the same diffusion when epsilon = 1/2, D = 1/8; the scan
     passes iff max |a - b| / max(1, |a|) < threshold.
     """
-    elapsed = _timer()
     trunc = trunc or Truncation(max_terms=200, tol=1e-10)
     rng = path_rng(seed, 0xE0)
     xs = _interior_points(rng, k, n_points, min_coord)
@@ -247,15 +275,14 @@ def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 
         threshold=threshold,
         passed=passed,
         stats={"worst_at": worst_at, "nonconverged": nonconverged, "resummed_evals": resummed},
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def odd_cancellation_check(ks=(3, 4), t_grid=(0.1, 1.0), n_points: int = 5,
                            seed: int = DEFAULT_SEED,
                            threshold: float = 1e-12) -> VerificationReport:
     """Aggregate odd-degree contribution after the sign sum, relative to even."""
-    elapsed = _timer()
     rng = path_rng(seed, 0xE1)
     worst = 0.0
     for k in ks:
@@ -273,17 +300,16 @@ def odd_cancellation_check(ks=(3, 4), t_grid=(0.1, 1.0), n_points: int = 5,
         statistic=worst,
         threshold=threshold,
         passed=worst < threshold,
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def exponent_match_check(n_max: int = 50, k_max: int = 10) -> VerificationReport:
     """Exact identity (1/8) 2n(2n+k-2) = n(n-1)/2 + (k/2)(n/2) in rationals.
 
     The even-degree decay rates of the sign-summed kernel at D = 1/8
     therefore coincide with the expansion's exponents at mu = k/2.
     """
-    elapsed = _timer()
     mismatches = 0
     for k in range(2, k_max + 1):
         for n in range(n_max + 1):
@@ -296,15 +322,14 @@ def exponent_match_check(n_max: int = 50, k_max: int = 10) -> VerificationReport
         statistic=float(mismatches),
         threshold=1.0,
         passed=mismatches == 0,
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def prefactor_identity_check(n_points: int = 1000, k_max: int = 6,
                              seed: int = DEFAULT_SEED,
                              threshold: float = 1e-13) -> VerificationReport:
     """Gamma(k/2)/pi^{k/2} prod x^{-1/2} vs the Dirichlet form at eps = 1/2."""
-    elapsed = _timer()
     rng = path_rng(seed, 0xE2)
     ks = list(range(2, k_max + 1))
     per_k = max(1, n_points // len(ks))
@@ -321,14 +346,13 @@ def prefactor_identity_check(n_points: int = 1000, k_max: int = 6,
         statistic=worst,
         threshold=threshold,
         passed=worst < threshold,
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def gegenbauer_check(seed: int = DEFAULT_SEED) -> VerificationReport:
     """Polynomial layer: recurrence vs explicit sum, generating function,
     and the k = 3 kernel against an independent Legendre implementation."""
-    elapsed = _timer()
     worst_poly = 0.0
     for p in (0.5, 1.0, 1.5, 2.0):
         for L in range(41):
@@ -365,7 +389,6 @@ def gegenbauer_check(seed: int = DEFAULT_SEED) -> VerificationReport:
         stats={"recurrence_vs_explicit": worst_poly,
                "generating_function_residual": worst_gen,
                "kernel_vs_legendre": worst_kernel},
-        wall_time_s=elapsed(),
     )
 
 
@@ -374,9 +397,7 @@ def gegenbauer_check(seed: int = DEFAULT_SEED) -> VerificationReport:
 def _wf_density_grid(x_eval: np.ndarray, x_cond: np.ndarray, t: float, D: float,
                      trunc: Truncation) -> np.ndarray:
     """p(x_eval_i, t | x_cond) for a batch of evaluation points (k = any)."""
-    series, _, _, _, _, conv = pushforward_series_batch(x_eval, x_cond, t, D, trunc)
-    if not conv:
-        raise RuntimeError("pushforward series did not converge on the quadrature grid")
+    series = _converged(pushforward_series_batch(x_eval, x_cond, t, D, trunc))[0]
     return np.exp(pushforward_log_prefactor(x_eval)) * series
 
 
@@ -401,6 +422,7 @@ def _simplex_grid_k3(quad_order: int):
     return pts, W.ravel(), deweight
 
 
+@_timed
 def normalization_check(kernel: str, t: float, quad_order: int = 256,
                         threshold: float | None = None,
                         x_cond=_X3B, D: float = 0.125) -> VerificationReport:
@@ -409,7 +431,6 @@ def normalization_check(kernel: str, t: float, quad_order: int = 256,
     kernel "sphere": Gauss-Legendre in the zonal variable.
     kernel "wf": tensor Gauss-Jacobi with the x^{-1/2} weights absorbed.
     """
-    elapsed = _timer()
     if kernel == "sphere":
         threshold = 1e-8 if threshold is None else threshold
         z, w = np.polynomial.legendre.leggauss(quad_order)
@@ -432,7 +453,6 @@ def normalization_check(kernel: str, t: float, quad_order: int = 256,
         threshold=threshold,
         passed=residual < threshold and conv,
         stats={"integral": total},
-        wall_time_s=elapsed(),
     )
 
 
@@ -446,10 +466,8 @@ def _ck_sphere_residual(t1: float, t2: float, quad_order: int, D: float) -> floa
     m_phi = 2 * quad_order
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
     dots = sin_g * np.sqrt(1.0 - u[:, None] ** 2) * np.cos(phi)[None, :] + cos_g * u[:, None]
-    e2, o2, _, _, conv2 = zonal_series(dots, t2, D, 3, SPHERE_TRUNCATION)
-    e1, o1, _, _, conv1 = zonal_series(u, t1, D, 3, SPHERE_TRUNCATION)
-    if not (conv1 and conv2):
-        raise RuntimeError("sphere kernel did not converge in quadrature")
+    e2, o2, *_ = _converged(zonal_series(dots, t2, D, 3, SPHERE_TRUNCATION))
+    e1, o1, *_ = _converged(zonal_series(u, t1, D, 3, SPHERE_TRUNCATION))
     inner = (e2 + o2).sum(axis=1)  # phi sum
     integral = float((wu * (e1 + o1) * inner).sum() / (2.0 * m_phi))
     direct = zonal_kernel(cos_g, t1 + t2, D, 3).value
@@ -463,9 +481,7 @@ def _ck_wf_residual(t1: float, t2: float, quad_order: int, D: float,
     trunc = Truncation(max_terms=400, tol=1e-12)
     pts, w, dw = _simplex_grid_k3(quad_order)
     p_zx = _wf_density_grid(pts, x_from, t1, D, trunc)      # p(z, t1 | x_from)
-    series_to, _, _, _, _, conv = pushforward_series_batch(pts, x_to, t2, D, trunc)
-    if not conv:
-        raise RuntimeError("pushforward series did not converge in quadrature")
+    series_to = _converged(pushforward_series_batch(pts, x_to, t2, D, trunc))[0]
     p_xz = math.exp(pushforward_log_prefactor(x_to)) * series_to  # p(x_to, t2 | z)
     integral = float((w * p_xz * p_zx * dw).sum())
     direct = pushforward_density(
@@ -474,6 +490,7 @@ def _ck_wf_residual(t1: float, t2: float, quad_order: int, D: float,
     return abs(integral - direct)
 
 
+@_timed
 def chapman_kolmogorov(kernel: str, t1: float = 0.5, t2: float = 0.5,
                        quad_order: int = 128, D: float = 0.125,
                        threshold: float | None = None) -> VerificationReport:
@@ -482,7 +499,6 @@ def chapman_kolmogorov(kernel: str, t1: float = 0.5, t2: float = 0.5,
     The quadrature order is doubled once (Richardson-style) to flag an
     under-resolved integral.
     """
-    elapsed = _timer()
     if kernel == "sphere":
         threshold = 1e-6 if threshold is None else threshold
         coarse = _ck_sphere_residual(t1, t2, quad_order, D)
@@ -502,13 +518,12 @@ def chapman_kolmogorov(kernel: str, t1: float = 0.5, t2: float = 0.5,
         passed=fine < threshold and not quad_unstable,
         stats={"residual_coarse": coarse, "residual_fine": fine,
                "quad_unstable": bool(quad_unstable)},
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def stationary_limit_check(t: float = 1e3, threshold: float = 1e-12) -> VerificationReport:
     """At t = 10^3 every kernel equals its stationary density to ~machine."""
-    elapsed = _timer()
     worst = 0.0
     for k in (3, 4):
         rng = path_rng(97, k)
@@ -526,12 +541,12 @@ def stationary_limit_check(t: float = 1e3, threshold: float = 1e-12) -> Verifica
         statistic=worst,
         threshold=threshold,
         passed=worst < threshold,
-        wall_time_s=elapsed(),
     )
 
 
 # --- simulation vs analytics ---------------------------------------------------
 
+@_timed
 def mc_vs_analytic(model: str, n_paths: int | None = None, t: float = 0.5,
                    dt: float = 1e-4, seed: int = DEFAULT_SEED, c: float = 1.0,
                    alpha: float = 0.01, workers: int = 1) -> VerificationReport:
@@ -542,7 +557,6 @@ def mc_vs_analytic(model: str, n_paths: int | None = None, t: float = 0.5,
     sphere paths and the isotropic simplex stepper, both from the same
     starting point.  One reseed is allowed (two-stage rule).
     """
-    elapsed = _timer()
     x0 = np.array(_X3)
     y0 = np.sqrt(x0)
     D = c * c / 8.0
@@ -550,7 +564,7 @@ def mc_vs_analytic(model: str, n_paths: int | None = None, t: float = 0.5,
     def attempt_sphere(s):
         finals, diag = ensemble_final(Model.SPHERE, t=t, dt=dt, n_paths=n_paths or 100_000,
                                       seed=s, start=y0, c=c, workers=workers)
-        return ks_one_sample(finals @ y0, zonal_cdf(t, D)), diag
+        return ks_one_sample(finals @ y0, zonal_cdf(t, D)), {"mean_defect": diag.mean_defect}
 
     def attempt_wf(s):
         n = n_paths or 10_000
@@ -558,31 +572,23 @@ def mc_vs_analytic(model: str, n_paths: int | None = None, t: float = 0.5,
                                         start=y0, c=c, workers=workers)
         finals_w, _ = ensemble_final(Model.WF_ISOTROPIC, t=t, dt=dt, n_paths=n,
                                      seed=s ^ 0x5DEECE66D, start=x0, c=c, workers=workers)
-        return ks_two_sample(finals_s[:, 0] ** 2, finals_w[:, 0]), diag
+        return (ks_two_sample(finals_s[:, 0] ** 2, finals_w[:, 0]),
+                {"mean_defect": diag.mean_defect})
 
     if model not in ("sphere", "wf"):
         raise ValueError(f"mc_vs_analytic: unknown model {model!r}")
-    attempt = attempt_sphere if model == "sphere" else attempt_wf
-    ((_, p1), _), ((d_final, p_final), diag), retried = _two_stage(
-        attempt, seed, lambda result: result[0][1] < alpha)
-    return VerificationReport(
-        name=f"mc-vs-analytic-{model}",
-        params={"n_paths": n_paths or (100_000 if model == "sphere" else 10_000),
-                "t": t, "dt": dt, "seed": seed, "c": c, "alpha": alpha, "k": 3},
-        statistic=p_final,
-        threshold=alpha,
-        passed=p_final >= alpha,
-        stats={"D": d_final, "p_value": p_final, "first_p": p1, "retried": retried,
-               "mean_defect": diag.mean_defect},
-        wall_time_s=elapsed(),
-    )
+    return _ks_report(
+        f"mc-vs-analytic-{model}",
+        {"n_paths": n_paths or (100_000 if model == "sphere" else 10_000),
+         "t": t, "dt": dt, "seed": seed, "c": c, "alpha": alpha, "k": 3},
+        attempt_sphere if model == "sphere" else attempt_wf, seed, alpha)
 
 
+@_timed
 def isotropy_check(n_replicas: int = 100_000, n_directions: int = 20,
                    dt: float = 1e-4, c: float = 1.0, seed: int = DEFAULT_SEED,
                    tol_se: float = 5.0) -> VerificationReport:
     """One-step variance of l . dy equals (c/2)^2 dt for tangent directions l."""
-    elapsed = _timer()
     y0 = np.array([0.6, -0.64, 0.48])
     rng = path_rng(seed, 0xE4)
     dirs = []
@@ -608,10 +614,10 @@ def isotropy_check(n_replicas: int = 100_000, n_directions: int = 20,
         threshold=tol_se,
         passed=worst < tol_se,
         stats={"target_variance": target, "max_abs_dev": float(devs.max())},
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def conservation_check(seed: int = DEFAULT_SEED, n_paths: int = 16,
                        t: float = 1.0) -> VerificationReport:
     """Invariant conservation of the steppers.
@@ -620,7 +626,6 @@ def conservation_check(seed: int = DEFAULT_SEED, n_paths: int = 16,
     Sphere model: mean pre-renormalization defect below 1e-3 at
     dt = 1e-4, and halving dt halves the mean defect within +-20%.
     """
-    elapsed = _timer()
     presum_worst = 0.0
     for model, eps in ((Model.WF_NEUTRAL, None), (Model.WF_MUTATION, (0.3, 0.5, 0.7))):
         _, diag = ensemble_final(model, t=t, dt=1e-4, n_paths=n_paths, seed=seed,
@@ -645,7 +650,6 @@ def conservation_check(seed: int = DEFAULT_SEED, n_paths: int = 16,
                "mean_defect_by_dt": {f"{dt:g}": means[dt] for dt in means},
                "ratio_2e-4_over_4e-4": ratio_21,
                "ratio_1e-4_over_2e-4": ratio_10},
-        wall_time_s=elapsed(),
     )
 
 
@@ -682,6 +686,7 @@ def _moran_tau_fit(N: int, lam: float, replicates: int, T: float,
     return -1.0 / slope
 
 
+@_timed
 def moran_limit_check(N: int = 100, lam: float = 1.0, replicates: int = 200,
                       T: float = 200.0, n_checks: int = 41,
                       seed: int = DEFAULT_SEED, tol: float = 0.10) -> VerificationReport:
@@ -689,7 +694,6 @@ def moran_limit_check(N: int = 100, lam: float = 1.0, replicates: int = 200,
 
     k = 2 pair-interaction model; one reseed allowed (two-stage rule).
     """
-    elapsed = _timer()
     predicted = 2.0 * N / lam
     tau1, tau, retried = _two_stage(
         lambda s: _moran_tau_fit(N, lam, replicates, T, n_checks, s), seed,
@@ -704,10 +708,10 @@ def moran_limit_check(N: int = 100, lam: float = 1.0, replicates: int = 200,
         passed=dev <= tol,
         stats={"tau_fit": tau, "tau_predicted": predicted, "first_tau": tau1,
                "retried": retried},
-        wall_time_s=elapsed(),
     )
 
 
+@_timed
 def stationary_law_check(eps: float = 2.0, n_paths: int = 4000, T: float = 6.0,
                          dt: float = 1e-3, seed: int = DEFAULT_SEED,
                          alpha: float = 0.01) -> VerificationReport:
@@ -717,36 +721,27 @@ def stationary_law_check(eps: float = 2.0, n_paths: int = 4000, T: float = 6.0,
     slowest decay rate is mu/2 = eps per unit time), so the samples are
     independent across paths.  One reseed allowed.
     """
-    elapsed = _timer()
     cdf = beta_dist(eps, eps).cdf
 
     def attempt(s):
         finals, _ = ensemble_final(Model.WF_MUTATION, t=T, dt=dt, n_paths=n_paths,
                                    seed=s, start=np.array([0.5, 0.5]),
                                    epsilon=(eps, eps))
-        return ks_one_sample(finals[:, 0], cdf)
+        return ks_one_sample(finals[:, 0], cdf), {}
 
-    (_, p1), (d_final, p_final), retried = _two_stage(attempt, seed,
-                                                      lambda result: result[1] < alpha)
-    return VerificationReport(
-        name="stationary-law",
-        params={"eps": eps, "n_paths": n_paths, "T": T, "dt": dt, "seed": seed,
-                "alpha": alpha, "k": 2},
-        statistic=p_final,
-        threshold=alpha,
-        passed=p_final >= alpha,
-        stats={"D": d_final, "p_value": p_final, "first_p": p1, "retried": retried},
-        wall_time_s=elapsed(),
-    )
+    return _ks_report(
+        "stationary-law",
+        {"eps": eps, "n_paths": n_paths, "T": T, "dt": dt, "seed": seed, "alpha": alpha, "k": 2},
+        attempt, seed, alpha)
 
 
+@_timed
 def control_checks(seed: int = DEFAULT_SEED, threshold: float = 1e-6) -> VerificationReport:
     """Designed-to-fail perturbations; the report passes iff both FAIL.
 
     (a) expansion at epsilon = 0.6 vs the pushforward at D = 1/8;
     (b) pushforward with a doubled decay constant (D = 1/4) vs epsilon = 1/2.
     """
-    elapsed = _timer()
     wrong_eps = equivalence_scan(3, t_grid=(0.2, 1.0), n_points=10, seed=seed,
                                  griffiths_epsilon=0.6, name="control-eps")
     wrong_d = equivalence_scan(3, t_grid=(0.2, 1.0), n_points=10, seed=seed,
@@ -760,7 +755,6 @@ def control_checks(seed: int = DEFAULT_SEED, threshold: float = 1e-6) -> Verific
         passed=both_fail,
         stats={"wrong_epsilon_gap": wrong_eps.statistic,
                "wrong_exponent_gap": wrong_d.statistic},
-        wall_time_s=elapsed(),
     )
 
 
@@ -800,7 +794,11 @@ def run_suite(name: str, seed: int = DEFAULT_SEED, workers: int = 1,
     k restricts the equivalence suite to one dimension; other suites run
     at their pinned dimensions regardless.
     """
+    return [report for key in _suite_keys(name) for report in SUITES[key](seed, workers, k)]
+
+
+def _suite_keys(name: str) -> tuple[str, ...]:
+    """The SUITES keys that suite `name` runs; ValueError, listing them, if it is unknown."""
     if name != "all" and name not in SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {sorted(SUITES)} or 'all'")
-    names = SUITES if name == "all" else (name,)
-    return [report for key in names for report in SUITES[key](seed, workers, k)]
+    return tuple(SUITES) if name == "all" else (name,)

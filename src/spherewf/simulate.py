@@ -57,7 +57,7 @@ import threading
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, partial
 from multiprocessing import get_context
 
 import numpy as np
@@ -372,7 +372,7 @@ def pool_map(fn, jobs: list, workers: int) -> list:
     stays the same, replaced when it changes and shut down at exit.  A
     pool broken by a dead worker raises BrokenProcessPool and is
     discarded, so the next call starts on a fresh one.  `fn` must be a
-    module-level function, since spawned workers import it by name.
+    module-level function, or a partial of one, since spawned workers import it by name.
     """
     global _pool, _pool_workers
     if workers <= 1 or len(jobs) <= 1:
@@ -402,10 +402,13 @@ class EnsembleDiagnostics:
     n_steps: int
 
 
-def _run_chunk(model: Model, Y: np.ndarray, n_steps: int, dt: float, c: float,
-               eps: np.ndarray | None, rng: np.random.Generator):
-    """Advance a (n, k) block n_steps; returns (final, defect_sum, defect_max,
-    presum_max, clamp_events)."""
+def _run_chunk(model: Model, start: np.ndarray, n_steps: int, dt: float, c: float,
+               eps: np.ndarray, seed: int, chunk: tuple[int, int]):
+    """Advance `chunk` = (index, size) paths from `start` n_steps on chunk_rng(seed,
+    index); returns (final, defect_sum, defect_max, clamp_events)."""
+    index, size = chunk
+    Y = np.tile(start, (size, 1))
+    rng = chunk_rng(seed, index)
     defect_sum = 0.0
     defect_max = 0.0
     clamp_events = 0
@@ -414,19 +417,7 @@ def _run_chunk(model: Model, Y: np.ndarray, n_steps: int, dt: float, c: float,
         defect_sum += float(d.sum())
         defect_max = max(defect_max, float(d.max()))
         clamp_events += clamped.size
-    # a simplex step's defect is its pre-clamp |sum x - 1|
-    presum_max = 0.0 if model is Model.SPHERE else defect_max
-    return Y, defect_sum, defect_max, presum_max, clamp_events
-
-
-def _ensemble_worker(args):
-    (model_value, start, n_chunk, n_steps, dt, c, eps, seed, chunk_index) = args
-    model = Model(model_value)
-    start = np.asarray(start, dtype=float)
-    Y = np.tile(start, (n_chunk, 1))
-    rng = chunk_rng(seed, chunk_index)
-    eps_arr = None if eps is None else np.asarray(eps, dtype=float)
-    return _run_chunk(model, Y, n_steps, dt, c, eps_arr, rng)
+    return Y, defect_sum, defect_max, clamp_events
 
 
 def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int,
@@ -449,21 +440,21 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
         raise ValueError("ensemble_final: the wf-mutation model needs epsilon")
     start = np.asarray(start, dtype=float)
     params = ModelParams(_start_point(model, start).k, c, epsilon)
-    eps = None if epsilon is None else tuple(params.epsilon)
-    jobs = [(model.value, tuple(start), min(ENSEMBLE_CHUNK, n_paths - first), n_steps,
-             dt, c, eps, seed, idx)
-            for idx, first in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
-    results = pool_map(_ensemble_worker, jobs, workers)
-    finals = np.concatenate([r[0] for r in results], axis=0)
+    job = partial(_run_chunk, model, start, n_steps, dt, c, params.epsilon, seed)
+    chunks = [(index, min(ENSEMBLE_CHUNK, n_paths - first))
+              for index, first in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
+    results = pool_map(job, chunks, workers)
     total_steps = n_paths * n_steps
+    max_defect = max(r[2] for r in results)
     diag = EnsembleDiagnostics(
         mean_defect=sum(r[1] for r in results) / total_steps,
-        max_defect=max(r[2] for r in results),
-        max_presum_defect=max(r[3] for r in results),
-        clamp_fraction=sum(r[4] for r in results) / total_steps,
+        max_defect=max_defect,
+        # a simplex step's defect is its pre-clamp |sum x - 1|
+        max_presum_defect=0.0 if model is Model.SPHERE else max_defect,
+        clamp_fraction=sum(r[3] for r in results) / total_steps,
         n_steps=n_steps,
     )
-    return finals, diag
+    return np.concatenate([r[0] for r in results], axis=0), diag
 
 
 # --- Moran / interacting-particle model ------------------------------------
@@ -501,10 +492,6 @@ class MoranState:
     @property
     def k(self) -> int:
         return self.counts.size
-
-    def heterozygosity(self) -> float:
-        x = self.counts / self.N
-        return float(1.0 - (x * x).sum())
 
 
 def moran_event_rate(state: MoranState) -> float:

@@ -15,8 +15,9 @@ k = 2 is served by a dedicated Fourier cosine kernel: the weight
 (L+p)/p * C_L^p(cos a) -> 2 cos(L a) as p -> 0 replaces the
 Gegenbauer terms.
 
-Series are summed with compensated (Kahan) accumulation and truncated
-via the rigorous tail bound |C_L^p(z)| <= C_L^p(1) = poch(2p, L)/L!.
+Both series are summed by one compensated (Kahan) loop and truncated at
+one memoised cutoff: a rigorous tail bound, from |C_L^p(z)| <=
+C_L^p(1) = poch(2p, L)/L! for k >= 3 and from |cos| <= 1 for k = 2.
 Times below T_MIN are refused: the series would need thousands of terms.
 """
 
@@ -25,6 +26,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
+from itertools import count
 
 import numpy as np
 
@@ -90,11 +92,6 @@ class KernelValue:
         return self.value
 
 
-def _require_time(t: float) -> None:
-    if not (t >= T_MIN):  # NaN too
-        raise ValueError(f"t = {t:.3e} below the supported floor {T_MIN:.0e}")
-
-
 def _term_bound(L: int, r: float, t: float, D: float, k: int) -> float:
     # r = poch(k-2, L)/L!; uses |C_L^p(z)| <= C_L^p(1) = poch(2p, L)/L!
     return (2.0 * L + k - 2.0) / (k - 2.0) * r * math.exp(-D * L * (L + k - 2.0) * t)
@@ -103,9 +100,15 @@ def _term_bound(L: int, r: float, t: float, D: float, k: int) -> float:
 def _tail_bound_after(L0: int, t: float, D: float, k: int) -> float:
     """Geometric majorant for the tail beyond L0 (inf if the ratio is >= 1).
 
-    The term-bound ratio decreases in L for k >= 3, so once it is below 1
-    the tail is bounded by bound_{L0+1} / (1 - ratio_{L0+2}).
+    The term-bound ratio decreases in L, so once it is below 1 the tail is
+    bounded by bound_{L0+1} / (1 - ratio_{L0+2}).  For k = 2 the bound of
+    term L is 2 exp(-D L^2 t), with ratio exp(-D (2L-1) t).
     """
+    if k == 2:
+        ratio = math.exp(-D * (2.0 * L0 + 3.0) * t)
+        if ratio >= 1.0:
+            return math.inf
+        return 2.0 * math.exp(-D * (L0 + 1.0) * (L0 + 1.0) * t) / (1.0 - ratio)
     r = 1.0
     for L in range(1, L0 + 2):
         r *= (k - 3.0 + L) / L
@@ -124,8 +127,14 @@ def _cutoff_scan(t: float, D: float, k: int, tol: float, hard_cap: int = 200_000
     """Smallest L with tail bound below tol; returns (L, tail_bound, achieved).
 
     Depends only on its arguments, so it is memoised: every query at the
-    same (t, D, k, tol) shares one O(L^2) scan.
+    same (t, D, k, tol) shares one O(L^2) scan (O(L) from L = 1 for k = 2).
     """
+    if k == 2:
+        for L in range(1, hard_cap):
+            tail = _tail_bound_after(L, t, D, k)
+            if tail < tol:
+                return L, tail, True
+        return hard_cap, math.inf, False
     r = 1.0  # poch(k-2, L)/L! at the running L
     b_cur = _term_bound(0, r, t, D, k)
     for L in range(hard_cap):
@@ -162,6 +171,38 @@ def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
     total[...] = t
 
 
+def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
+    """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
+    the points x, up to the cutoff capped at trunc.max_terms, summed compensated
+    and split by parity.  Returns (even, odd, terms_used, tail_bound, converged)."""
+    if not (t >= T_MIN):  # NaN too
+        raise ValueError(f"t = {t:.3e} below the supported floor {T_MIN:.0e}")
+    if not (D > 0.0):  # NaN too
+        raise ValueError(f"D = {D!r} is not > 0")
+    L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol)
+    L_cap = min(L_needed, trunc.max_terms)
+    converged = achieved and (L_needed <= trunc.max_terms)
+    if not converged:
+        tail = _tail_bound_after(L_cap, t, D, k)
+    even = np.ones_like(x)  # the L = 0 term is 1 in both kernels
+    odd = np.zeros_like(x)
+    even_c = np.zeros_like(x)
+    odd_c = np.zeros_like(x)
+    for L, b in zip(range(1, L_cap + 1), basis):
+        w = (math.exp(-D * L * L * t) if k == 2 else
+             (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t))
+        if L % 2 == 0:
+            _kahan_add(even, even_c, b * w)
+        else:
+            _kahan_add(odd, odd_c, b * w)
+    return even, odd, L_cap + 1, tail, converged
+
+
+def _kernel_value(even, odd, terms: int, tail: float, converged: bool) -> KernelValue:
+    e, o = float(even), float(odd)
+    return KernelValue(e + o, terms, tail, converged, e, o)
+
+
 def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
     """Spectral series at an array of dot products (normalized-measure density).
 
@@ -170,36 +211,16 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     """
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
-    _require_time(t)
     dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
-    p = 0.5 * k - 1.0
-    L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol)
-    L_cap = min(L_needed, trunc.max_terms)
-    converged = achieved and (L_needed <= trunc.max_terms)
-    if not converged:
-        tail = _tail_bound_after(L_cap, t, D, k)
-
-    even = np.ones_like(dots)  # L = 0 term: weight (k-2)/(k-2) = 1, C_0 = 1
-    odd = np.zeros_like(dots)
-    even_c = np.zeros_like(dots)
-    odd_c = np.zeros_like(dots)
-    polys = gegenbauer_terms(p, dots)
-    next(polys)  # C_0, already in `even`
-    for L, C in zip(range(1, L_cap + 1), polys):
-        w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
-        if L % 2 == 0:
-            _kahan_add(even, even_c, w * C)
-        else:
-            _kahan_add(odd, odd_c, w * C)
-    return even, odd, L_cap + 1, tail, converged
+    polys = gegenbauer_terms(0.5 * k - 1.0, dots)
+    next(polys)  # C_0, the L = 0 term
+    return _series(polys, dots, t, D, k, trunc)
 
 
 def zonal_kernel(dot: float, t: float, D: float, k: int,
                  trunc: Truncation = SPHERE_TRUNCATION) -> KernelValue:
     """Kernel as a function of the dot product y.y' (k >= 3)."""
-    even, odd, terms, tail, converged = zonal_series(np.asarray(dot, dtype=float), t, D, k, trunc)
-    e, o = float(even), float(odd)
-    return KernelValue(e + o, terms, tail, converged, e, o)
+    return _kernel_value(*zonal_series(np.asarray(dot, dtype=float), t, D, k, trunc))
 
 
 def heat_kernel(q: SphereKernelQuery) -> KernelValue:
@@ -229,37 +250,11 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
 
     Density with respect to the normalized arc measure d(da)/(2*pi).
     """
-    if not (D > 0.0):
-        raise ValueError("heat_kernel_circle: D must be > 0")
-    even, odd, terms, tail, converged = circle_series(angle_diff, t, D, trunc)
-    e, o = float(even), float(odd)
-    return KernelValue(e + o, terms, tail, converged, e, o)
+    return _kernel_value(*circle_series(angle_diff, t, D, trunc))
 
 
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):
     """Array version of the circle kernel; returns (even, odd, terms, tail, converged)."""
-    _require_time(t)
     angles = np.asarray(angles, dtype=float)
-    even = np.ones_like(angles)
-    odd = np.zeros_like(angles)
-    even_c = np.zeros_like(angles)
-    odd_c = np.zeros_like(angles)
-    terms = 1
-    tail = math.inf
-    converged = False
-    L = 0
-    while L < trunc.max_terms:
-        L += 1
-        term = 2.0 * np.cos(L * angles) * math.exp(-D * L * L * t)
-        if L % 2 == 0:
-            _kahan_add(even, even_c, term)
-        else:
-            _kahan_add(odd, odd_c, term)
-        terms += 1
-        b_next = 2.0 * math.exp(-D * (L + 1.0) * (L + 1.0) * t)
-        ratio = math.exp(-D * (2.0 * L + 3.0) * t)
-        tail = b_next / (1.0 - ratio)
-        if tail < trunc.tol:
-            converged = True
-            break
-    return even, odd, terms, tail, converged
+    basis = (2.0 * np.cos(L * angles) for L in count(1))
+    return _series(basis, angles, t, D, 2, trunc)

@@ -138,6 +138,8 @@ class Truncation:
             raise ValueError("Truncation: max_terms must be >= 1")
         if not (self.tol > 0.0):
             raise ValueError("Truncation: tol must be > 0")
+        if self.tol == math.inf:
+            raise ValueError("Truncation: tol must be finite")
 
 
 def sqrt_lift(x: SimplexPoint) -> SpherePoint:

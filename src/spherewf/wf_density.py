@@ -102,6 +102,8 @@ class GriffithsQuery:
             raise ValueError("GriffithsQuery: dimension mismatch")
         if not (self.epsilon > 0.0):
             raise ValueError("GriffithsQuery: epsilon must be > 0")
+        if self.epsilon == math.inf:
+            raise ValueError("GriffithsQuery: epsilon must be finite")
         if not (self.t >= GRIFFITHS_T_MIN):  # NaN too
             raise ValueError(f"GriffithsQuery: t below supported floor {GRIFFITHS_T_MIN}")
         if not (self.x.is_interior() and self.x_prime.is_interior()):
@@ -161,12 +163,12 @@ class DensityValue:
         return self.value
 
 
-def _log_dirichlet(coords: np.ndarray, eps: np.ndarray) -> float:
-    mu = float(eps.sum())
+def _log_dirichlet(coords: np.ndarray, eps: np.ndarray, keep=slice(None)) -> float:
+    # the product runs over coords[keep]; a coordinate left out must have eps_i = 1
     return float(
-        log_gamma(mu)
+        log_gamma(float(eps.sum()))
         - sum(log_gamma(e) for e in eps)
-        + float(((eps - 1.0) * np.log(coords)).sum())
+        + float(((eps[keep] - 1.0) * np.log(coords[keep])).sum())
     )
 
 
@@ -174,30 +176,24 @@ def dirichlet_stationary(x: SimplexPoint, epsilon) -> float:
     """Stationary density Gamma(mu) prod x_i^{eps_i-1}/Gamma(eps_i), log-domain.
 
     Boundary points: returns math.inf when some x_i = 0 has eps_i < 1
-    (the density diverges there), 0.0 when all boundary coordinates have
-    eps_i > 1, and treats eps_i = 1 factors as constant.
+    (the density diverges there), else 0.0 when some x_i = 0 has eps_i > 1,
+    and treats eps_i = 1 factors as constant.
     """
     eps = np.asarray(epsilon, dtype=float)
     if eps.ndim == 0:
         eps = np.full(x.k, float(eps))
     if eps.shape != (x.k,):
         raise ValueError("dirichlet_stationary: epsilon must be scalar or length k")
+    if not np.all(np.isfinite(eps)):
+        raise ValueError("dirichlet_stationary: all epsilon_i must be finite")
     if eps.min() <= 0.0:
         raise ValueError("dirichlet_stationary: all epsilon_i must be > 0")
-    c = x.coords
-    zero = c == 0.0
-    if np.any(zero):
-        if np.any(eps[zero] < 1.0):
-            return math.inf
-        if np.any(eps[zero] > 1.0):
-            return 0.0
-        keep = ~zero
-        return math.exp(
-            log_gamma(float(eps.sum()))
-            - sum(log_gamma(e) for e in eps)
-            + float(((eps[keep] - 1.0) * np.log(c[keep])).sum())
-        )
-    return math.exp(_log_dirichlet(c, eps))
+    on_boundary = eps[x.coords == 0.0]
+    if np.any(on_boundary < 1.0):
+        return math.inf
+    if np.any(on_boundary > 1.0):
+        return 0.0
+    return math.exp(_log_dirichlet(x.coords, eps, x.coords > 0.0))
 
 
 @lru_cache(maxsize=128)

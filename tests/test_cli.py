@@ -1,3 +1,4 @@
+import argparse
 import json
 import math
 import multiprocessing
@@ -90,6 +91,10 @@ def test_density_nonconvergence_exit_code(tmp_path):
     ("griffiths", ["--tol", "-1"], "tol"),
     ("griffiths", ["--t", "nan"], "floor"),
     ("pushforward", ["--t", "nan"], "floor"),
+    ("pushforward", ["--tol", "inf"], "tol"),
+    ("griffiths", ["--tol", "inf"], "tol"),
+    ("griffiths", ["--epsilon", "inf"], "epsilon"),
+    ("griffiths", ["--epsilon", "nan"], "epsilon"),
 ])
 def test_density_bad_series_settings_are_config_errors(tmp_path, capsys, kernel, flags, field):
     out = tmp_path / "o.csv"
@@ -123,6 +128,46 @@ def test_density_input_without_rows_is_a_config_error(tmp_path, capsys, text, ke
     assert main(["density", "--kernel", kernel, *t, "--input", str(src),
                  "--output", str(out)]) == EXIT_CONFIG
     assert "'input'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("epsilon", ["inf", "nan", "0.5,inf,0.5"])
+def test_stationary_density_refuses_non_finite_epsilon(tmp_path, capsys, epsilon):
+    out = tmp_path / "o.csv"
+    assert main(["density", "--kernel", "stationary", "--x", "0.5,0.3,0.2",
+                 "--epsilon", epsilon, "--output", str(out)]) == EXIT_CONFIG
+    assert "epsilon" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel, text", [
+    ("pushforward", "0.5,0.3,0.2,0.25,0.35,0.4\n0.3,0.7,0.6,0.4\n"),
+    ("stationary", "0.5,0.3,0.2\n0.3,0.7\n"),
+])
+def test_density_input_rows_of_different_k_are_a_config_error(tmp_path, capsys, kernel, text):
+    # the header is built from the first row, so a later row of another k
+    # would be written under the wrong columns
+    src = tmp_path / "pairs.csv"
+    src.write_text(text)
+    out = tmp_path / "out.csv"
+    t = [] if kernel == "stationary" else ["--t", "0.5"]
+    assert main(["density", "--kernel", kernel, *t, "--input", str(src),
+                 "--output", str(out)]) == EXIT_CONFIG
+    assert "'input'" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("kernel, points", [
+    ("sphere", ["--y", "1,0", "--y-prime", "0,1"]),
+    ("pushforward", ["--x", "0.3,0.7", "--x-prime", "0.6,0.4"]),
+])
+def test_density_tiny_diffusion_on_the_circle_is_not_converged(tmp_path, capsys, kernel,
+                                                                points):
+    # the circle series' term ratio rounds to 1: an infinite tail bound, exit 3
+    out = tmp_path / "o.csv"
+    assert main(["density", "--kernel", kernel, *points, "--t", "0.5", "--D", "1e-20",
+                 "--output", str(out)]) == EXIT_NONCONVERGED
+    assert "tail bound inf" in capsys.readouterr().err
     assert not out.exists()
 
 
@@ -337,10 +382,83 @@ def test_every_flag_defaults_to_none_and_some_run_reads_it():
     # every built-in default
     parser = cli.build_parser()
     for command, (pick, common, variants) in cli._READS.items():
-        actions = cli._flag_actions(parser, command)
-        assert [d for d, a in actions.items() if a.default is not None] == []
+        flags = vars(parser.parse_args([command]))
+        del flags["command"], flags["func"]
+        assert [d for d, v in flags.items() if v is not None] == []
         read = set(common).union(*variants.values(), [pick] if pick else [])
-        assert set(actions) - {"output", "summary", "config"} == read, command
+        assert set(flags) - {"output", "config"} == read, command
+
+
+def _parser_with_written_out_flags() -> argparse.ArgumentParser:
+    # build_parser as it was, with each flag added by hand
+    parser = argparse.ArgumentParser(
+        prog="spherewf",
+        allow_abbrev=False,
+        description="Sphere-diffusion and Wright-Fisher transition densities, "
+                    "simulators, and verification suites.",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    pd = sub.add_parser("density", help="evaluate exact transition densities", allow_abbrev=False)
+    pd.add_argument("--kernel", choices=["sphere", "griffiths", "pushforward", "stationary"])
+    pd.add_argument("--t", type=float)
+    pd.add_argument("--D", type=float)
+    pd.add_argument("--epsilon", type=str)
+    pd.add_argument("--x", type=str, help="comma-separated simplex point")
+    pd.add_argument("--x-prime", dest="x_prime", type=str)
+    pd.add_argument("--y", type=str, help="comma-separated unit vector")
+    pd.add_argument("--y-prime", dest="y_prime", type=str)
+    pd.add_argument("--input", type=str, help="CSV of point pairs, one per row")
+    pd.add_argument("--tol", type=float)
+    pd.add_argument("--max-terms", dest="max_terms", type=int)
+    pd.add_argument("--output", type=str)
+    pd.add_argument("--config", type=str)
+    ps = sub.add_parser("simulate", help="integrate sample paths", allow_abbrev=False)
+    ps.add_argument("--model", choices=[m.value for m in Model])
+    ps.add_argument("--k", type=int)
+    ps.add_argument("--T", type=float)
+    ps.add_argument("--dt", type=float)
+    ps.add_argument("--c", type=float)
+    ps.add_argument("--epsilon", type=str)
+    ps.add_argument("--start", type=str)
+    ps.add_argument("--paths", type=int)
+    ps.add_argument("--record-stride", dest="record_stride", type=int)
+    ps.add_argument("--seed", type=int)
+    ps.add_argument("--output", type=str)
+    ps.add_argument("--config", type=str)
+    pv = sub.add_parser("verify", help="run a verification suite", allow_abbrev=False)
+    pv.add_argument("--suite", help="suite name or 'all' (see README; an unknown name lists them)")
+    pv.add_argument("--k", type=int, help="restrict the equivalence suite to one dimension")
+    pv.add_argument("--seed", type=int)
+    pv.add_argument("--threads", type=int)
+    pv.add_argument("--output", type=str, help="JSONL report path")
+    pv.add_argument("--summary", type=str, help="CSV summary path")
+    pv.add_argument("--config", type=str)
+    pm = sub.add_parser("moran", help="simulate the interacting-particle model",
+                        allow_abbrev=False)
+    pm.add_argument("--k", type=int, help="number of types (default: from --counts, else 2)")
+    pm.add_argument("--N", type=int)
+    pm.add_argument("--lam", type=float)
+    pm.add_argument("--counts", type=str, help="initial counts (default near-even split)")
+    pm.add_argument("--events", type=int)
+    pm.add_argument("--T", type=float)
+    pm.add_argument("--record-stride", dest="record_stride", type=int)
+    pm.add_argument("--seed", type=int)
+    pm.add_argument("--output", type=str)
+    pm.add_argument("--config", type=str)
+    return parser
+
+
+@pytest.mark.parametrize("argv", [["--help"], ["density", "--help"], ["simulate", "--help"],
+                                  ["verify", "--help"], ["moran", "--help"]])
+def test_help_lists_the_flags_as_written_out_by_hand(capsys, monkeypatch, argv):
+    monkeypatch.setenv("COLUMNS", "80")
+    helps = []
+    for parser in (cli.build_parser(), _parser_with_written_out_flags()):
+        with pytest.raises(SystemExit) as exc:
+            parser.parse_args(argv)
+        assert exc.value.code == 0
+        helps.append(capsys.readouterr().out)
+    assert helps[0] == helps[1]
 
 
 def test_config_cannot_override_an_abbreviated_flag(tmp_path, capsys):
@@ -471,9 +589,11 @@ def test_closed_output_pipe_ends_quietly():
 
 
 def test_verify_unknown_suite_names_the_suites(capsys):
-    assert main(["verify", "--suite", "nope"]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert "'nope'" in err and "equivalence" in err and "'all'" in err
+    # an unknown suite is refused before the fields it would not read
+    for extra in ([], ["--k", "3"], ["--k", "3", "--threads", "2"]):
+        assert main(["verify", "--suite", "nope", *extra]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "'nope'" in err and "equivalence" in err and "'all'" in err, extra
 
 
 def test_import_defers_the_harness():

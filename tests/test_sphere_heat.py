@@ -9,6 +9,7 @@ from spherewf.sphere_heat import (
     T_MIN,
     KernelValue,
     SphereKernelQuery,
+    circle_series,
     heat_kernel,
     heat_kernel_circle,
     heat_kernel_unnormalized,
@@ -197,3 +198,64 @@ def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
                 assert even.tobytes() == ref_even.tobytes()
                 assert odd.tobytes() == ref_odd.tobytes()
                 assert rest == ref_rest  # terms, tail bound, converged
+
+
+def _circle_series_inline(angles, t, D, trunc):
+    # circle_series as it was with its own truncation loop
+    angles = np.asarray(angles, dtype=float)
+    kahan_add = sphere_heat._kahan_add
+    even = np.ones_like(angles)
+    odd = np.zeros_like(angles)
+    even_c = np.zeros_like(angles)
+    odd_c = np.zeros_like(angles)
+    terms, tail, converged, L = 1, math.inf, False, 0
+    while L < trunc.max_terms:
+        L += 1
+        term = 2.0 * np.cos(L * angles) * math.exp(-D * L * L * t)
+        if L % 2 == 0:
+            kahan_add(even, even_c, term)
+        else:
+            kahan_add(odd, odd_c, term)
+        terms += 1
+        b_next = 2.0 * math.exp(-D * (L + 1.0) * (L + 1.0) * t)
+        ratio = math.exp(-D * (2.0 * L + 3.0) * t)
+        tail = b_next / (1.0 - ratio)
+        if tail < trunc.tol:
+            converged = True
+            break
+    return even, odd, terms, tail, converged
+
+
+def test_circle_series_keeps_the_inline_loop_bytes():
+    rng = np.random.default_rng(31)
+    angles = np.concatenate([[0.0, math.pi, 2 * math.pi, 1e-9], rng.uniform(0.0, math.pi, 40)])
+    sphere_heat._cutoff_scan.cache_clear()
+    for a in (angles, np.asarray(angles[-1])):
+        for t in (T_MIN, 0.01, 0.1, 1.0, 50.0):
+            for D in (0.01, 0.125, 3.0):
+                for max_terms, tol in ((1, 1e-12), (3, 1e-12), (400, 1e-12), (5000, 1e-14)):
+                    trunc = Truncation(max_terms=max_terms, tol=tol)
+                    even, odd, *rest = circle_series(a, t, D, trunc)
+                    ref_even, ref_odd, *ref_rest = _circle_series_inline(a, t, D, trunc)
+                    assert even.tobytes() == ref_even.tobytes()
+                    assert odd.tobytes() == ref_odd.tobytes()
+                    assert rest == ref_rest  # terms, tail bound, converged
+    # both cap cases are really not converged
+    assert not circle_series(angles, T_MIN, 0.125, Truncation(max_terms=3, tol=1e-12))[4]
+
+
+@pytest.mark.parametrize("D", [0.0, -0.1, math.nan])
+def test_kernels_refuse_a_non_positive_diffusion_constant(D):
+    with pytest.raises(ValueError, match="D = "):
+        zonal_kernel(0.3, 0.5, D, 3)
+    with pytest.raises(ValueError, match="D = "):
+        zonal_series(np.array([0.3, -0.2]), 0.5, D, 4, SPHERE_TRUNCATION)
+    with pytest.raises(ValueError, match="D = "):
+        heat_kernel_circle(0.3, 0.5, D)
+
+
+def test_tiny_diffusion_is_reported_as_not_converged():
+    # the term ratio rounds to 1, so the tail bound is inf, not a division by zero
+    for even, odd, *rest in (circle_series(0.5, 0.5, 1e-20, SPHERE_TRUNCATION),
+                             zonal_series(0.5, 0.5, 1e-20, 3, SPHERE_TRUNCATION)):
+        assert rest == [SPHERE_TRUNCATION.max_terms + 1, math.inf, False]

@@ -102,3 +102,5 @@ def test_truncation_validation():
         Truncation(0, 1e-8)
     with pytest.raises(ValueError):
         Truncation(10, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        Truncation(10, math.inf)

@@ -62,6 +62,9 @@ def test_dirichlet_boundary_conventions():
     assert dirichlet_stationary(SimplexPoint([0.0, 1.0]), [1.0, 1.0]) == pytest.approx(1.0)
     with pytest.raises(ValueError):
         dirichlet_stationary(X3, [0.5, -0.5, 1.0])
+    for bad in (math.inf, math.nan, [0.5, math.inf, 0.5], [0.5, math.nan, 0.5]):
+        with pytest.raises(ValueError, match="finite"):
+            dirichlet_stationary(X3, bad)
 
 
 # --- xi ------------------------------------------------------------------------
@@ -258,6 +261,10 @@ def test_griffiths_validation():
         GriffithsQuery(X3, X3B, math.nan, 0.5)
     with pytest.raises(ValueError):
         GriffithsQuery(X3, X3B, 0.5, 0.0)
+    with pytest.raises(ValueError, match="finite"):
+        GriffithsQuery(X3, X3B, 0.5, math.inf)
+    with pytest.raises(ValueError):
+        GriffithsQuery(X3, X3B, 0.5, math.nan)
     with pytest.raises(ValueError):
         GriffithsQuery(SimplexPoint([0.0, 0.4, 0.6]), X3B, 0.5, 0.5)
 
