@@ -17,11 +17,24 @@ c = 1, (ii) its stationary law is Dirichlet(eps), and (iii) its
 eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 `wf_density`.
 
-One function, `advance`, takes an Euler step of an (n, k) block of
-paths of any of the four models: a model supplies only its drift, its
-noise amplitude and its boundary rule.  A single path (`simulate_path`)
-is a batch of one, an ensemble chunk a batch of up to ENSEMBLE_CHUNK,
-and the CLI's paths one batch whose rows draw from their own streams.
+One function, `advance`, takes an Euler step, in place, of a
+coordinate-major (k, n) block of paths of any of the four models (row i
+holds coordinate i of every path, column r is path r): a model supplies
+only its drift, its noise amplitude and its boundary rule.  A single
+path (`simulate_path`) is a batch of one, an ensemble chunk a batch of
+up to ENSEMBLE_CHUNK, and the CLI's paths one batch whose columns draw
+from their own streams.  The callers make the block and the step's
+buffers once and turn the block into (n, k) rows only at the edges:
+`ensemble_final`'s states and the path records.
+
+Each element goes through the same IEEE operations as in the row-major
+(n, k) step this layout replaced: the drift expressions; g * y_j added
+to (subtracted from) dy_i in ascending order of the partner j; y + dy.
+The squared norm of a sphere step is written out as (sum of the
+even-index squares, in order) + (sum of the odd-index squares, in
+order) and the simplex sum in ascending order, which are the orders of
+numpy's einsum and row sum for k <= 7.  From k = 8 numpy regrouped both,
+so there a step moves by a unit or two of roundoff.
 
 Boundary policy on the simplex: negative coordinates are clamped to
 zero and the vector renormalized; the clamp event is reported.  On the
@@ -29,7 +42,7 @@ sphere every step is renormalized (projection Euler) and the
 pre-renormalization defect |norm(y_raw)^2 - 1| is reported.
 
 RNG: counter-based Philox4x64-10 (numpy.random.Philox).  Single paths
-use key = (master_seed, path_index), also as the rows of one batch;
+use key = (master_seed, path_index), also as the paths of one batch;
 vectorized ensembles use one stream per fixed-size chunk of paths, key
 = (master_seed, 2^63 + chunk_index), so results are independent of the
 worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
@@ -81,6 +94,7 @@ __all__ = [
     "simulate_moran",
     "ENSEMBLE_CHUNK",
     "DEFAULT_SEED",
+    "MAX_STEPS",
 ]
 
 _MASK64 = (1 << 64) - 1
@@ -154,94 +168,179 @@ def draw_skew(k: int, dt: float, rng: np.random.Generator | list, n: int = 1,
 
 
 # --- the Euler step ---------------------------------------------------------
-# Both noise sums add coordinate i's k-1 terms to its drift in ascending
-# order of the partner j, as the pair loop does (every pair (i, j < i)
-# comes before every pair (i' > i, i)), so they give the same bytes.
+# In the coordinate-major (k, n) block each term below reads and writes
+# contiguous rows of n paths.  Both noise sums add coordinate i's k-1 terms
+# to its drift in ascending order of the partner j, as the pair loop does
+# (every pair (i, j < i) comes before every pair (i' > i, i)), so they give
+# the same bytes.
 
-def _noise_by_pairs(sphere: bool, dY: np.ndarray, Y: np.ndarray,
-                    G: np.ndarray) -> np.ndarray:
-    """dY plus the noise, one pair at a time (in place)."""
-    for p, (i, j) in enumerate(_pairs(Y.shape[1])):
-        g = G[p]
-        if sphere:
-            dY[:, i] += g * Y[:, j]
-            dY[:, j] -= g * Y[:, i]
+#: the largest batch, per k, that takes the matrix noise sum (fewer numpy
+#: calls per step); larger batches take the pair loop (less memory traffic
+#: per path).  These are the measured crossovers of the two forms, sphere
+#: and simplex, on the (k, n) layout; at k = 2 the pair loop is the faster
+#: one at every batch size, and k above 6 takes the k = 6 value
+_MATRIX_MAX_ROWS = {2: 0, 3: 64, 4: 256, 5: 512, 6: 768}
+
+
+class _Work:
+    """The buffers of one Euler step of a (k, n) block, made once per block
+    and reused by every step (see `advance`)."""
+
+    __slots__ = ("matrix", "draws", "neg_draws", "terms", "noise_terms", "drift", "amp", "acc",
+                 "row", "squares", "square_rows", "halves", "even", "odd", "nrm2", "defect",
+                 "neg")
+
+    def __init__(self, k: int, n: int):
+        self.matrix = n <= _MATRIX_MAX_ROWS[min(k, 6)]
+        if self.matrix:
+            # draws[j, i] is the draw of coordinate i with partner j, +-db_ij,
+            # and stays 0 on the diagonal; terms[0] is the drift and
+            # terms[1 + j, i] the noise term of coordinate i with partner j
+            self.draws = np.zeros((k, k, n))
+            self.neg_draws = np.empty((k * (k - 1) // 2, n))
+            self.terms = np.empty((k + 1, k, n))
+            self.noise_terms = self.terms[1:]
+            self.drift = self.terms[0]
+            self.amp = np.empty((k, k, n))
+            self.acc = np.empty((k, n))
         else:
-            amp = np.sqrt(Y[:, i] * Y[:, j])
-            dY[:, i] += amp * g
-            dY[:, j] -= amp * g
+            self.drift = self.acc = np.empty((k, n))
+        self.row = np.empty(n)
+        # the squares in pairs (y_0^2, y_1^2), (y_2^2, y_3^2), ..., padded
+        # with a zero row for odd k, and their even and odd sums
+        self.squares = np.zeros(((k + 1) // 2, 2, n))
+        self.square_rows = self.squares.reshape(-1, n)[:k]
+        self.halves = np.empty((2, n))
+        self.even, self.odd = self.halves
+        self.nrm2 = np.empty(n)
+        self.defect = np.empty(n)
+        self.neg = np.empty((k, n), dtype=bool)
+
+
+def _noise_by_pairs(sphere: bool, Y: np.ndarray, G: np.ndarray, work: _Work) -> np.ndarray:
+    """The drift plus the noise, one pair at a time (in work.acc)."""
+    dY, row = work.acc, work.row
+    for p, (i, j) in enumerate(_pairs(len(Y))):
+        g, dY_i, dY_j = G[p], dY[i], dY[j]
+        if sphere:
+            np.multiply(g, Y[j], out=row)
+            dY_i += row
+            np.multiply(g, Y[i], out=row)
+            dY_j -= row
+        else:
+            np.multiply(Y[i], Y[j], out=row)
+            np.sqrt(row, out=row)
+            row *= g
+            dY_i += row
+            dY_j -= row
     return dY
 
 
-def _noise_by_matrix(sphere: bool, dY: np.ndarray, Y: np.ndarray,
-                     G: np.ndarray) -> np.ndarray:
-    """dY plus the noise, as a sum over the columns of the (k, k) matrix
-    of terms, stored partner-major as T[1 + j, path, i]."""
-    n, k = Y.shape
-    i, j = _pair_index(k)
-    T = np.zeros((k + 1, n, k))
-    T[0] = dY
-    B = T[1:]
-    B[j, :, i] = G
-    B[i, :, j] = -G
-    Yj = Y.T[:, :, None]
-    B *= Yj if sphere else np.sqrt(Yj * Y)
-    return np.add.reduce(T, axis=0)
+def _noise_by_matrix(sphere: bool, Y: np.ndarray, G: np.ndarray, work: _Work) -> np.ndarray:
+    """The drift plus the noise, as a sum over the partners j of the (k, k)
+    matrix of terms (in work.acc)."""
+    i, j = _pair_index(len(Y))
+    D = work.draws
+    D[j, i] = G
+    D[i, j] = np.negative(G, out=work.neg_draws)
+    if sphere:
+        np.multiply(D, Y[:, None, :], out=work.noise_terms)
+    else:
+        amp = np.multiply(Y[:, None, :], Y, out=work.amp)
+        np.multiply(D, np.sqrt(amp, out=amp), out=work.noise_terms)
+    return np.add.reduce(work.terms, axis=0, out=work.acc)
 
 
-#: batches up to this many paths take the matrix noise sum (fewer numpy
-#: calls per step), larger ones the pair loop (less memory traffic per
-#: path); at k = 3 the two cost about the same at 32-64 paths
-_MATRIX_MAX_ROWS = 32
+def _ordered_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum of the rows of the (m, n) block `rows`, added in ascending
+    order for any n (in `out`).
 
-#: the clamped rows of a step that clamps none
+    numpy adds the rows of a block in order, except when n = 1 and m >= 8,
+    where it sums the one column pairwise; that case goes row by row.
+    """
+    if rows.shape[1] > 1 or len(rows) < 8:
+        return np.add.reduce(rows, axis=0, out=out)
+    np.copyto(out, rows[0])
+    for r in rows[1:]:
+        out += r
+    return out
+
+
+#: the clamped paths of a step that clamps none
 _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
-            rng: np.random.Generator | list) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """One Euler step of each row of the (n, k) block Y.
+            rng: np.random.Generator | list,
+            work: _Work | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step, in place, of each path of the (k, n) block Y.
 
+    Column r of Y is path r, so row i holds coordinate i of every path.
     `eps` is the mutation vector of Model.WF_MUTATION and is not read by
     the other models.  `rng` is one generator for the whole block, or a
-    list of one per row (see `draw_skew`).  Returns (new block, defect per
-    row, clamped rows): the defect is the pre-fix |norm(y)^2 - 1| on the
-    sphere and the pre-clamp |sum x - 1| on the simplex; the clamped rows
-    are the ascending indices of the rows that had a negative coordinate
-    (empty on the sphere).  Y itself is not modified.
+    list of one per path (see `draw_skew`).  `work` holds the step's
+    buffers (made here when None); a caller stepping the same block many
+    times makes it once, as `_Work(k, n)`.  Returns (defect per path,
+    clamped paths): the defect is the pre-fix |norm(y)^2 - 1| on the sphere
+    and the pre-clamp |sum x - 1| on the simplex, held in `work` until its
+    next step; the clamped paths are the ascending indices of the paths
+    that had a negative coordinate (empty on the sphere).  The order of
+    every sum is pinned in the module docstring.
     """
     # a member passes through: Model(member) would cost a tenth of a small step
     model = model if isinstance(model, Model) else Model(model)
-    n, k = Y.shape
+    k, n = Y.shape
+    if work is None:
+        work = _Work(k, n)
     sphere = model is Model.SPHERE
+    dY = work.drift
     if sphere:
-        dY = (-c * c / 8.0) * (k - 1.0) * dt * Y
+        np.multiply(Y, (-c * c / 8.0) * (k - 1.0) * dt, out=dY)
         amp = 0.5 * c
     elif model is Model.WF_NEUTRAL:
-        dY = np.zeros_like(Y)
+        dY.fill(0.0)
         amp = c
     elif model is Model.WF_MUTATION:
-        dY = 0.5 * (eps - float(eps.sum()) * Y) * dt
+        # 0.5 * (eps - sum(eps) * Y) * dt
+        np.multiply(Y, float(eps.sum()), out=dY)
+        np.subtract(eps[:, None], dY, out=dY)
+        dY *= 0.5
+        dY *= dt
         amp = 1.0
     else:
-        dY = 0.25 * c * c * (1.0 - k * Y) * dt
+        # 0.25 * c * c * (1 - k Y) * dt
+        np.multiply(Y, k, out=dY)
+        np.subtract(1.0, dY, out=dY)
+        dY *= 0.25 * c * c
+        dY *= dt
         amp = c
     G = draw_skew(k, dt, rng, n, amp)
-    noise = _noise_by_matrix if n <= _MATRIX_MAX_ROWS else _noise_by_pairs
-    Y = Y + noise(sphere, dY, Y, G)
+    noise = _noise_by_matrix if work.matrix else _noise_by_pairs
+    Y += noise(sphere, Y, G, work)
+    defect = work.defect
     if sphere:
-        # projection Euler: back onto the sphere
-        nrm2 = np.einsum("ij,ij->i", Y, Y)
-        Y /= np.sqrt(nrm2)[:, None]
-        return Y, np.abs(nrm2 - 1.0), _NO_ROWS
+        # projection Euler: back onto the sphere.  The even and the odd
+        # squares are each summed in order (numpy never sums the outer axis
+        # of `squares` pairwise, whatever n is); adding the pad square +0
+        # leaves a sum of squares as it is
+        nrm2, root = work.nrm2, work.row
+        np.multiply(Y, Y, out=work.square_rows)
+        np.add.reduce(work.squares, axis=0, out=work.halves)
+        np.add(work.even, work.odd, out=nrm2)
+        Y /= np.sqrt(nrm2, out=root)
+        np.subtract(nrm2, 1.0, out=defect)
+        return np.abs(defect, out=defect), _NO_ROWS
     # simplex: clip negative coordinates to zero, then renormalise
-    sums = Y.sum(axis=1)
-    defect = np.abs(sums - 1.0)
-    neg = Y < 0.0
-    if not neg.any():  # the common case, so the per-row test waits for a clamp
-        return Y / sums[:, None], defect, _NO_ROWS
-    Y = np.clip(Y, 0.0, None)
-    return Y / Y.sum(axis=1)[:, None], defect, np.flatnonzero(neg.any(axis=1))
+    sums = _ordered_sum(Y, work.nrm2)
+    np.subtract(sums, 1.0, out=defect)
+    np.abs(defect, out=defect)
+    neg = np.less(Y, 0.0, out=work.neg)
+    if not neg.any():  # the common case, so the per-path test waits for a clamp
+        Y /= sums
+        return defect, _NO_ROWS
+    np.clip(Y, 0.0, None, out=Y)
+    Y /= _ordered_sum(Y, sums)
+    return defect, np.flatnonzero(neg.any(axis=0))
 
 
 # --- paths ----------------------------------------------------------------
@@ -273,14 +372,25 @@ def _start_point(model: Model, start) -> SpherePoint | SimplexPoint:
     return start if isinstance(start, cls) else cls(start)
 
 
+#: the most Euler steps one run may take: at the measured microseconds per
+#: step a single path of this length already runs for hours, so a larger
+#: round(T/dt) is taken for a mistyped T or dt and refused
+MAX_STEPS = 10**9
+
+
 def _step_count(who: str, T: float, dt: float, name: str) -> int:
-    """round(T/dt), once 0 < dt <= T and T/dt is finite (ValueError otherwise)."""
+    """round(T/dt), once 0 < dt <= T, T/dt is finite and the count is at
+    most MAX_STEPS (ValueError otherwise)."""
     if not (T > 0.0 and dt > 0.0 and dt <= T):
         raise ValueError(f"{who}: need 0 < dt <= {name}")
     if not math.isfinite(T / dt):
         raise ValueError(f"{who}: {name} and {name}/dt must be finite, "
                          f"got {name} = {T!r}, dt = {dt!r}")
-    return int(round(T / dt))
+    steps = int(round(T / dt))
+    if steps > MAX_STEPS:
+        raise ValueError(f"{who}: {name}/dt = {steps:.3g} steps exceeds MAX_STEPS = "
+                         f"{MAX_STEPS:.0e}")
+    return steps
 
 
 def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
@@ -310,18 +420,18 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
 
     n = len(rngs)
     rng = rngs[0] if n == 1 else rngs  # a batch of one draws straight from its generator
-    Y = np.tile(point.coords, (n, 1))
+    Y = np.repeat(point.coords[:, None], n, axis=1)  # (k, n): column r is path r
+    work = _Work(params.k, n)
     # per row, as Python numbers: cheaper per step than numpy arrays of n
     clamp_counts = [0] * n
     defect_sums = [0.0] * n
     defect_maxes = [0.0] * n
-    times, states, defects, clamps = [0.0], [Y], [[0.0] * n], [clamp_counts]
+    times, states, defects, clamps = [0.0], [Y.T.copy()], [[0.0] * n], [clamp_counts]
 
     for step in range(1, n_steps + 1):
-        # advance returns a new block, so the recorded blocks stay as they are
-        Y, d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng)
+        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng, work)
         if clamped.size:
-            clamp_counts = clamp_counts[:]  # and so do the recorded counts
+            clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
             for r in clamped.tolist():
                 clamp_counts[r] += 1
         d = d.tolist()
@@ -331,7 +441,7 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
                 defect_maxes[r] = defect
         if step % record_stride == 0 or step == n_steps:
             times.append(step * dt)
-            states.append(Y)
+            states.append(Y.T.copy())  # (n, k), as the records index it
             defects.append(d)
             clamps.append(clamp_counts)
 
@@ -405,15 +515,16 @@ class EnsembleDiagnostics:
 def _run_chunk(model: Model, start: np.ndarray, n_steps: int, dt: float, c: float,
                eps: np.ndarray, seed: int, chunk: tuple[int, int]):
     """Advance `chunk` = (index, size) paths from `start` n_steps on chunk_rng(seed,
-    index); returns (final, defect_sum, defect_max, clamp_events)."""
+    index); returns (final (k, size) block, defect_sum, defect_max, clamp_events)."""
     index, size = chunk
-    Y = np.tile(start, (size, 1))
+    Y = np.repeat(start[:, None], size, axis=1)
+    work = _Work(len(start), size)
     rng = chunk_rng(seed, index)
     defect_sum = 0.0
     defect_max = 0.0
     clamp_events = 0
     for _ in range(n_steps):
-        Y, d, clamped = advance(model, Y, dt, c, eps, rng)
+        d, clamped = advance(model, Y, dt, c, eps, rng, work)
         defect_sum += float(d.sum())
         defect_max = max(defect_max, float(d.max()))
         clamp_events += clamped.size
@@ -441,9 +552,12 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
     start = np.asarray(start, dtype=float)
     params = ModelParams(_start_point(model, start).k, c, epsilon)
     job = partial(_run_chunk, model, start, n_steps, dt, c, params.epsilon, seed)
-    chunks = [(index, min(ENSEMBLE_CHUNK, n_paths - first))
-              for index, first in enumerate(range(0, n_paths, ENSEMBLE_CHUNK))]
+    firsts = range(0, n_paths, ENSEMBLE_CHUNK)
+    chunks = [(index, min(ENSEMBLE_CHUNK, n_paths - first)) for index, first in enumerate(firsts)]
     results = pool_map(job, chunks, workers)
+    finals = np.empty((n_paths, params.k))
+    for first, r in zip(firsts, results):
+        finals[first:first + ENSEMBLE_CHUNK] = r[0].T
     total_steps = n_paths * n_steps
     max_defect = max(r[2] for r in results)
     diag = EnsembleDiagnostics(
@@ -454,7 +568,7 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
         clamp_fraction=sum(r[3] for r in results) / total_steps,
         n_steps=n_steps,
     )
-    return np.concatenate([r[0] for r in results], axis=0), diag
+    return finals, diag
 
 
 # --- Moran / interacting-particle model ------------------------------------

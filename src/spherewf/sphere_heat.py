@@ -122,22 +122,30 @@ def _tail_bound_after(L0: int, t: float, D: float, k: int) -> float:
     return b1 / (1.0 - ratio)
 
 
+#: the largest cutoff any scan looks for
+_HARD_CAP = 200_000
+
+
 @lru_cache(maxsize=256)
-def _cutoff_scan(t: float, D: float, k: int, tol: float, hard_cap: int = 200_000):
-    """Smallest L with tail bound below tol; returns (L, tail_bound, achieved).
+def _cutoff_scan(t: float, D: float, k: int, tol: float, cap: int = _HARD_CAP):
+    """Smallest L <= cap (and below _HARD_CAP) with tail bound below tol;
+    returns (L, tail_bound, True), or (min(cap + 1, _HARD_CAP), inf, False)
+    when there is none.
 
     Depends only on its arguments, so it is memoised: every query at the
-    same (t, D, k, tol) shares one O(L^2) scan (O(L) from L = 1 for k = 2).
+    same (t, D, k, tol, cap) shares one O(L^2) scan (O(L) from L = 1 for
+    k = 2).
     """
+    stop = min(cap + 1, _HARD_CAP)
     if k == 2:
-        for L in range(1, hard_cap):
+        for L in range(1, stop):
             tail = _tail_bound_after(L, t, D, k)
             if tail < tol:
                 return L, tail, True
-        return hard_cap, math.inf, False
+        return stop, math.inf, False
     r = 1.0  # poch(k-2, L)/L! at the running L
     b_cur = _term_bound(0, r, t, D, k)
-    for L in range(hard_cap):
+    for L in range(stop):
         r_next = r * (k - 3.0 + L + 1.0) / (L + 1.0)
         b_next = _term_bound(L + 1, r_next, t, D, k)
         if b_cur > 0.0 and b_next / b_cur < 1.0:
@@ -147,7 +155,7 @@ def _cutoff_scan(t: float, D: float, k: int, tol: float, hard_cap: int = 200_000
         elif b_next == 0.0:
             return L, 0.0, True
         r, b_cur = r_next, b_next
-    return hard_cap, math.inf, False
+    return stop, math.inf, False
 
 
 def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool]:
@@ -179,7 +187,8 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
         raise ValueError(f"t = {t:.3e} below the supported floor {T_MIN:.0e}")
     if not (D > 0.0):  # NaN too
         raise ValueError(f"D = {D!r} is not > 0")
-    L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol)
+    # the scan stops past max_terms: a longer cutoff is not converged anyway
+    L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
     L_cap = min(L_needed, trunc.max_terms)
     converged = achieved and (L_needed <= trunc.max_terms)
     if not converged:

@@ -487,6 +487,15 @@ def test_simulate_refuses_non_finite_step_counts(tmp_path, capsys, T, dt):
     assert not out.exists()
 
 
+def test_simulate_refuses_step_counts_above_the_bound(tmp_path, capsys):
+    out = tmp_path / "o.csv"
+    code = main(["simulate", "--model", "sphere", "--T", "1e300", "--dt", "1e-4",
+                 "--output", str(out)])
+    assert code == EXIT_CONFIG
+    assert "exceeds MAX_STEPS" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("paths", ["0", "-2"])
 def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
     out = tmp_path / "o.csv"
@@ -503,10 +512,10 @@ def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
     ("wf-neutral", "0.01,0.02,0.03,0.94"),  # near the boundary: rows clamp
 ], ids=["sphere", "wf-neutral"])
 @pytest.mark.parametrize("paths", [3, 40])  # either side of simulate._MATRIX_MAX_ROWS
-def test_simulate_paths_step_as_one_batch(tmp_path, paths, model, start, stride):
+def test_simulate_paths_step_as_one_batch(tmp_path, monkeypatch, paths, model, start, stride):
     # the rows of a --paths P run are the P records simulate_path gives
     # one at a time, row r from path_rng(seed, r)
-    assert 3 <= simulate._MATRIX_MAX_ROWS < 40
+    monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", dict.fromkeys(range(2, 7), 32))
     out = tmp_path / "o.csv"
     k = start.count(",") + 1
     assert main(["simulate", "--model", model, "--k", str(k), "--start", start,

@@ -1,3 +1,4 @@
+import hashlib
 import math
 import multiprocessing
 import os
@@ -49,11 +50,20 @@ class _IntSizeRng:
 
 def _step(model, x, dt, c, rng, eps=None):
     """One advance of a single point; returns (new point, defect, clamped)."""
-    Y, d, clamped = advance(model, np.asarray(x, dtype=float)[None, :], dt, c, eps, rng)
-    return Y[0], float(d[0]), bool(clamped.size)
+    Y = np.array(x, dtype=float).reshape(-1, 1)  # a (k, 1) block
+    d, clamped = advance(model, Y, dt, c, eps, rng)
+    return Y[:, 0], float(d[0]), bool(clamped.size)
 
 
-def test_skew_increment_structure():
+def _noise_forms(monkeypatch, n: int):
+    """Patch the form threshold so that a block of n paths takes the matrix
+    noise sum, then the pair loop; yields once per form."""
+    for rows in (n, 0):
+        monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", dict.fromkeys(range(2, 7), rows))
+        yield
+
+
+def test_skew_increment_structure(monkeypatch):
     # one standard_normal call, pair-major: row p is pair _pairs(k)[p]
     k, n, dt = 4, 5, 0.01
     G = draw_skew(k, dt, path_rng(1), n, scale=2.0)
@@ -63,12 +73,19 @@ def test_skew_increment_structure():
     # both noise sums read the draws as the antisymmetric matrix db_ij:
     # with y = e_j, the sphere noise of coordinate i is db_ij
     G = G[:, :1]
-    for noise in (simulate._noise_by_pairs, simulate._noise_by_matrix):
-        b = np.column_stack([noise(True, np.zeros((1, k)), np.eye(k)[j][None, :], G)[0]
-                             for j in range(k)])
+    forms = set()
+    for _ in _noise_forms(monkeypatch, 1):
+        b = np.empty((k, k))
+        for j in range(k):
+            work = simulate._Work(k, 1)
+            work.drift.fill(0.0)
+            noise = simulate._noise_by_matrix if work.matrix else simulate._noise_by_pairs
+            b[:, j] = noise(True, np.eye(k)[:, j:j + 1].copy(), G, work)[:, 0]
+        forms.add(work.matrix)
         assert np.array_equal(b, -b.T)
         for p, (i, j) in enumerate(simulate._pairs(k)):
             assert b[i, j] == G[p, 0]
+    assert forms == {True, False}
 
 
 def test_skew_increment_variance():
@@ -197,6 +214,15 @@ def test_simulate_path_one_step_and_determinism():
             simulate_path(Model.SPHERE, [0.0, 0.0, 1.0], T, dt, params, path_rng(13))
 
 
+def test_step_count_is_bounded():
+    # a count above MAX_STEPS is refused before any step is taken
+    assert simulate._step_count("f", simulate.MAX_STEPS * 0.5, 0.5, "T") == simulate.MAX_STEPS
+    params = ModelParams(3, 1.0, None)
+    for T in ((simulate.MAX_STEPS + 1) * 0.5, 1e300):
+        with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
+            simulate_path(Model.SPHERE, [0.0, 0.0, 1.0], T, 0.5, params, path_rng(13))
+
+
 def test_simulate_path_records_diagnostics():
     params = ModelParams(3, 1.0, None)
     rec = simulate_path(Model.WF_NEUTRAL, X3, 0.1, 1e-3, params, path_rng(14), 10)
@@ -234,20 +260,152 @@ def test_noise_forms_give_the_same_bytes(model, monkeypatch):
     for k in range(2, 9):
         eps = rng.uniform(0.1, 2.0, k)
         for n in (1, 7):
-            if model is Model.SPHERE:
-                Y0 = rng.standard_normal((n, k))
-                Y0 /= np.linalg.norm(Y0, axis=1)[:, None]
-            else:
-                Y0 = rng.dirichlet(np.full(k, 0.3), size=n)
+            Y0 = _start_block(model, k, n, rng)
             out = []
-            for rows in (n, 0):  # all matrix, then all pairs
-                monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", rows)
-                gen, Y, steps = path_rng(41, k), Y0, []
+            for _ in _noise_forms(monkeypatch, n):  # all matrix, then all pairs
+                gen, Y, steps = path_rng(41, k), Y0.copy(), []
                 for _ in range(20):
-                    Y, d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen)
+                    d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen)
                     steps.append((Y.tobytes(), d.tobytes(), clamped.tolist()))
                 out.append(steps)
             assert out[0] == out[1], (k, n)
+
+
+def _start_block(model, k, n, rng):
+    """A (k, n) block of random starts: on the sphere, or Dirichlet(0.3)
+    points of the simplex, most of them near its boundary."""
+    if model is Model.SPHERE:
+        Y0 = rng.standard_normal((n, k))
+        Y0 /= np.linalg.norm(Y0, axis=1)[:, None]
+    else:
+        Y0 = rng.dirichlet(np.full(k, 0.3), size=n)
+    return np.ascontiguousarray(Y0.T)
+
+
+# --- the row-major step that the (k, n) layout replaced, kept as the oracle --
+
+def _oracle_noise_by_pairs(sphere, dY, Y, G):
+    for p, (i, j) in enumerate(simulate._pairs(Y.shape[1])):
+        g = G[p]
+        if sphere:
+            dY[:, i] += g * Y[:, j]
+            dY[:, j] -= g * Y[:, i]
+        else:
+            amp = np.sqrt(Y[:, i] * Y[:, j])
+            dY[:, i] += amp * g
+            dY[:, j] -= amp * g
+    return dY
+
+
+def _oracle_noise_by_matrix(sphere, dY, Y, G):
+    n, k = Y.shape
+    i, j = simulate._pair_index(k)
+    T = np.zeros((k + 1, n, k))
+    T[0] = dY
+    B = T[1:]
+    B[j, :, i] = G
+    B[i, :, j] = -G
+    Yj = Y.T[:, :, None]
+    B *= Yj if sphere else np.sqrt(Yj * Y)
+    return np.add.reduce(T, axis=0)
+
+
+def _oracle_advance(model, Y, dt, c, eps, rng):
+    """One Euler step of each row of the (n, k) block Y, as a new block;
+    returns (new block, defect per row, clamped rows)."""
+    n, k = Y.shape
+    sphere = model is Model.SPHERE
+    if sphere:
+        dY = (-c * c / 8.0) * (k - 1.0) * dt * Y
+        amp = 0.5 * c
+    elif model is Model.WF_NEUTRAL:
+        dY = np.zeros_like(Y)
+        amp = c
+    elif model is Model.WF_MUTATION:
+        dY = 0.5 * (eps - float(eps.sum()) * Y) * dt
+        amp = 1.0
+    else:
+        dY = 0.25 * c * c * (1.0 - k * Y) * dt
+        amp = c
+    G = draw_skew(k, dt, rng, n, amp)
+    noise = _oracle_noise_by_matrix if n <= 32 else _oracle_noise_by_pairs
+    Y = Y + noise(sphere, dY, Y, G)
+    if sphere:
+        nrm2 = np.einsum("ij,ij->i", Y, Y)
+        Y /= np.sqrt(nrm2)[:, None]
+        return Y, np.abs(nrm2 - 1.0), np.empty(0, dtype=np.intp)
+    sums = Y.sum(axis=1)
+    defect = np.abs(sums - 1.0)
+    neg = Y < 0.0
+    if not neg.any():
+        return Y / sums[:, None], defect, np.empty(0, dtype=np.intp)
+    Y = np.clip(Y, 0.0, None)
+    return Y / Y.sum(axis=1)[:, None], defect, np.flatnonzero(neg.any(axis=1))
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_step_keeps_the_row_major_bytes(model):
+    # k <= 7: every state, defect and clamped row of 20 steps equals the
+    # oracle's, byte for byte, from starts near the boundary (the simplex
+    # runs clamp); n = 4099 takes the pair loop, the others the form their
+    # threshold picks
+    rng = np.random.default_rng(48)
+    clamps = 0
+    for k in range(2, 8):
+        eps = rng.uniform(0.1, 2.0, k)
+        for n in (1, 7, 33, 4099):
+            Y = _start_block(model, k, n, rng)
+            ref = np.ascontiguousarray(Y.T)
+            gen, ref_gen = path_rng(49, k), path_rng(49, k)
+            work = simulate._Work(k, n)
+            for step in range(20):
+                ref, ref_d, ref_clamped = _oracle_advance(model, ref, 1e-2, 1.3, eps, ref_gen)
+                d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen, work)
+                assert Y.T.tobytes() == ref.tobytes(), (k, n, step)
+                assert d.tobytes() == ref_d.tobytes(), (k, n, step)
+                assert clamped.tolist() == ref_clamped.tolist(), (k, n, step)
+                clamps += clamped.size
+    assert (clamps > 0) == (model is not Model.SPHERE)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_step_moves_by_roundoff_from_k8(model):
+    # k >= 8: the squared norm and the simplex sum take another order than
+    # numpy's einsum and row sum did, so each step from the oracle's state
+    # moves the state and the defect by at most a few units of roundoff
+    rng = np.random.default_rng(50)
+    for k in (8, 9, 10):
+        eps = rng.uniform(0.1, 2.0, k)
+        for n in (1, 7, 33, 4099):
+            ref = np.ascontiguousarray(_start_block(model, k, n, rng).T)
+            gen, ref_gen = path_rng(51, k), path_rng(51, k)
+            for step in range(20):
+                Y = np.ascontiguousarray(ref.T)
+                ref, ref_d, ref_clamped = _oracle_advance(model, ref, 1e-2, 1.3, eps, ref_gen)
+                d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen)
+                assert np.abs(Y.T - ref).max() <= 4 * np.finfo(float).eps, (k, n, step)
+                assert np.abs(d - ref_d).max() <= 4 * np.finfo(float).eps, (k, n, step)
+                assert clamped.tolist() == ref_clamped.tolist(), (k, n, step)
+
+
+#: sha256 of ensemble_final's finals (t = 0.02, dt = 1e-3, n_paths =
+#: ENSEMBLE_CHUNK + 5, seed 47, c = 1.3), as the row-major step gave them
+_FINALS_SHA256 = {
+    Model.SPHERE: "721553e1d71b2beb119f3dff2dcaffa1407cc5fb5ae962cf330cc9a8f67d5311",
+    Model.WF_NEUTRAL: "0747e0b5b9ddde6e38cf7bb7d18398ad7e4492ec83ef1de3141692e536a7741a",
+    Model.WF_MUTATION: "66d9c6f7c6e1af37025962095a77397ba048169fc4163b4ff99a3a0921de81b4",
+    Model.WF_ISOTROPIC: "94e38a18253c3f7271c684c95ed40a78aec83e9a2acac1ad542ba2b2f255ce72",
+}
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_ensemble_finals_keep_their_bytes(model):
+    start = [0.6, -0.64, 0.48] if model is Model.SPHERE else [0.02, 0.3, 0.68]
+    eps = (0.3, 0.5, 0.7) if model is Model.WF_MUTATION else None
+    finals, _ = ensemble_final(model, t=0.02, dt=1e-3, n_paths=ENSEMBLE_CHUNK + 5, seed=47,
+                               start=start, c=1.3, epsilon=eps)
+    assert finals.shape == (ENSEMBLE_CHUNK + 5, 3) and finals.flags.c_contiguous
+    assert hashlib.sha256(finals.tobytes()).hexdigest() == _FINALS_SHA256[model]
 
 
 def test_trace_hooks_see_one_draw_per_step(monkeypatch):
@@ -280,8 +438,9 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     (dict(model=Model.WF_MUTATION, start=X3.coords, epsilon=(0.5, 0.5)), "length k=3"),
     (dict(t=math.inf), "must be finite"),
     (dict(t=1e300, dt=1e-300), "must be finite"),  # t/dt overflows
+    (dict(t=1e300, dt=1e-4), "MAX_STEPS"),
 ], ids=["no-paths", "mutation-without-epsilon", "start-norm-2", "start-off-simplex",
-        "c-zero", "epsilon-length", "t-inf", "steps-overflow"])
+        "c-zero", "epsilon-length", "t-inf", "steps-overflow", "steps-above-bound"])
 def test_ensemble_final_rejects_invalid_input(change, message):
     kw = dict(model=Model.SPHERE, t=1e-3, dt=1e-3, n_paths=3, seed=44, start=Y3.coords,
               c=1.0, epsilon=None)
@@ -295,7 +454,8 @@ def test_ensemble_starts_from_the_callers_bytes(monkeypatch):
     start = Y3.coords * (1.0 + 1e-12)
     seen = []
     step = simulate.advance
-    monkeypatch.setattr(simulate, "advance", lambda m, Y, *a: seen.append(Y) or step(m, Y, *a))
+    monkeypatch.setattr(simulate, "advance",
+                        lambda m, Y, *a: seen.append(Y.T.copy()) or step(m, Y, *a))
     ensemble_final(Model.SPHERE, t=1e-3, dt=1e-3, n_paths=2, seed=45, start=start)
     assert len(seen) == 1
     assert seen[0].tobytes() == np.tile(start, (2, 1)).tobytes()

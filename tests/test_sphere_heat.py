@@ -1,4 +1,5 @@
 import math
+from functools import partial
 
 import numpy as np
 import pytest
@@ -252,6 +253,25 @@ def test_kernels_refuse_a_non_positive_diffusion_constant(D):
         zonal_series(np.array([0.3, -0.2]), 0.5, D, 4, SPHERE_TRUNCATION)
     with pytest.raises(ValueError, match="D = "):
         heat_kernel_circle(0.3, 0.5, D)
+
+
+@pytest.mark.parametrize("k", [2, 3, 5])
+def test_cutoff_scan_stops_past_max_terms(monkeypatch, k):
+    # at D t = 5e-7 the cutoff lies far beyond max_terms; the scan stops
+    # once L passes max_terms instead of scanning on toward its hard cap
+    seen = []
+    for name in ("_term_bound", "_tail_bound_after"):
+        bound = getattr(sphere_heat, name)
+        monkeypatch.setattr(sphere_heat, name,
+                            lambda L, *a, bound=bound: seen.append(L) or bound(L, *a))
+    sphere_heat._cutoff_scan.cache_clear()
+    trunc = Truncation(max_terms=400, tol=1e-12)
+    series = circle_series if k == 2 else partial(zonal_series, k=k)
+    *_, terms, tail, converged = series(np.array([0.0, 0.5]), 0.5, 1e-6, trunc=trunc)
+    assert (terms, converged) == (trunc.max_terms + 1, False)
+    assert tail > trunc.tol
+    assert max(seen) <= trunc.max_terms + 2
+    assert len(seen) <= 3 * (trunc.max_terms + 2)
 
 
 def test_tiny_diffusion_is_reported_as_not_converged():

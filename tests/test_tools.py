@@ -1,0 +1,54 @@
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+COMPARE = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
+
+
+def _report(name, statistic, wall_time_s, **stats):
+    return json.dumps({"name": name, "params": {"k": 3}, "passed": True, "statistic": statistic,
+                       "threshold": 0.01, "stats": stats, "wall_time_s": wall_time_s},
+                      sort_keys=True)
+
+
+def _compare(tmp_path, a_lines, b_lines):
+    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
+    a.write_text("".join(line + "\n" for line in a_lines))
+    b.write_text("".join(line + "\n" for line in b_lines))
+    return subprocess.run([sys.executable, str(COMPARE), str(a), str(b)],
+                          capture_output=True, text=True, timeout=60)
+
+
+BASE = [_report("exponent", 0.125, 1.5), _report("moran", 2.5e-3, 0.25, replicates=40)]
+
+
+def test_reports_that_differ_only_in_wall_time_agree(tmp_path):
+    other = [_report("exponent", 0.125, 9.0), _report("moran", 2.5e-3, 3.0, replicates=40)]
+    result = _compare(tmp_path, BASE, other)
+    assert result.returncode == 0, result.stdout
+    assert "2 reports agree" in result.stdout
+
+
+@pytest.mark.parametrize("other, where", [
+    ([BASE[0], _report("moran", 2.5000000000000005e-3, 0.25, replicates=40)], "line 2"),
+    ([BASE[0], _report("moran", 2.5e-3, 0.25, replicates=41)], "line 2"),
+    ([_report("exponent", float("nan"), 1.5), BASE[1]], "line 1"),
+    (BASE[:1], "has 2 lines"),
+], ids=["last-bit", "stats", "nan", "line-count"])
+def test_any_other_difference_exits_1(tmp_path, other, where):
+    result = _compare(tmp_path, BASE, other)
+    assert result.returncode == 1
+    assert where in result.stdout
+    # NaN statistics compare as text, so a NaN agrees with itself
+    assert _compare(tmp_path, other, other).returncode == 0
+
+
+def test_unreadable_input_exits_2(tmp_path):
+    assert _compare(tmp_path, BASE, ["{not json"]).returncode == 2
+    assert _compare(tmp_path, BASE, ["[1, 2]"]).returncode == 2
+    result = subprocess.run([sys.executable, str(COMPARE), str(tmp_path / "missing.jsonl")],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 2
