@@ -66,9 +66,10 @@ def gegenbauer_terms(p: float, z):
     prev1 = 2.0 * p * z
     yield prev2
     yield prev1
+    two_z = 2.0 * z
     L = 2
     while True:
-        prev2, prev1 = prev1, (2.0 * z * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
+        prev2, prev1 = prev1, (two_z * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
         yield prev1
         L += 1
 

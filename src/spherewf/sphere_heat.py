@@ -112,6 +112,12 @@ def _tail_bound_after(L0: int, t: float, D: float, k: int) -> float:
     r = 1.0
     for L in range(1, L0 + 2):
         r *= (k - 3.0 + L) / L
+    return _tail_from(L0, r, t, D, k)
+
+
+def _tail_from(L0: int, r: float, t: float, D: float, k: int) -> float:
+    """The k >= 3 tail bound beyond L0, given r = poch(k-2, L0+1)/(L0+1)! as
+    `_tail_bound_after` forms it (r *= (k-3+L)/L for L = 1 .. L0+1)."""
     b1 = _term_bound(L0 + 1, r, t, D, k)
     if b1 == 0.0:
         return 0.0
@@ -133,8 +139,8 @@ def _cutoff_scan(t: float, D: float, k: int, tol: float, cap: int = _HARD_CAP):
     when there is none.
 
     Depends only on its arguments, so it is memoised: every query at the
-    same (t, D, k, tol, cap) shares one O(L^2) scan (O(L) from L = 1 for
-    k = 2).
+    same (t, D, k, tol, cap) shares one O(L) scan, which carries the tail
+    bound's running product along (from L = 1 for k = 2).
     """
     stop = min(cap + 1, _HARD_CAP)
     if k == 2:
@@ -144,12 +150,14 @@ def _cutoff_scan(t: float, D: float, k: int, tol: float, cap: int = _HARD_CAP):
                 return L, tail, True
         return stop, math.inf, False
     r = 1.0  # poch(k-2, L)/L! at the running L
+    r_tail = 1.0  # the same at L + 1, rounded as _tail_bound_after rounds it
     b_cur = _term_bound(0, r, t, D, k)
     for L in range(stop):
         r_next = r * (k - 3.0 + L + 1.0) / (L + 1.0)
+        r_tail *= (k - 3.0 + (L + 1)) / (L + 1)
         b_next = _term_bound(L + 1, r_next, t, D, k)
         if b_cur > 0.0 and b_next / b_cur < 1.0:
-            tail = _tail_bound_after(L, t, D, k)
+            tail = _tail_from(L, r_tail, t, D, k)
             if tail < tol:
                 return L, tail, True
         elif b_next == 0.0:
@@ -172,13 +180,6 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
     return L, achieved
 
 
-def _kahan_add(total: np.ndarray, comp: np.ndarray, term: np.ndarray) -> None:
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
-
-
 def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
     """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
     the points x, up to the cutoff capped at trunc.max_terms, summed compensated
@@ -193,18 +194,23 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     converged = achieved and (L_needed <= trunc.max_terms)
     if not converged:
         tail = _tail_bound_after(L_cap, t, D, k)
-    even = np.ones_like(x)  # the L = 0 term is 1 in both kernels
-    odd = np.zeros_like(x)
-    even_c = np.zeros_like(x)
-    odd_c = np.zeros_like(x)
+    # per parity [sum, compensation, spare]; the Kahan step writes the new
+    # sum into the spare and swaps, so the loop allocates nothing
+    sums = ([np.ones_like(x), np.zeros_like(x), np.empty_like(x)],  # L = 0 adds 1
+            [np.zeros_like(x), np.zeros_like(x), np.empty_like(x)])
+    y = np.empty_like(x)
     for L, b in zip(range(1, L_cap + 1), basis):
         w = (math.exp(-D * L * L * t) if k == 2 else
              (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t))
-        if L % 2 == 0:
-            _kahan_add(even, even_c, b * w)
-        else:
-            _kahan_add(odd, odd_c, b * w)
-    return even, odd, L_cap + 1, tail, converged
+        acc = sums[L % 2]
+        total, comp, spare = acc
+        np.multiply(b, w, out=y)
+        np.subtract(y, comp, out=y)
+        np.add(total, y, out=spare)
+        np.subtract(spare, total, out=comp)
+        np.subtract(comp, y, out=comp)
+        acc[0], acc[2] = spare, total
+    return sums[0][0], sums[1][0], L_cap + 1, tail, converged
 
 
 def _kernel_value(even, odd, terms: int, tail: float, converged: bool) -> KernelValue:

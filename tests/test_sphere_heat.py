@@ -1,3 +1,4 @@
+import itertools
 import math
 from functools import partial
 
@@ -157,6 +158,14 @@ def test_kernel_value_float_conversion():
     assert float(res) == res.value
 
 
+def _kahan_add(total, comp, term):
+    # the series' compensated step as it was, with temporaries and in-place copies
+    y = term - comp
+    t = total + y
+    comp[...] = (t - total) - y
+    total[...] = t
+
+
 def _zonal_series_inline(dots, t, D, k, trunc):
     # zonal_series as it was with its own copy of the Gegenbauer recurrence
     dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
@@ -166,7 +175,7 @@ def _zonal_series_inline(dots, t, D, k, trunc):
     converged = achieved and (L_needed <= trunc.max_terms)
     if not converged:
         tail = sphere_heat._tail_bound_after(L_cap, t, D, k)
-    kahan_add = sphere_heat._kahan_add
+    kahan_add = _kahan_add
     even = np.ones_like(dots)
     odd = np.zeros_like(dots)
     even_c = np.zeros_like(dots)
@@ -204,7 +213,7 @@ def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
 def _circle_series_inline(angles, t, D, trunc):
     # circle_series as it was with its own truncation loop
     angles = np.asarray(angles, dtype=float)
-    kahan_add = sphere_heat._kahan_add
+    kahan_add = _kahan_add
     even = np.ones_like(angles)
     odd = np.zeros_like(angles)
     even_c = np.zeros_like(angles)
@@ -279,3 +288,65 @@ def test_tiny_diffusion_is_reported_as_not_converged():
     for even, odd, *rest in (circle_series(0.5, 0.5, 1e-20, SPHERE_TRUNCATION),
                              zonal_series(0.5, 0.5, 1e-20, 3, SPHERE_TRUNCATION)):
         assert rest == [SPHERE_TRUNCATION.max_terms + 1, math.inf, False]
+
+
+def _cutoff_scan_quadratic(t, D, k, tol, cap):
+    # the cutoff scan as it was: a fresh O(L) tail bound at every L
+    term_bound, tail_after = sphere_heat._term_bound, sphere_heat._tail_bound_after
+    stop = min(cap + 1, sphere_heat._HARD_CAP)
+    if k == 2:
+        for L in range(1, stop):
+            tail = tail_after(L, t, D, k)
+            if tail < tol:
+                return L, tail, True
+        return stop, math.inf, False
+    r = 1.0
+    b_cur = term_bound(0, r, t, D, k)
+    for L in range(stop):
+        r_next = r * (k - 3.0 + L + 1.0) / (L + 1.0)
+        b_next = term_bound(L + 1, r_next, t, D, k)
+        if b_cur > 0.0 and b_next / b_cur < 1.0:
+            tail = tail_after(L, t, D, k)
+            if tail < tol:
+                return L, tail, True
+        elif b_next == 0.0:
+            return L, 0.0, True
+        r, b_cur = r_next, b_next
+    return stop, math.inf, False
+
+
+def test_cutoff_scan_keeps_the_quadratic_scan_bytes():
+    grid = itertools.product((2, 3, 4, 7, 10), (T_MIN, 0.01, 0.1, 0.5, 8.0), (0.05, 0.125, 3.0),
+                             (1e-12, 1e-6, 1.0), (0, 1, 17, 400, 1300))
+    # tol = 1e-300 reaches the term bounds that underflow to a zero tail
+    zero_tail = itertools.product((2, 3, 10), (0.5, 8.0), (3.0,), (1e-300,), (400,))
+    outcomes = set()
+    for k, t, D, tol, cap in itertools.chain(grid, zero_tail):
+        got = sphere_heat._cutoff_scan.__wrapped__(t, D, k, tol, cap)
+        assert repr(got) == repr(_cutoff_scan_quadratic(t, D, k, tol, cap)), (k, t, D, tol, cap)
+        outcomes.add((got[2], got[1] == 0.0))
+    assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+@pytest.mark.parametrize("k", [3, 6])
+def test_cutoff_scan_is_linear_in_its_cutoff(monkeypatch, k):
+    # steps: one per term bound, and L0 + 1 per _tail_bound_after call (its
+    # product loop); at D t = 5e-5 the term ratio falls below 1 near L = 100
+    # and the cutoff lies past L = 700, so a fresh tail bound per L would
+    # take over 10^5 steps
+    steps = [0]
+
+    def counted(name, cost):
+        bound = getattr(sphere_heat, name)
+
+        def wrapper(L, *args):
+            steps[0] += cost(L)
+            return bound(L, *args)
+
+        monkeypatch.setattr(sphere_heat, name, wrapper)
+
+    counted("_term_bound", lambda L: 1)
+    counted("_tail_bound_after", lambda L: L + 1)
+    L, tail, achieved = sphere_heat._cutoff_scan.__wrapped__(0.5, 1e-4, k, 1e-12)
+    assert achieved and tail < 1e-12 and L > 700
+    assert steps[0] <= 3 * (L + 2), (L, steps[0])

@@ -52,3 +52,33 @@ def test_unreadable_input_exits_2(tmp_path):
     result = subprocess.run([sys.executable, str(COMPARE), str(tmp_path / "missing.jsonl")],
                             capture_output=True, text=True, timeout=60)
     assert result.returncode == 2
+
+
+DUMP = Path(__file__).resolve().parents[1] / "tools" / "density_values.py"
+
+
+def _dump(*args):
+    return subprocess.run([sys.executable, str(DUMP), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_density_dump_is_deterministic(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert _dump(a, "--tiny").returncode == 0
+    assert _dump(b, "--tiny").returncode == 0
+    lines = a.read_text().splitlines()
+    assert a.read_bytes() == b.read_bytes()
+    # k 2-3, two times, three floors, one pair each: three Griffiths eps and one pushforward
+    assert len(lines) == 2 * 2 * 3 * 4
+    assert all(": DensityValue(" in line for line in lines)
+    assert {line.split()[0] for line in lines} == {"griffiths", "pushforward"}
+    assert any("mode='resummed'" in line for line in lines)
+    assert _dump(b, "--tiny", "--seed", 5).returncode == 0
+    assert b.read_bytes() != a.read_bytes()
+
+
+def test_density_dump_usage_errors_exit_2(tmp_path):
+    assert _dump(tmp_path / "missing-dir" / "a.txt", "--tiny").returncode == 2
+    assert _dump(tmp_path / "a.txt", "--tiny", "--src", tmp_path).returncode == 2
+    assert _dump().returncode == 2
+    assert _dump(tmp_path / "a.txt", "--seed", "x").returncode == 2

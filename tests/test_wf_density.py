@@ -1,6 +1,7 @@
 import itertools
 import math
 
+import mpmath
 import numpy as np
 import pytest
 from scipy.stats import beta as beta_dist
@@ -459,7 +460,8 @@ def _log_xi_table_inline(log_xx, k, eps, n):
 
 #: 1/3 makes mu + m + n - 1.0 round differently from mu + (m + n) - 1.0
 SAME_BYTES_EPS = (0.05, 1.0 / 3.0, 0.5, 0.6, 1.7, 4.0)
-#: the row blocks a scan to 200 terms computes: 16, 32, 64, 128, then 200
+#: row ranges ending at each xi table size of a scan to 200 terms; a row's
+#: bytes do not depend on the range, so the scan's 16-row blocks match too
 SCAN_BLOCKS = ((1, 16), (17, 32), (33, 64), (65, 128), (129, 200))
 
 
@@ -552,3 +554,71 @@ def test_density_hooks_see_calls_cold_and_warm(monkeypatch):
             griffiths_density(GriffithsQuery(x, xp, 0.05, 0.5))
             pushforward_density(PushforwardQuery(x, xp, 0.05))
             assert counts["log_gamma"] > 0 and counts[series] > 0, (k, state, counts)
+
+
+# --- high-precision weights: the mpf-object loop's bytes -----------------------------
+
+def _hp_weights_mpf(t, k, eps, n_max):
+    """Oracle: the resummation weights on mpf objects, each term as the formula reads."""
+    with mpmath.workdps(wf_density._weights_dps(t, k, eps, n_max)):
+        mu = mpmath.mpf(k) * mpmath.mpf(eps)
+        tm = mpmath.mpf(t)
+        e = [mpmath.e ** (-(mpmath.mpf(n) * (n - 1) + mu * n) * tm / 2) for n in range(n_max + 1)]
+        inv_fact = [1 / mpmath.mpf(math.factorial(n)) for n in range(n_max + 1)]
+        out = np.empty(n_max + 1)
+        for m in range(n_max + 1):
+            total = e[0] if m == 0 else mpmath.mpf(0)
+            start = max(m, 1)
+            rising = mpmath.rf(mu + m, start - 1)
+            for n in range(start, n_max + 1):
+                term = (e[n] * (mu + 2 * n - 1) * inv_fact[n] * math.comb(n, m)) * rising
+                total += -term if (n - m) % 2 else term
+                rising *= mu + m + n - 1
+            out[m] = float(total)
+    return out
+
+
+def test_hp_weights_match_the_mpf_loop_bytes():
+    # every k meets every eps; t and n_max rotate so each value of both occurs
+    times, sizes = (0.02, 0.05, 0.1, 0.3), (16, 40, 72, 128, 24)
+    cases = [(times[(k + i) % 4], k, eps, sizes[(3 * k + i) % 5])
+             for k in range(2, 9) for i, eps in enumerate((1.0 / 3.0, 0.5, 1.7))]
+    assert {c[0] for c in cases} == set(times) and {c[3] for c in cases} == set(sizes)
+    for case in cases:
+        got = wf_density._hp_weights.__wrapped__(*case)
+        assert got.tobytes() == _hp_weights_mpf(*case).tobytes(), case
+
+
+def test_a_warm_pass_adds_no_cache_misses():
+    # 16-row blocks give each scan several _q_base keys; the set below makes
+    # 16 of its 64 entries, so a second pass must find all of them
+    rng = np.random.default_rng(24)
+    queries = []
+    for k in (2, 3, 4, 5):
+        x, xp = _seeded_pair(rng, k)
+        queries += [GriffithsQuery(x, xp, t, 0.5) for t in (0.05, 0.1, 0.5)]
+    caches = (wf_density._q_base, wf_density._xi_constants, wf_density._hp_weights)
+    for cache in caches:
+        cache.cache_clear()
+    first = [griffiths_density(q) for q in queries]
+    assert {v.mode for v in first} == {"direct", "resummed"}
+    misses = [cache.cache_info().misses for cache in caches]
+    assert [griffiths_density(q) for q in queries] == first
+    assert [cache.cache_info().misses for cache in caches] == misses
+
+
+# --- Griffiths normalization -----------------------------------------------------------
+
+@pytest.mark.parametrize("eps", [0.5, 1.7])
+@pytest.mark.parametrize("t", [0.05, 0.5])
+@pytest.mark.parametrize("x0", [0.3, 0.02])
+def test_griffiths_density_integrates_to_one_k2(eps, t, x0):
+    # x_1 = sin^2(theta) on (0, pi/2): dx_1 = sin(2 theta) dtheta absorbs the
+    # x^(eps-1) endpoint factors, and 64 Gauss-Legendre nodes do the rest
+    nodes, weights = np.polynomial.legendre.leggauss(64)
+    theta = 0.25 * math.pi * (nodes + 1.0)
+    xp = SimplexPoint([x0, 1.0 - x0])
+    values = [griffiths_density(GriffithsQuery(SimplexPoint([s, 1.0 - s]), xp, t, eps)).value
+              for s in np.sin(theta) ** 2]
+    integral = 0.25 * math.pi * float(np.dot(weights, np.asarray(values) * np.sin(2.0 * theta)))
+    assert abs(integral - 1.0) < 1e-8, integral
