@@ -20,12 +20,15 @@ eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 One function, `advance`, takes an Euler step, in place, of a
 coordinate-major (k, n) block of paths of any of the four models (row i
 holds coordinate i of every path, column r is path r): a model supplies
-only its drift, its noise amplitude and its boundary rule.  A single
-path (`simulate_path`) is a batch of one, an ensemble chunk a batch of
-up to ENSEMBLE_CHUNK, and the CLI's paths one batch whose columns draw
-from their own streams.  The callers make the block and the step's
-buffers once and turn the block into (n, k) rows only at the edges:
-`ensemble_final`'s states and the path records.
+only its drift, its noise amplitude and its boundary rule.  An ensemble
+chunk is a batch of up to ENSEMBLE_CHUNK, and the CLI's paths one batch
+whose columns draw from their own streams.  The callers make the block
+and the step's buffers once and turn the block into (n, k) rows only at
+the edges: `ensemble_final`'s states and the path records.  A single
+path (`simulate_path`, `simulate --paths 1`) steps on Python floats
+instead (`_step_path`): the same operations as `advance` on a (k, 1)
+block, in the same order, so the same bytes, without the ~20 numpy calls
+per step that cost a batch of one 21-28 us a step.
 
 Each element goes through the same IEEE operations as in the row-major
 (n, k) step this layout replaced: the drift expressions; g * y_j added
@@ -48,7 +51,9 @@ vectorized ensembles use one stream per fixed-size chunk of paths, key
 worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
 normals from one standard_normal call, pair-major: the n draws of pair
 (1, 0), then of (2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in
-row-major order).
+row-major order).  A single path takes the normals of _PATH_BLOCK steps
+from one draw_skew call: the same stream, in the same order, as one
+call per step.
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -343,6 +348,104 @@ def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | 
     return defect, np.flatnonzero(neg.any(axis=0))
 
 
+#: steps of one path whose normals one draw_skew call takes (`_step_path`):
+#: k(k-1)/2 * 256 draws, 6 KiB as an array at k = 3 and 90 KiB at k = 10,
+#: so memory stays bounded however long the path
+_PATH_BLOCK = 256
+
+
+def _step_path(model: Model, y: list[float], n_steps: int, dt: float, c: float,
+               eps: np.ndarray | None, rng: np.random.Generator,
+               record_stride: int) -> PathRecord:
+    """The record of one path from `y`, stepped n_steps times on Python floats.
+
+    Each step does what `advance` does to a (k, 1) block, operation for
+    operation and in the same order (see the module docstring), so every
+    state and defect keeps advance's bytes: numpy's + - * / and sqrt on
+    float64 round as Python's do, and the numpy calls that a (k, 1) block
+    makes per step are what cost the time.  The normals come from one
+    draw_skew call per _PATH_BLOCK steps: the (m, B) array it draws for B
+    paths holds, in flat order, the same stream as B one-step draws of m,
+    step after step, and n_steps steps take m * n_steps normals in all.
+    """
+    k = len(y)
+    sphere, neutral = model is Model.SPHERE, model is Model.WF_NEUTRAL
+    mutation = model is Model.WF_MUTATION
+    pairs = _pairs(k)
+    sqrt = math.sqrt
+    if sphere:
+        scale = (-c * c / 8.0) * (k - 1.0) * dt
+        amp = 0.5 * c
+    elif mutation:
+        eps_sum, eps = float(eps.sum()), eps.tolist()
+        amp = 1.0
+    else:
+        rate = 0.25 * c * c
+        amp = c
+    clamp_count = 0
+    defect_sum = defect_max = 0.0
+    times, states, defects, clamps = [0.0], [y], [0.0], [0]
+
+    for first in range(0, n_steps, _PATH_BLOCK):
+        size = min(_PATH_BLOCK, n_steps - first)
+        draws = iter(draw_skew(k, dt, rng, size, amp).ravel().tolist())
+        for step in range(first + 1, first + size + 1):
+            if sphere:
+                dy = [v * scale for v in y]
+                for (i, j), g in zip(pairs, draws):
+                    dy[i] += g * y[j]
+                    dy[j] -= g * y[i]
+                y = [v + d for v, d in zip(y, dy)]
+                # the even and the odd squares, each summed in order
+                even = odd = 0.0
+                for v in y[0::2]:
+                    even += v * v
+                for v in y[1::2]:
+                    odd += v * v
+                nrm2 = even + odd
+                root = sqrt(nrm2)
+                y = [v / root for v in y]
+                defect = abs(nrm2 - 1.0)
+            else:
+                if neutral:
+                    dy = [0.0] * k
+                elif mutation:
+                    dy = [((e - v * eps_sum) * 0.5) * dt for e, v in zip(eps, y)]
+                else:
+                    dy = [((1.0 - v * k) * rate) * dt for v in y]
+                for (i, j), g in zip(pairs, draws):
+                    r = sqrt(y[i] * y[j]) * g
+                    dy[i] += r
+                    dy[j] -= r
+                y = [v + d for v, d in zip(y, dy)]
+                total = 0.0
+                clamp = False
+                for v in y:
+                    total += v
+                    if v < 0.0:
+                        clamp = True
+                defect = abs(total - 1.0)
+                if clamp:
+                    y = [0.0 if v <= 0.0 else v for v in y]  # np.clip's -0.0 -> 0.0
+                    total = 0.0
+                    for v in y:
+                        total += v
+                    clamp_count += 1
+                y = [v / total for v in y]
+            defect_sum += defect
+            if defect > defect_max:
+                defect_max = defect
+            if step % record_stride == 0 or step == n_steps:
+                times.append(step * dt)
+                states.append(y)
+                defects.append(defect)
+                clamps.append(clamp_count)
+
+    return PathRecord(model, dt, np.array(times), np.array(states), np.array(defects),
+                      np.array(clamps, dtype=np.int64), defect_sum / n_steps, defect_max,
+                      n_steps)
+
+
 # --- paths ----------------------------------------------------------------
 
 @dataclass(frozen=True, eq=False)
@@ -395,17 +498,21 @@ def _step_count(who: str, T: float, dt: float, name: str) -> int:
 
 def simulate_path(model: Model, start, T: float, dt: float, params: ModelParams,
                   rng: np.random.Generator, record_stride: int = 1) -> PathRecord:
-    """Advance one path round(T/dt) steps, as a batch of one.
+    """Advance one path round(T/dt) steps, on Python floats (`_step_path`).
 
     Records the initial state and every record_stride-th step (the final
-    step is always recorded).  Deterministic given the generator state.
+    step is always recorded).  Deterministic given the generator state:
+    the record is the one that `advance` stepping a (k, 1) block, one
+    draw per step, gives, byte for byte, and the generator is left in the
+    same state.
     """
     return _simulate_paths(model, start, T, dt, params, [rng], record_stride)[0]
 
 
 def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParams,
                     rngs: list, record_stride: int) -> list[PathRecord]:
-    """The records of len(rngs) paths from `start`, stepped as one batch.
+    """The records of len(rngs) paths from `start`, stepped as one batch
+    (one path steps on Python floats, in `_step_path`).
 
     Row r draws from rngs[r] one step at a time, so its record is the one
     `simulate_path(..., rngs[r], record_stride)` gives, byte for byte.
@@ -419,7 +526,9 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
         raise ValueError("simulate_path: start dimension does not match params.k")
 
     n = len(rngs)
-    rng = rngs[0] if n == 1 else rngs  # a batch of one draws straight from its generator
+    if n == 1:
+        return [_step_path(model, point.coords.tolist(), n_steps, dt, params.c, params.epsilon,
+                           rngs[0], record_stride)]
     Y = np.repeat(point.coords[:, None], n, axis=1)  # (k, n): column r is path r
     work = _Work(params.k, n)
     # per row, as Python numbers: cheaper per step than numpy arrays of n
@@ -429,7 +538,7 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     times, states, defects, clamps = [0.0], [Y.T.copy()], [[0.0] * n], [clamp_counts]
 
     for step in range(1, n_steps + 1):
-        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng, work)
+        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rngs, work)
         if clamped.size:
             clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
             for r in clamped.tolist():

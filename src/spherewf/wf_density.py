@@ -95,6 +95,14 @@ _CONSECUTIVE_SMALL = 3
 _MAX_SIGN_K = 20
 
 
+def _check_epsilon(who: str, k: int, epsilon: float) -> None:
+    """Refuse an epsilon so small that mu = k*epsilon vanishes beside 1:
+    mu + m + n - 1 then rounds to 0 at m = 0, n = 1, where log_gamma has a pole."""
+    if k * epsilon + 1.0 == 1.0:
+        raise ValueError(f"{who}: epsilon = {epsilon!r} is too small: k*epsilon + 1 "
+                         f"rounds to 1 at k = {k}")
+
+
 @dataclass(frozen=True)
 class GriffithsQuery:
     """Expansion query with common mutation parameter epsilon > 0."""
@@ -112,6 +120,7 @@ class GriffithsQuery:
             raise ValueError("GriffithsQuery: epsilon must be > 0")
         if self.epsilon == math.inf:
             raise ValueError("GriffithsQuery: epsilon must be finite")
+        _check_epsilon("GriffithsQuery", self.x.k, self.epsilon)
         if not (self.t >= GRIFFITHS_T_MIN):  # NaN too
             raise ValueError(f"GriffithsQuery: t below supported floor {GRIFFITHS_T_MIN}")
         if not (self.x.is_interior() and self.x_prime.is_interior()):
@@ -302,16 +311,18 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
 
     Flags nothing by itself; see griffiths_density for the cancellation
     handling.  The value degrades once the alternating sum cancels more
-    than ~10 digits (large n, typical for small t).
+    than ~10 digits (large n, typical for small t).  An epsilon with
+    k*epsilon + 1 == 1 is refused (ValueError), as GriffithsQuery refuses it.
     """
     if n < 0:
         raise ValueError("q_n: n must be >= 0")
+    eps = float(epsilon)
+    _check_epsilon("q_n", x.k, eps)
     if n == 0:
         return 1.0
     xx = x.coords * x_prime.coords
     if xx.min() <= 0.0:
         raise ValueError("q_n: requires interior points")
-    eps = float(epsilon)
     values, _ = _q_rows(x.k * eps, _log_xi_table(np.log(xx), x.k, eps, n), n, n)
     return values[-1]
 

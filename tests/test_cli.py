@@ -105,6 +105,20 @@ def test_density_bad_series_settings_are_config_errors(tmp_path, capsys, kernel,
     assert not out.exists()
 
 
+def test_density_refuses_an_epsilon_too_small_to_form_mu(tmp_path, capsys):
+    # k*eps + 1 rounds to 1 at eps = 1e-20, k = 2: a config error that names
+    # epsilon, not a math domain error from inside the series
+    out = tmp_path / "o.csv"
+    base = ["density", "--kernel", "griffiths", "--x", "0.3,0.7", "--x-prime", "0.6,0.4",
+            "--t", "0.5", "--output", str(out)]
+    assert main(base + ["--epsilon", "1e-20"]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert "epsilon = 1e-20 is too small" in err and "domain" not in err
+    assert not out.exists()
+    assert main(base + ["--epsilon", "1e-16"]) == EXIT_OK
+    assert float(_read_csv(out)[2][0][4]) == pytest.approx(0.7472, abs=1e-4)
+
+
 def test_density_input_csv(tmp_path):
     src = tmp_path / "pairs.csv"
     src.write_text("0.5,0.3,0.2,0.25,0.35,0.4\n0.2,0.3,0.5,0.4,0.4,0.2\n")

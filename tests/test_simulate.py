@@ -251,6 +251,74 @@ def test_single_path_is_an_ensemble_of_one():
         assert rec.clamps[-1] == diag.clamp_fraction * rec.n_steps
 
 
+def _oracle_path(model, start, n_steps, dt, params, rng):
+    """Every step of one path as `advance` takes it on a (k, 1) block, one
+    draw per step: (states, defects, cumulative clamps), indexed by step."""
+    Y = start.coords.reshape(-1, 1).copy()
+    work = simulate._Work(start.k, 1)
+    states, defects, clamps = [Y[:, 0].copy()], [0.0], [0]
+    for _ in range(n_steps):
+        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng, work)
+        states.append(Y[:, 0].copy())
+        defects.append(float(d[0]))
+        clamps.append(clamps[-1] + clamped.size)
+    return np.array(states), np.array(defects), np.array(clamps, dtype=np.int64)
+
+
+def _boundary_start(model, k, rng):
+    """A Dirichlet(0.1) point, or on the sphere its square root with random signs."""
+    x = rng.dirichlet(np.full(k, 0.1))
+    if model is Model.SPHERE:
+        return SpherePoint(np.sqrt(x) * rng.choice((-1.0, 1.0), size=k))
+    return SimplexPoint(x)
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_single_path_keeps_the_bytes_of_a_batch_of_one(model):
+    # simulate_path steps on Python floats with its normals drawn in blocks
+    # of _PATH_BLOCK steps; advance on a (k, 1) block, one draw per step, is
+    # the oracle.  Strides 1, 7 and 64 (which divides only the block), step
+    # counts around the block, starts near the boundary (the simplex runs clamp)
+    rng = np.random.default_rng(52)
+    block = simulate._PATH_BLOCK
+    clamps = 0
+    for k in range(2, 11):
+        eps = tuple(rng.uniform(0.1, 2.0, k)) if model is Model.WF_MUTATION else None
+        params = ModelParams(k, 1.3, eps)
+        for n_steps in (1, block - 1, block, block + 1):
+            start = _boundary_start(model, k, rng)
+            seed = (53, k * 1000 + n_steps)
+            ref_gen = path_rng(*seed)
+            states, defects, steps_clamped = _oracle_path(model, start, n_steps, 1e-3, params,
+                                                          ref_gen)
+            mean_defect = 0.0
+            for d in defects[1:].tolist():
+                mean_defect += d
+            mean_defect /= n_steps
+            clamps += int(steps_clamped[-1])
+            for stride in (1, 7, 64):
+                gen = path_rng(*seed)
+                rec = simulate_path(model, start, n_steps * 1e-3, 1e-3, params, gen, stride)
+                kept = [0] + [s for s in range(1, n_steps + 1)
+                              if s % stride == 0 or s == n_steps]
+                where = (k, n_steps, stride)
+                assert rec.n_steps == n_steps, where
+                assert rec.times.tobytes() == np.array([s * 1e-3 for s in kept]).tobytes(), where
+                assert rec.states.tobytes() == states[kept].tobytes(), where
+                assert rec.defects.tobytes() == defects[kept].tobytes(), where
+                assert rec.clamps.tobytes() == steps_clamped[kept].tobytes(), where
+                for stat, value in ((rec.mean_defect, mean_defect),
+                                    (rec.max_defect, defects.max())):
+                    assert type(stat) is float, where
+                    assert np.float64(stat).tobytes() == np.float64(value).tobytes(), where
+                # the caller's generator is left where one draw per step leaves it
+                assert repr(gen.bit_generator.state) == repr(ref_gen.bit_generator.state), where
+                probe = path_rng(*seed)
+                probe.bit_generator.state = ref_gen.bit_generator.state
+                assert gen.standard_normal(5).tobytes() == probe.standard_normal(5).tobytes()
+    assert (clamps > 0) == (model is not Model.SPHERE)
+
+
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 def test_noise_forms_give_the_same_bytes(model, monkeypatch):
     # the matrix sum (small batches) and the pair loop (large ones) add the
@@ -413,14 +481,27 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     # on the generators of simulate.chunk_rng; both must keep working
     calls = []
     draw = simulate.draw_skew
-    monkeypatch.setattr(simulate, "draw_skew", lambda *a, **kw: calls.append(a) or draw(*a, **kw))
+
+    def hook(*args, **kwargs):
+        G = draw(*args, **kwargs)
+        calls.append(G.size)
+        return G
+
     params = ModelParams(4, 1.0, (0.3, 0.5, 0.7, 0.9))
     for model, start in ((Model.SPHERE, [0.5, 0.5, 0.5, 0.5]),
                          (Model.WF_MUTATION, [0.1, 0.2, 0.3, 0.4])):
+        ref = simulate_path(model, start, 0.3, 1e-3, params, path_rng(42))
         calls.clear()
-        rec = simulate_path(model, start, 0.02, 1e-3, params, path_rng(42))
-        assert len(calls) == rec.n_steps == 20
-    monkeypatch.undo()
+        monkeypatch.setattr(simulate, "draw_skew", hook)
+        rec = simulate_path(model, start, 0.3, 1e-3, params, _IntSizeRng(path_rng(42)))
+        monkeypatch.undo()
+        # a single path draws its steps' normals in blocks: the hooked calls
+        # draw every step's k(k-1)/2 normals, and the record keeps its bytes
+        assert rec.n_steps == 300 and len(calls) > 1
+        assert sum(calls) == rec.n_steps * 6
+        for name in ("times", "states", "defects", "clamps"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (rec.mean_defect, rec.max_defect) == (ref.mean_defect, ref.max_defect)
     kw = dict(t=5e-3, dt=1e-3, n_paths=ENSEMBLE_CHUNK + 3, seed=43, start=X3.coords,
               epsilon=(0.3, 0.5, 0.7), workers=1)
     ref, _ = ensemble_final(Model.WF_MUTATION, **kw)

@@ -82,3 +82,35 @@ def test_density_dump_usage_errors_exit_2(tmp_path):
     assert _dump(tmp_path / "a.txt", "--tiny", "--src", tmp_path).returncode == 2
     assert _dump().returncode == 2
     assert _dump(tmp_path / "a.txt", "--seed", "x").returncode == 2
+
+
+PATHS = Path(__file__).resolve().parents[1] / "tools" / "path_values.py"
+
+
+def _paths(*args):
+    return subprocess.run([sys.executable, str(PATHS), *map(str, args)],
+                          capture_output=True, text=True, timeout=120)
+
+
+def test_path_dump_is_deterministic(tmp_path):
+    a, b = tmp_path / "a.txt", tmp_path / "b.txt"
+    assert _paths(a, "--tiny").returncode == 0
+    assert _paths(b, "--tiny").returncode == 0
+    lines = a.read_text().splitlines()
+    assert a.read_bytes() == b.read_bytes()
+    # 4 models x k 2-3 x two starts x two strides, then 4 models x k 3 x two
+    # strides x --paths 1 and 3 through the CLI
+    records = [line for line in lines if line.startswith("path ")]
+    runs = [line for line in lines if line.startswith("cli ")]
+    assert (len(records), len(runs), len(lines)) == (32, 16, 48)
+    assert all(" states=" in line and " max_defect=" in line for line in records)
+    assert all(": exit=0 csv=" in line for line in runs)
+    assert _paths(b, "--tiny", "--seed", 5).returncode == 0
+    assert b.read_bytes() != a.read_bytes()
+
+
+def test_path_dump_usage_errors_exit_2(tmp_path):
+    assert _paths(tmp_path / "missing-dir" / "a.txt", "--tiny").returncode == 2
+    assert _paths(tmp_path / "a.txt", "--tiny", "--src", tmp_path).returncode == 2
+    assert _paths().returncode == 2
+    assert _paths(tmp_path / "a.txt", "--seed", "x").returncode == 2

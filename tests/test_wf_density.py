@@ -622,3 +622,47 @@ def test_griffiths_density_integrates_to_one_k2(eps, t, x0):
               for s in np.sin(theta) ** 2]
     integral = 0.25 * math.pi * float(np.dot(weights, np.asarray(values) * np.sin(2.0 * theta)))
     assert abs(integral - 1.0) < 1e-8, integral
+
+
+#: x' of the k = 3 normalization cases: an interior point and one near a face
+_NORM_K3_XP = ((0.2, 0.3, 0.5), (0.02, 0.49, 0.49))
+
+
+@pytest.mark.parametrize("eps", [0.5, 1.7])
+@pytest.mark.parametrize("t", [0.1, 0.5])
+@pytest.mark.parametrize("xp", _NORM_K3_XP, ids=["interior", "near-face"])
+def test_griffiths_density_integrates_to_one_k3(eps, t, xp):
+    # x = y^2 maps the uniform law on the positive octant of S^2 onto
+    # Dirichlet(1/2, 1/2, 1/2), so the integral of p over the simplex is the
+    # octant mean of p / Dirichlet(1/2); in spherical angles the normalized
+    # octant measure is (2/pi) sin(theta) dtheta dphi, and 40 Gauss-Legendre
+    # nodes per angle do the rest (measured |integral - 1| 1.3e-14 to 7.0e-10)
+    nodes, weights = np.polynomial.legendre.leggauss(40)
+    angle = 0.25 * math.pi * (nodes + 1.0)
+    w = 0.25 * math.pi * weights
+    query_xp = SimplexPoint(xp)
+    integral = 0.0
+    for theta, w_theta in zip(angle, w):
+        for phi, w_phi in zip(angle, w):
+            y = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
+                          math.cos(theta)])
+            p = griffiths_density(GriffithsQuery(SimplexPoint(y * y), query_xp, t, eps)).value
+            # Dirichlet(1/2)^3 density: prod(x)^(-1/2) / (2 pi)
+            integral += w_theta * w_phi * math.sin(theta) * p * 2.0 * math.pi * float(np.prod(y))
+    integral *= 2.0 / math.pi
+    assert abs(integral - 1.0) <= 1e-8, integral
+
+
+@pytest.mark.parametrize("k, eps", [(2, 1e-20), (2, 5e-17), (3, 3e-17), (8, 1e-17)])
+def test_epsilon_too_small_to_form_mu_is_refused(k, eps):
+    # k*eps + 1 rounds to 1: mu + m + n - 1 would round to 0 at m = 0, n = 1
+    x = SimplexPoint(np.full(k, 1.0 / k))
+    with pytest.raises(ValueError, match="epsilon = .* too small"):
+        GriffithsQuery(x, x, 0.5, eps)
+    for n in (0, 1, 3):
+        with pytest.raises(ValueError, match="epsilon = .* too small"):
+            q_n(n, x, x, eps)
+    # an epsilon that forms mu, if only just, is still evaluated
+    ok = 1.2e-16 / k
+    assert k * ok + 1.0 != 1.0
+    assert griffiths_density(GriffithsQuery(x, x, 0.5, ok)).value > 0.0

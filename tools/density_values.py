@@ -36,10 +36,10 @@ PAIRS = 3
 D = 0.125
 
 
-def _parse(argv):
-    p = argparse.ArgumentParser(description="dump DensityValue reprs on a fixed grid")
+def _parse(argv, description: str, seed: int):
+    p = argparse.ArgumentParser(description=description)
     p.add_argument("out", help="file to write")
-    p.add_argument("--seed", type=int, default=12)
+    p.add_argument("--seed", type=int, default=seed)
     p.add_argument("--tiny", action="store_true", help="small grid for smoke tests")
     p.add_argument("--src", default=str(Path(__file__).resolve().parents[1] / "src"),
                    help="source tree to import spherewf from")
@@ -78,8 +78,10 @@ def lines(seed: int, tiny: bool):
                 yield f"pushforward {where} D={D!r}: {value!r}"
 
 
-def main(argv: list[str]) -> int:
-    args = _parse(argv)
+def dump(argv: list[str], lines, description: str, seed: int) -> int:
+    """Write lines(seed, tiny) to OUT, one per line, with spherewf imported
+    from --src; the command line and exit codes of the module docstring."""
+    args = _parse(argv, description, seed)
     if not (Path(args.src) / "spherewf" / "__init__.py").is_file():
         print(f"error: no spherewf package under {args.src}", file=sys.stderr)
         return 2
@@ -92,6 +94,10 @@ def main(argv: list[str]) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 0
+
+
+def main(argv: list[str]) -> int:
+    return dump(argv, lines, "dump DensityValue reprs on a fixed grid", 12)
 
 
 if __name__ == "__main__":

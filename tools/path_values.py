@@ -1,0 +1,114 @@
+"""Write a digest of every single-path record on a fixed seeded grid, one per line.
+
+    python tools/path_values.py OUT [--seed N] [--tiny] [--src DIR]
+
+The grid covers `simulate_path` for the four models, k = 2..10, strides
+1 and 7, dt 1e-3 and 1e-4, from a seeded start in the interior and one
+near the boundary (Dirichlet(0.1) on the simplex, its square root with
+random signs on the sphere), 300 steps each.  A record's line gives the
+sha256 of each array field of its PathRecord (times, states, defects,
+clamps) and the repr of mean_defect, max_defect and n_steps.  The grid
+then runs CLI `simulate` with --paths 1 and --paths 3 for the four
+models at k = 2, 3, 5 and 8, strides 1 and 7, and gives each CSV's
+sha256.  So the files of two source trees agree under `cmp` only when
+every record and every CSV has the same bytes:
+
+    python tools/path_values.py a.txt --src ../parent/src
+    python tools/path_values.py b.txt
+    cmp a.txt b.txt
+
+--src picks the source tree whose `spherewf` is imported (default: the
+`src` next to this tool).  --tiny writes a small grid (k 2-3, dt 1e-3,
+20 steps) for smoke tests.  The command line and the exit codes are
+those of tools/density_values.py: 0 when the file is written, 2 on a
+usage error, an unwritable OUT or a --src without spherewf; a run that
+raises ends with its traceback (exit 1).
+"""
+
+from __future__ import annotations
+
+import hashlib
+import sys
+import tempfile
+from pathlib import Path
+
+import numpy as np
+from density_values import dump  # the shared command line: this tool's directory is on sys.path
+
+STRIDES = (1, 7)
+STEPS = 300
+DTS = (1e-3, 1e-4)
+CLI_KS = (2, 3, 5, 8)
+CLI_PATHS = (1, 3)
+
+
+def _sha(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+def _start(rng, sphere: bool, k: int, alpha: float) -> list[float]:
+    """A seeded Dirichlet(alpha) point, or on the sphere its signed square root."""
+    x = rng.dirichlet(np.full(k, alpha))
+    if sphere:
+        x = np.sqrt(x) * rng.choice((-1.0, 1.0), size=k)
+    return x.tolist()
+
+
+def lines(seed: int, tiny: bool):
+    """Yield one line per record, then one per CLI run, of the grid."""
+    from spherewf.cli import main
+    from spherewf.simulate import Model, path_rng, simulate_path
+    from spherewf.types import ModelParams
+
+    rng = np.random.default_rng(seed)
+    ks, dts, steps, cli_ks = ((2, 3), DTS[:1], 20, (3,)) if tiny else (
+        range(2, 11), DTS, STEPS, CLI_KS)
+    index = 0
+    for model in Model:
+        sphere = model is Model.SPHERE
+        for k in ks:
+            eps = rng.uniform(0.2, 1.5, size=k).tolist() if model is Model.WF_MUTATION else None
+            for where, alpha, c in (("interior", 1.0, 1.0), ("boundary", 0.1, 1.3)):
+                start = _start(rng, sphere, k, alpha)
+                params = ModelParams(k, c, eps)
+                for dt in dts:
+                    for stride in STRIDES:
+                        index += 1
+                        rec = simulate_path(model, start, steps * dt, dt, params,
+                                            path_rng(seed, index), stride)
+                        fields = " ".join(
+                            f"{name}={_sha(getattr(rec, name).tobytes())}"
+                            for name in ("times", "states", "defects", "clamps"))
+                        yield (f"path {model.value} k={k} {where} c={c!r} dt={dt!r} "
+                               f"stride={stride} seed={seed},{index}: {fields} "
+                               f"mean_defect={rec.mean_defect!r} "
+                               f"max_defect={rec.max_defect!r} n_steps={rec.n_steps!r}")
+    with tempfile.TemporaryDirectory() as tmp:
+        out = Path(tmp) / "paths.csv"
+        for model in Model:
+            for k in cli_ks:
+                start = _start(rng, model is Model.SPHERE, k, 0.1)
+                # --start=...: a value that begins with '-' would read as a flag
+                argv = ["simulate", "--model", model.value, "--k", str(k),
+                        "--start=" + ",".join(map(repr, start)),
+                        "--T", repr(steps * dts[0]), "--dt", repr(dts[0])]
+                if model is Model.WF_MUTATION:
+                    eps = rng.uniform(0.2, 1.5, size=k).tolist()
+                    argv += ["--epsilon", ",".join(map(repr, eps))]
+                else:
+                    argv += ["--c", "1.3"]
+                for stride in STRIDES:
+                    for paths in CLI_PATHS:
+                        run = argv + ["--record-stride", str(stride), "--paths", str(paths),
+                                      "--seed", str(seed), "--output", str(out)]
+                        code = main(run)
+                        yield (f"cli {' '.join(run[:-2])}: exit={code} "
+                               f"csv={_sha(out.read_bytes())}")
+
+
+def main(argv: list[str]) -> int:
+    return dump(argv, lines, "dump single-path record digests on a fixed grid", 13)
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))
