@@ -378,9 +378,10 @@ def _cmd_moran(args) -> int:
             raise ConfigError(f"moran: field 'events' must be >= 0, got {args.events}")
         events = args.events
     elif args.T is not None:
-        if not (0.0 <= args.T < math.inf):
-            raise ConfigError(f"moran: field 'T' must be finite and >= 0, got {args.T}")
-        events = int(round(args.T * moran_event_rate(state)))
+        events = args.T * moran_event_rate(state)  # simulate_moran bounds the count
+        if not (0.0 <= events < math.inf):
+            raise ConfigError(f"moran: field 'T' must give a finite count >= 0, got {args.T}")
+        events = int(round(events))
     else:
         raise ConfigError("moran: one of the fields 'events' or 'T' is required")
     rec = simulate_moran(state, events, path_rng(args.seed, 0), args.record_stride)

@@ -17,18 +17,20 @@ c = 1, (ii) its stationary law is Dirichlet(eps), and (iii) its
 eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 `wf_density`.
 
-One function, `advance`, takes an Euler step, in place, of a
-coordinate-major (k, n) block of paths of any of the four models (row i
-holds coordinate i of every path, column r is path r): a model supplies
-only its drift, its noise amplitude and its boundary rule.  An ensemble
-chunk is a batch of up to ENSEMBLE_CHUNK, and the CLI's paths one batch
-whose columns draw from their own streams.  The callers make the block
-and the step's buffers once and turn the block into (n, k) rows only at
-the edges: `ensemble_final`'s states and the path records.  A single
-path (`simulate_path`, `simulate --paths 1`) steps on Python floats
-instead (`_step_path`): the same operations as `advance` on a (k, 1)
-block, in the same order, so the same bytes, without the ~20 numpy calls
-per step that cost a batch of one 21-28 us a step.
+Every Euler loop draws a step's increments, then steps.  One
+function, `advance`, takes an Euler step, in place, of a coordinate-major
+(k, n) block of paths of any of the four models (row i holds coordinate
+i of every path, column r is path r) from the step's scaled increments:
+a model supplies only its drift, its boundary rule and, in
+`_noise_amplitude`, the scale of its increments.  An ensemble chunk is a
+batch of up to ENSEMBLE_CHUNK drawing from one stream, and the CLI's
+paths one batch whose columns draw from their own streams.  The callers
+make the block and the step's buffers once and turn the block into (n,
+k) rows only at the edges: `ensemble_final`'s states and the path
+records.  A single path (`simulate_path`, `simulate --paths 1`) steps on
+Python floats instead (`_step_path`): the same operations as `advance`
+on a (k, 1) block, in the same order, so the same bytes, without the ~20
+numpy calls per step that cost a batch of one 21-28 us a step.
 
 Each element goes through the same IEEE operations as in the row-major
 (n, k) step this layout replaced: the drift expressions; g * y_j added
@@ -51,9 +53,10 @@ vectorized ensembles use one stream per fixed-size chunk of paths, key
 worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
 normals from one standard_normal call, pair-major: the n draws of pair
 (1, 0), then of (2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in
-row-major order).  A single path takes the normals of _PATH_BLOCK steps
-from one draw_skew call: the same stream, in the same order, as one
-call per step.
+row-major order).  Each step of the CLI's batch of P paths takes row r's
+k(k-1)/2 normals from row r's own stream, in that pair order.  A single
+path takes the normals of _PATH_BLOCK steps from one draw_skew call: the
+same stream, in the same order, as one call per step.
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -148,28 +151,30 @@ def _pair_index(k: int) -> tuple[np.ndarray, np.ndarray]:
     return i.copy(), j.copy()
 
 
-def draw_skew(k: int, dt: float, rng: np.random.Generator | list, n: int = 1,
+def draw_skew(k: int, dt: float, rng: np.random.Generator, n: int = 1,
               scale: float = 1.0) -> np.ndarray:
     """One step's increments scale * db_ij for n independent paths.
 
     Returns a (k(k-1)/2, n) array of independent Normal(0, scale^2 dt)
     draws laid out pair-major: row p holds the pair (i, j) = _pairs(k)[p],
-    i > j, and db_ji = -db_ij.  `rng` is one generator, drawing the whole
-    array in a single standard_normal call, or a list of n generators,
-    column r then holding what a batch of one draws from rng[r].
+    i > j, and db_ji = -db_ij.  The whole array comes, in that order, from
+    one rng.standard_normal call with an int size.
     """
     if not (dt > 0.0):
         raise ValueError("draw_skew: dt must be > 0")
     m = k * (k - 1) // 2
-    if isinstance(rng, list):
-        G = np.empty((n, m))
-        for r, gen in enumerate(rng):
-            gen.standard_normal(out=G[r])
-        G = G.T
-    else:
-        G = rng.standard_normal(m * n).reshape(m, n)
+    G = rng.standard_normal(m * n).reshape(m, n)
     G *= scale * math.sqrt(dt)  # in place: a second (m, n) array costs page faults
     return G
+
+
+def _noise_amplitude(model: Model, c: float) -> float:
+    """The scale of a model's increments db_ij: c/2 on the sphere, 1 for the
+    mutation model (its time normalization, in the module docstring), c for
+    the other two."""
+    if model is Model.SPHERE:
+        return 0.5 * c
+    return 1.0 if model is Model.WF_MUTATION else c
 
 
 # --- the Euler step ---------------------------------------------------------
@@ -276,14 +281,16 @@ _NO_ROWS = np.empty(0, dtype=np.intp)
 
 
 def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
-            rng: np.random.Generator | list,
-            work: _Work | None = None) -> tuple[np.ndarray, np.ndarray]:
-    """One Euler step, in place, of each path of the (k, n) block Y.
+            G: np.ndarray, work: _Work | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """One Euler step, in place, of each path of the (k, n) block Y, from
+    the step's scaled increments G.
 
     Column r of Y is path r, so row i holds coordinate i of every path.
     `eps` is the mutation vector of Model.WF_MUTATION and is not read by
-    the other models.  `rng` is one generator for the whole block, or a
-    list of one per path (see `draw_skew`).  `work` holds the step's
+    the other models.  G holds the step's increments, column r for path
+    r, laid out as `draw_skew` returns them and scaled by the model's
+    amplitude (c/2 on the sphere, 1 for wf-mutation, c otherwise;
+    `_noise_amplitude`); it is only read.  `work` holds the step's
     buffers (made here when None); a caller stepping the same block many
     times makes it once, as `_Work(k, n)`.  Returns (defect per path,
     clamped paths): the defect is the pre-fix |norm(y)^2 - 1| on the sphere
@@ -301,25 +308,20 @@ def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | 
     dY = work.drift
     if sphere:
         np.multiply(Y, (-c * c / 8.0) * (k - 1.0) * dt, out=dY)
-        amp = 0.5 * c
     elif model is Model.WF_NEUTRAL:
         dY.fill(0.0)
-        amp = c
     elif model is Model.WF_MUTATION:
         # 0.5 * (eps - sum(eps) * Y) * dt
         np.multiply(Y, float(eps.sum()), out=dY)
         np.subtract(eps[:, None], dY, out=dY)
         dY *= 0.5
         dY *= dt
-        amp = 1.0
     else:
         # 0.25 * c * c * (1 - k Y) * dt
         np.multiply(Y, k, out=dY)
         np.subtract(1.0, dY, out=dY)
         dY *= 0.25 * c * c
         dY *= dt
-        amp = c
-    G = draw_skew(k, dt, rng, n, amp)
     noise = _noise_by_matrix if work.matrix else _noise_by_pairs
     Y += noise(sphere, Y, G, work)
     defect = work.defect
@@ -373,15 +375,13 @@ def _step_path(model: Model, y: list[float], n_steps: int, dt: float, c: float,
     mutation = model is Model.WF_MUTATION
     pairs = _pairs(k)
     sqrt = math.sqrt
+    amp = _noise_amplitude(model, c)
     if sphere:
         scale = (-c * c / 8.0) * (k - 1.0) * dt
-        amp = 0.5 * c
     elif mutation:
         eps_sum, eps = float(eps.sum()), eps.tolist()
-        amp = 1.0
     else:
         rate = 0.25 * c * c
-        amp = c
     clamp_count = 0
     defect_sum = defect_max = 0.0
     times, states, defects, clamps = [0.0], [y], [0.0], [0]
@@ -475,9 +475,10 @@ def _start_point(model: Model, start) -> SpherePoint | SimplexPoint:
     return start if isinstance(start, cls) else cls(start)
 
 
-#: the most Euler steps one run may take: at the measured microseconds per
-#: step a single path of this length already runs for hours, so a larger
-#: round(T/dt) is taken for a mistyped T or dt and refused
+#: the most Euler steps, or Moran events, one run may take: at the measured
+#: microseconds per step or event a single run of this length already takes
+#: hours, so a larger round(T/dt) or event count is taken for a mistyped
+#: input and refused before the first draw
 MAX_STEPS = 10**9
 
 
@@ -514,8 +515,10 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     """The records of len(rngs) paths from `start`, stepped as one batch
     (one path steps on Python floats, in `_step_path`).
 
-    Row r draws from rngs[r] one step at a time, so its record is the one
-    `simulate_path(..., rngs[r], record_stride)` gives, byte for byte.
+    Each step, path r draws its k(k-1)/2 normals from rngs[r], into row r
+    of one (n, m) buffer that is scaled as draw_skew scales its draws, so
+    its record is the one `simulate_path(..., rngs[r], record_stride)`
+    gives, byte for byte.
     """
     n_steps = _step_count("simulate_path", T, dt, "T")
     if record_stride < 1:
@@ -531,6 +534,8 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
                            rngs[0], record_stride)]
     Y = np.repeat(point.coords[:, None], n, axis=1)  # (k, n): column r is path r
     work = _Work(params.k, n)
+    draws = np.empty((n, params.k * (params.k - 1) // 2))  # row r: path r's draws
+    scale = _noise_amplitude(model, params.c) * math.sqrt(dt)
     # per row, as Python numbers: cheaper per step than numpy arrays of n
     clamp_counts = [0] * n
     defect_sums = [0.0] * n
@@ -538,7 +543,10 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     times, states, defects, clamps = [0.0], [Y.T.copy()], [[0.0] * n], [clamp_counts]
 
     for step in range(1, n_steps + 1):
-        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rngs, work)
+        for gen, row in zip(rngs, draws):
+            gen.standard_normal(out=row)
+        draws *= scale
+        d, clamped = advance(model, Y, dt, params.c, params.epsilon, draws.T, work)
         if clamped.size:
             clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
             for r in clamped.tolist():
@@ -626,14 +634,17 @@ def _run_chunk(model: Model, start: np.ndarray, n_steps: int, dt: float, c: floa
     """Advance `chunk` = (index, size) paths from `start` n_steps on chunk_rng(seed,
     index); returns (final (k, size) block, defect_sum, defect_max, clamp_events)."""
     index, size = chunk
+    k = len(start)
     Y = np.repeat(start[:, None], size, axis=1)
-    work = _Work(len(start), size)
+    work = _Work(k, size)
     rng = chunk_rng(seed, index)
+    amp = _noise_amplitude(model, c)
     defect_sum = 0.0
     defect_max = 0.0
     clamp_events = 0
     for _ in range(n_steps):
-        d, clamped = advance(model, Y, dt, c, eps, rng, work)
+        G = draw_skew(k, dt, rng, size, amp)
+        d, clamped = advance(model, Y, dt, c, eps, G, work)
         defect_sum += float(d.sum())
         defect_max = max(defect_max, float(d.max()))
         clamp_events += clamped.size
@@ -752,10 +763,12 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     1 - sum x_i^2.  Event ev uses row ev - 1 of the generator's uniforms
     in (events, 3) order: u1 picks the first particle (the first type a
     with u1 * N below the cumulative count), u2 the second among the other
-    N - 1, and u3 < 0.5 lets the first one win.
+    N - 1, and u3 < 0.5 lets the first one win.  A count of events below 0
+    or above MAX_STEPS is refused (ValueError).
     """
-    if events < 0:
-        raise ValueError("simulate_moran: events must be >= 0")
+    if not (0 <= events <= MAX_STEPS):
+        raise ValueError(f"simulate_moran: events = {events:.3g} is outside [0, MAX_STEPS = "
+                         f"{MAX_STEPS:.0e}]")
     if record_stride < 1:
         raise ValueError("simulate_moran: record_stride must be >= 1")
     counts = state.counts.tolist()

@@ -50,9 +50,11 @@ def log_gamma(x: float) -> float:
     return math.lgamma(x)
 
 
-def _clamp_z(z: float) -> float:
-    if abs(z) > 1.0 + _Z_SLACK:
-        raise ValueError(f"gegenbauer: |z| = {abs(z):.17g} exceeds 1")
+def _clamp_z(z: float, name: str) -> float:
+    """The dot product z clamped into [-1, 1], once |z| <= 1 + _Z_SLACK
+    (ValueError naming it otherwise, NaN too)."""
+    if not (abs(z) <= 1.0 + _Z_SLACK):
+        raise ValueError(f"{name} = {z!r} is not within {_Z_SLACK:g} of [-1, 1]")
     return max(-1.0, min(1.0, z))
 
 
@@ -74,13 +76,19 @@ def gegenbauer_terms(p: float, z):
         L += 1
 
 
+def _check_degree(who: str, L: int, p: float) -> None:
+    """The rule of C_L^p's parameters, for `who`: L >= 0 and p > 0 (ValueError
+    naming the argument)."""
+    if L < 0:
+        raise ValueError(f"{who}: L = {L!r} is not >= 0")
+    if not (p > 0.0):  # NaN too
+        raise ValueError(f"{who}: p = {p!r} is not > 0 (p = 0 is the circle case)")
+
+
 def gegenbauer(L: int, p: float, z: float) -> float:
     """C_L^p(z) by the three-term recurrence; requires L >= 0 and p > 0."""
-    if L < 0:
-        raise ValueError("gegenbauer: L must be >= 0")
-    if not (p > 0.0):
-        raise ValueError("gegenbauer: p must be > 0 (p = 0 is the circle case)")
-    return next(islice(gegenbauer_terms(p, _clamp_z(z)), L, None))
+    _check_degree("gegenbauer", L, p)
+    return next(islice(gegenbauer_terms(p, _clamp_z(z, "gegenbauer: z")), L, None))
 
 
 def gegenbauer_explicit(L: int, p: float, z: float) -> float:
@@ -92,15 +100,12 @@ def gegenbauer_explicit(L: int, p: float, z: float) -> float:
     denominator L! 2^(L//2) b^L.  The one rounding is the final int / int
     division, which Python rounds correctly.
     """
-    if L < 0:
-        raise ValueError("gegenbauer_explicit: L must be >= 0")
-    if not (p > 0.0):
-        raise ValueError("gegenbauer_explicit: p must be > 0")
+    _check_degree("gegenbauer_explicit", L, p)
     two_p = 2.0 * p
     if not two_p.is_integer():
         raise ValueError(f"gegenbauer_explicit: 2p = {two_p!r} is not a whole number")
     q = int(two_p)
-    a, b = _clamp_z(z).as_integer_ratio()
+    a, b = _clamp_z(z, "gegenbauer_explicit: z").as_integer_ratio()
     J = L // 2
     L_fact = math.factorial(L)
     numerator = 0
@@ -119,7 +124,7 @@ def generating_function_residual(p: float, z: float, h: float, L_max: int) -> fl
         raise ValueError("generating_function_residual: need |h| < 1")
     if not (p > 0.0):
         raise ValueError("generating_function_residual: p must be > 0")
-    z = _clamp_z(z)
+    z = _clamp_z(z, "generating_function_residual: z")
     target = (1.0 - 2.0 * z * h + h * h) ** (-p)
     terms = []
     hp = 1.0

@@ -30,7 +30,7 @@ from itertools import count
 
 import numpy as np
 
-from .specfun import gegenbauer_terms, sphere_surface_area
+from .specfun import _clamp_z, gegenbauer_terms, sphere_surface_area
 from .types import SpherePoint, Truncation
 
 __all__ = [
@@ -53,9 +53,18 @@ T_MIN = 1e-3
 SPHERE_TRUNCATION = Truncation(max_terms=5000, tol=1e-12)
 
 
+def _check_series(who: str, t: float, D: float) -> None:
+    """The series' floor, for `who`: t >= T_MIN and D > 0 (ValueError naming
+    the argument; NaN fails both)."""
+    if not (t >= T_MIN):
+        raise ValueError(f"{who}: t = {t:.3e} below the supported floor {T_MIN:.0e}")
+    if not (D > 0.0):
+        raise ValueError(f"{who}: D = {D!r} is not > 0")
+
+
 @dataclass(frozen=True)
 class SphereKernelQuery:
-    """Kernel evaluation request: from y_prime at time 0 to y at time t > 0."""
+    """Kernel evaluation request: from y_prime at time 0 to y at time t >= T_MIN."""
 
     y: SpherePoint
     y_prime: SpherePoint
@@ -66,10 +75,7 @@ class SphereKernelQuery:
     def __post_init__(self):
         if self.y.k != self.y_prime.k:
             raise ValueError("SphereKernelQuery: y and y_prime dimensions differ")
-        if not (self.t > 0.0):
-            raise ValueError("SphereKernelQuery: t must be > 0")
-        if not (self.D > 0.0):
-            raise ValueError("SphereKernelQuery: D must be > 0")
+        _check_series("SphereKernelQuery", self.t, self.D)
 
 
 @dataclass(frozen=True)
@@ -184,10 +190,7 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
     the points x, up to the cutoff capped at trunc.max_terms, summed compensated
     and split by parity.  Returns (even, odd, terms_used, tail_bound, converged)."""
-    if not (t >= T_MIN):  # NaN too
-        raise ValueError(f"t = {t:.3e} below the supported floor {T_MIN:.0e}")
-    if not (D > 0.0):  # NaN too
-        raise ValueError(f"D = {D!r} is not > 0")
+    _check_series("the sphere series", t, D)
     # the scan stops past max_terms: a longer cutoff is not converged anyway
     L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
     L_cap = min(L_needed, trunc.max_terms)
@@ -234,8 +237,12 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
 
 def zonal_kernel(dot: float, t: float, D: float, k: int,
                  trunc: Truncation = SPHERE_TRUNCATION) -> KernelValue:
-    """Kernel as a function of the dot product y.y' (k >= 3)."""
-    return _kernel_value(*zonal_series(np.asarray(dot, dtype=float), t, D, k, trunc))
+    """Kernel as a function of the dot product y.y' (k >= 3).
+
+    A dot within 1e-9 of [-1, 1] is clamped into it; one further out, or
+    NaN, is refused (ValueError).
+    """
+    return _kernel_value(*zonal_series(_clamp_z(dot, "zonal_kernel: dot"), t, D, k, trunc))
 
 
 def heat_kernel(q: SphereKernelQuery) -> KernelValue:
@@ -246,7 +253,7 @@ def heat_kernel(q: SphereKernelQuery) -> KernelValue:
     """
     k = q.y.k
     if k == 2:
-        angle = math.acos(max(-1.0, min(1.0, q.y.dot(q.y_prime))))
+        angle = math.acos(_clamp_z(q.y.dot(q.y_prime), "heat_kernel: y.y_prime"))
         return heat_kernel_circle(angle, q.t, q.D, q.trunc)
     return zonal_kernel(q.y.dot(q.y_prime), q.t, q.D, k, q.trunc)
 
@@ -263,8 +270,11 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
                        trunc: Truncation = SPHERE_TRUNCATION) -> KernelValue:
     """Circle (k = 2) kernel: 1 + 2*sum_{L>=1} cos(L*da) exp(-D*L^2*t).
 
-    Density with respect to the normalized arc measure d(da)/(2*pi).
+    Density with respect to the normalized arc measure d(da)/(2*pi).  A
+    non-finite angle is refused (ValueError).
     """
+    if not math.isfinite(angle_diff):
+        raise ValueError(f"heat_kernel_circle: angle_diff = {angle_diff!r} is not finite")
     return _kernel_value(*circle_series(angle_diff, t, D, trunc))
 
 

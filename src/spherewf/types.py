@@ -10,6 +10,7 @@ RENORMALIZE_TOL of it, so downstream evaluators can assume validity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,14 @@ def _as_vector(values, name: str) -> np.ndarray:
     if not np.all(np.isfinite(arr)):
         raise ValueError(f"{name}: coordinates must be finite")
     return arr
+
+
+def _whole(value, name: str) -> int:
+    """`value`, an integer or a float with no fractional part, as an int
+    (ValueError naming it otherwise)."""
+    if isinstance(value, numbers.Integral) or (isinstance(value, float) and value.is_integer()):
+        return int(value)
+    raise ValueError(f"{name} must be a whole number, got {value!r}")
 
 
 @dataclass(frozen=True, eq=False)
@@ -90,7 +99,8 @@ class SpherePoint:
 
 @dataclass(frozen=True, eq=False)
 class ModelParams:
-    """Model parameters: dimension k, noise scale c, mutation vector epsilon.
+    """Model parameters: dimension k (a whole number >= 2), noise scale c,
+    mutation vector epsilon.
 
     The diffusion constant of the associated sphere process is D = c**2/8.
     The mutation drift is M_i(x) = epsilon_i - mu*x_i with mu = sum(epsilon)
@@ -103,7 +113,7 @@ class ModelParams:
     epsilon: np.ndarray
 
     def __init__(self, k: int, c: float, epsilon=None):
-        k = int(k)
+        k = _whole(k, "ModelParams: k")
         if k < 2:
             raise ValueError("ModelParams: k must be >= 2")
         c = float(c)
@@ -126,14 +136,16 @@ class ModelParams:
 class Truncation:
     """Series truncation policy.
 
-    max_terms bounds any series loop; tol is the per-term / tail target.
-    Evaluators report whether tol was met.
+    max_terms, a whole number >= 1, bounds any series loop; tol is the
+    per-term / tail target.  Evaluators report whether tol was met.
     """
 
     max_terms: int = 200
     tol: float = 1e-10
 
     def __post_init__(self):
+        # the series loops count with max_terms, so it must be an int
+        object.__setattr__(self, "max_terms", _whole(self.max_terms, "Truncation: max_terms"))
         if self.max_terms < 1:
             raise ValueError("Truncation: max_terms must be >= 1")
         if not (self.tol > 0.0):

@@ -63,7 +63,7 @@ from mpmath.libmp import (fzero, mpf_add, mpf_mul, mpf_mul_int, mpf_sub,
                           round_nearest, to_float)
 
 from .specfun import log_gamma
-from .sphere_heat import T_MIN, circle_series, zonal_series
+from .sphere_heat import _check_series, circle_series, zonal_series
 from .types import SimplexPoint, Truncation
 
 __all__ = [
@@ -95,12 +95,29 @@ _CONSECUTIVE_SMALL = 3
 _MAX_SIGN_K = 20
 
 
-def _check_epsilon(who: str, k: int, epsilon: float) -> None:
-    """Refuse an epsilon so small that mu = k*epsilon vanishes beside 1:
-    mu + m + n - 1 then rounds to 0 at m = 0, n = 1, where log_gamma has a pole."""
-    if k * epsilon + 1.0 == 1.0:
+def _check_pair(who: str, x: SimplexPoint, x_prime: SimplexPoint) -> None:
+    """The rule of both kernels' points, for `who`: x and x_prime have the
+    same k and are interior points (ValueError naming them)."""
+    if x.k != x_prime.k:
+        raise ValueError(f"{who}: x and x_prime differ in dimension k ({x.k} and {x_prime.k})")
+    if not (x.is_interior() and x_prime.is_interior()):
+        raise ValueError(f"{who}: x and x_prime must be interior points (all coordinates > 0)")
+
+
+def _check_expansion(who: str, x: SimplexPoint, x_prime: SimplexPoint, epsilon) -> float:
+    """The rules of the expansion's parameters, for `who` (ValueError naming
+    the argument): the points' rule (`_check_pair`), and epsilon finite and
+    > 0 with k*epsilon + 1 != 1 (at a smaller epsilon mu + m + n - 1 rounds
+    to 0 at m = 0, n = 1, where log_gamma has a pole).  Returns epsilon as
+    a float."""
+    _check_pair(who, x, x_prime)
+    eps = float(epsilon)
+    if not (0.0 < eps < math.inf):  # NaN too
+        raise ValueError(f"{who}: epsilon must be finite and > 0, got {epsilon!r}")
+    if x.k * eps + 1.0 == 1.0:
         raise ValueError(f"{who}: epsilon = {epsilon!r} is too small: k*epsilon + 1 "
-                         f"rounds to 1 at k = {k}")
+                         f"rounds to 1 at k = {x.k}")
+    return eps
 
 
 @dataclass(frozen=True)
@@ -114,17 +131,9 @@ class GriffithsQuery:
     trunc: Truncation = WF_TRUNCATION
 
     def __post_init__(self):
-        if self.x.k != self.x_prime.k:
-            raise ValueError("GriffithsQuery: dimension mismatch")
-        if not (self.epsilon > 0.0):
-            raise ValueError("GriffithsQuery: epsilon must be > 0")
-        if self.epsilon == math.inf:
-            raise ValueError("GriffithsQuery: epsilon must be finite")
-        _check_epsilon("GriffithsQuery", self.x.k, self.epsilon)
+        _check_expansion("GriffithsQuery", self.x, self.x_prime, self.epsilon)
         if not (self.t >= GRIFFITHS_T_MIN):  # NaN too
             raise ValueError(f"GriffithsQuery: t below supported floor {GRIFFITHS_T_MIN}")
-        if not (self.x.is_interior() and self.x_prime.is_interior()):
-            raise ValueError("GriffithsQuery: expansion requires interior points (all x_j > 0)")
 
 
 @dataclass(frozen=True)
@@ -138,16 +147,11 @@ class PushforwardQuery:
     trunc: Truncation = WF_TRUNCATION
 
     def __post_init__(self):
-        if self.x.k != self.x_prime.k:
-            raise ValueError("PushforwardQuery: dimension mismatch")
-        if not (self.D > 0.0):
-            raise ValueError("PushforwardQuery: D must be > 0")
-        if not (self.t >= T_MIN):  # NaN too
-            raise ValueError(f"PushforwardQuery: t below supported floor {T_MIN}")
+        # interior points: the prefactor diverges on the boundary
+        _check_pair("PushforwardQuery", self.x, self.x_prime)
+        _check_series("PushforwardQuery", self.t, self.D)
         if self.x.k > _MAX_SIGN_K:
             raise ValueError(f"PushforwardQuery: k > {_MAX_SIGN_K} not supported (2^k sign sum)")
-        if not (self.x.is_interior() and self.x_prime.is_interior()):
-            raise ValueError("PushforwardQuery: prefactor diverges at boundary points")
 
 
 @dataclass(frozen=True)
@@ -246,17 +250,14 @@ def _log_xi_table(log_xx: np.ndarray, k: int, eps: float, n: int) -> np.ndarray:
 
 
 def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
-    """xi_m of the expansion: the coefficient of the series product at degree m."""
+    """xi_m of the expansion: the coefficient of the series product at degree m.
+
+    The parameters are checked as GriffithsQuery checks them (ValueError).
+    """
     if m < 0:
         raise ValueError("xi_m: m must be >= 0")
-    if not (epsilon > 0.0):
-        raise ValueError("xi_m: epsilon must be > 0")
-    if x.k != x_prime.k:
-        raise ValueError("xi_m: dimension mismatch")
-    xx = x.coords * x_prime.coords
-    if xx.min() <= 0.0:
-        raise ValueError("xi_m: requires interior points")
-    return math.exp(_log_xi_table(np.log(xx), x.k, float(epsilon), m)[m])
+    eps = _check_expansion("xi_m", x, x_prime, epsilon)
+    return math.exp(_log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, m)[m])
 
 
 #: The scan computes Q_n in fixed blocks of this many rows (1-16, 17-32, ...),
@@ -311,19 +312,16 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
 
     Flags nothing by itself; see griffiths_density for the cancellation
     handling.  The value degrades once the alternating sum cancels more
-    than ~10 digits (large n, typical for small t).  An epsilon with
-    k*epsilon + 1 == 1 is refused (ValueError), as GriffithsQuery refuses it.
+    than ~10 digits (large n, typical for small t).  The parameters are
+    checked as GriffithsQuery checks them (ValueError), at n = 0 too.
     """
     if n < 0:
         raise ValueError("q_n: n must be >= 0")
-    eps = float(epsilon)
-    _check_epsilon("q_n", x.k, eps)
+    eps = _check_expansion("q_n", x, x_prime, epsilon)
     if n == 0:
         return 1.0
-    xx = x.coords * x_prime.coords
-    if xx.min() <= 0.0:
-        raise ValueError("q_n: requires interior points")
-    values, _ = _q_rows(x.k * eps, _log_xi_table(np.log(xx), x.k, eps, n), n, n)
+    log_xi = _log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, n)
+    values, _ = _q_rows(x.k * eps, log_xi, n, n)
     return values[-1]
 
 

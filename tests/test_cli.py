@@ -338,6 +338,9 @@ def test_moran_needs_events_or_time(capsys):
     (["--counts", "50,50", "--k", "3", "--events", "10"], "'k'"),
     (["--counts", "50,50", "--lam", "inf", "--events", "10"], "lam"),
     (["--N", "10", "--events", "3", "--T", "50"], "'events' and 'T'"),
+    (["--N", "100", "--T", "1e300"], "events = 2.48e+301 is outside [0, MAX_STEPS"),
+    (["--N", "100", "--events", "1000000001"], "MAX_STEPS = 1e+09"),
+    (["--N", "100", "--T", "1e308"], "'T'"),  # T * rate overflows to inf
 ])
 def test_moran_rejects_bad_input(tmp_path, capsys, flags, field):
     out = tmp_path / "m.csv"

@@ -48,10 +48,15 @@ class _IntSizeRng:
         return self._gen.standard_normal(size)
 
 
+def _draw(model, k, dt, c, rng, n=1):
+    """One step's increments of n paths of `model`, as the simulators draw them."""
+    return draw_skew(k, dt, rng, n, simulate._noise_amplitude(model, c))
+
+
 def _step(model, x, dt, c, rng, eps=None):
     """One advance of a single point; returns (new point, defect, clamped)."""
     Y = np.array(x, dtype=float).reshape(-1, 1)  # a (k, 1) block
-    d, clamped = advance(model, Y, dt, c, eps, rng)
+    d, clamped = advance(model, Y, dt, c, eps, _draw(model, len(Y), dt, c, rng))
     return Y[:, 0], float(d[0]), bool(clamped.size)
 
 
@@ -221,6 +226,11 @@ def test_step_count_is_bounded():
     for T in ((simulate.MAX_STEPS + 1) * 0.5, 1e300):
         with pytest.raises(ValueError, match="exceeds MAX_STEPS"):
             simulate_path(Model.SPHERE, [0.0, 0.0, 1.0], T, 0.5, params, path_rng(13))
+    # so is a Moran run with more events, before its first draw (from no generator)
+    state = MoranState([50, 50], 1.0)
+    for events in (simulate.MAX_STEPS + 1, 10**12):
+        with pytest.raises(ValueError, match=r"events = .* is outside \[0, MAX_STEPS"):
+            simulate_moran(state, events, None)
 
 
 def test_simulate_path_records_diagnostics():
@@ -258,7 +268,8 @@ def _oracle_path(model, start, n_steps, dt, params, rng):
     work = simulate._Work(start.k, 1)
     states, defects, clamps = [Y[:, 0].copy()], [0.0], [0]
     for _ in range(n_steps):
-        d, clamped = advance(model, Y, dt, params.c, params.epsilon, rng, work)
+        G = _draw(model, start.k, dt, params.c, rng)
+        d, clamped = advance(model, Y, dt, params.c, params.epsilon, G, work)
         states.append(Y[:, 0].copy())
         defects.append(float(d[0]))
         clamps.append(clamps[-1] + clamped.size)
@@ -333,7 +344,8 @@ def test_noise_forms_give_the_same_bytes(model, monkeypatch):
             for _ in _noise_forms(monkeypatch, n):  # all matrix, then all pairs
                 gen, Y, steps = path_rng(41, k), Y0.copy(), []
                 for _ in range(20):
-                    d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen)
+                    G = _draw(model, k, 1e-2, 1.3, gen, n)
+                    d, clamped = advance(model, Y, 1e-2, 1.3, eps, G)
                     steps.append((Y.tobytes(), d.tobytes(), clamped.tolist()))
                 out.append(steps)
             assert out[0] == out[1], (k, n)
@@ -428,7 +440,8 @@ def test_step_keeps_the_row_major_bytes(model):
             work = simulate._Work(k, n)
             for step in range(20):
                 ref, ref_d, ref_clamped = _oracle_advance(model, ref, 1e-2, 1.3, eps, ref_gen)
-                d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen, work)
+                G = _draw(model, k, 1e-2, 1.3, gen, n)
+                d, clamped = advance(model, Y, 1e-2, 1.3, eps, G, work)
                 assert Y.T.tobytes() == ref.tobytes(), (k, n, step)
                 assert d.tobytes() == ref_d.tobytes(), (k, n, step)
                 assert clamped.tolist() == ref_clamped.tolist(), (k, n, step)
@@ -450,7 +463,8 @@ def test_step_moves_by_roundoff_from_k8(model):
             for step in range(20):
                 Y = np.ascontiguousarray(ref.T)
                 ref, ref_d, ref_clamped = _oracle_advance(model, ref, 1e-2, 1.3, eps, ref_gen)
-                d, clamped = advance(model, Y, 1e-2, 1.3, eps, gen)
+                G = _draw(model, k, 1e-2, 1.3, gen, n)
+                d, clamped = advance(model, Y, 1e-2, 1.3, eps, G)
                 assert np.abs(Y.T - ref).max() <= 4 * np.finfo(float).eps, (k, n, step)
                 assert np.abs(d - ref_d).max() <= 4 * np.finfo(float).eps, (k, n, step)
                 assert clamped.tolist() == ref_clamped.tolist(), (k, n, step)

@@ -39,6 +39,12 @@ def test_gegenbauer_input_validation():
         gegenbauer_explicit(2, -1.0, 0.5)
     with pytest.raises(ValueError, match="whole number"):
         gegenbauer_explicit(2, 0.77, 0.5)  # only half-integer p
+    # NaN was clamped to z = 1: gegenbauer(3, 1.0, nan) gave C_3^1(1) = 4
+    for f in (gegenbauer, gegenbauer_explicit):
+        with pytest.raises(ValueError, match=f"{f.__name__}: z = nan"):
+            f(3, 1.0, math.nan)
+    with pytest.raises(ValueError, match="generating_function_residual: z = nan"):
+        generating_function_residual(1.0, math.nan, 0.5, 10)
 
 
 def test_recurrence_matches_explicit_sum_on_grid():

@@ -105,6 +105,9 @@ def test_time_floor_enforced():
         zonal_kernel(0.5, math.nan, 0.125, 3)
     with pytest.raises(ValueError, match="floor"):
         heat_kernel_circle(0.3, math.nan, 0.125)
+    # a query below the floor is refused when it is made, not when evaluated
+    with pytest.raises(ValueError, match="SphereKernelQuery: t = .* floor"):
+        SphereKernelQuery(y, y, 1e-4, 0.125)
 
 
 def test_non_convergence_reported_when_capped():
@@ -262,6 +265,29 @@ def test_kernels_refuse_a_non_positive_diffusion_constant(D):
         zonal_series(np.array([0.3, -0.2]), 0.5, D, 4, SPHERE_TRUNCATION)
     with pytest.raises(ValueError, match="D = "):
         heat_kernel_circle(0.3, 0.5, D)
+    y = SpherePoint([1.0, 0.0, 0.0])
+    with pytest.raises(ValueError, match="SphereKernelQuery: D = "):
+        SphereKernelQuery(y, y, 0.5, D)
+
+
+@pytest.mark.parametrize("dot", [1.5, -1.5, 1.0 + 1e-8, math.nan, math.inf])
+def test_zonal_kernel_refuses_a_dot_product_off_the_sphere(dot):
+    # 1.5 used to give the value at 1, and NaN a NaN with converged=True
+    with pytest.raises(ValueError, match="zonal_kernel: dot = "):
+        zonal_kernel(dot, 0.5, 0.125, 3)
+
+
+def test_zonal_kernel_clamps_a_dot_product_rounded_past_one():
+    for edge in (1.0, -1.0):
+        ref = zonal_kernel(edge, 0.5, 0.125, 3)
+        assert zonal_kernel(edge * (1.0 + 1e-12), 0.5, 0.125, 3) == ref
+
+
+@pytest.mark.parametrize("angle", [math.inf, -math.inf, math.nan])
+def test_circle_kernel_refuses_a_non_finite_angle(angle):
+    # inf used to give NaN with converged=True
+    with pytest.raises(ValueError, match="heat_kernel_circle: angle_diff = "):
+        heat_kernel_circle(angle, 0.5, 0.125)
 
 
 @pytest.mark.parametrize("k", [2, 3, 5])

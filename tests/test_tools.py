@@ -114,3 +114,21 @@ def test_path_dump_usage_errors_exit_2(tmp_path):
     assert _paths(tmp_path / "a.txt", "--tiny", "--src", tmp_path).returncode == 2
     assert _paths().returncode == 2
     assert _paths(tmp_path / "a.txt", "--seed", "x").returncode == 2
+
+
+def test_path_dump_digests_every_ensemble_shape(monkeypatch):
+    # 4 models x k 2, 3, 5, 8 x n_paths 1, 16, 300 and ENSEMBLE_CHUNK + 3
+    # (the last in two chunks); the simplex ensembles near the boundary clamp
+    monkeypatch.syspath_prepend(str(PATHS.parent))
+    import path_values
+
+    from spherewf.simulate import ENSEMBLE_CHUNK
+
+    lines = list(path_values.ensemble_lines(5))
+    assert len(lines) == len(set(lines)) == 4 * 4 * 4
+    fields = ("finals=", "mean_defect=", "max_defect=", "max_presum_defect=",
+              "clamp_fraction=", "n_steps=50")
+    assert all(line.startswith("ensemble ") and all(f" {f}" in line for f in fields)
+               for line in lines)
+    assert sum(f" n_paths={ENSEMBLE_CHUNK + 3} " in line for line in lines) == 16
+    assert any("wf-neutral" in line and "clamp_fraction=0.0 " not in line for line in lines)

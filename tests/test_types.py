@@ -104,3 +104,17 @@ def test_truncation_validation():
         Truncation(10, 0.0)
     with pytest.raises(ValueError, match="finite"):
         Truncation(10, math.inf)
+
+
+@pytest.mark.parametrize("bad", [2.5, np.float64(3.5), math.nan, math.inf, "3", None])
+def test_counts_must_be_whole_numbers(bad):
+    # k and max_terms count loop passes: 2.5 was truncated to k = 2, and a
+    # max_terms of 2.5 failed inside the series with a TypeError
+    with pytest.raises(ValueError, match="ModelParams: k must be a whole number"):
+        ModelParams(bad, 1.0)
+    with pytest.raises(ValueError, match="Truncation: max_terms must be a whole number"):
+        Truncation(max_terms=bad)
+    for whole in (3, np.int64(3), np.int32(3), 3.0):
+        assert ModelParams(whole, 1.0).k == 3 and type(ModelParams(whole, 1.0).k) is int
+        assert Truncation(max_terms=whole).max_terms == 3
+        assert type(Truncation(max_terms=whole).max_terms) is int

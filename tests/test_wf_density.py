@@ -1,5 +1,6 @@
 import itertools
 import math
+from functools import partial
 
 import mpmath
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 from scipy.stats import beta as beta_dist
 
 from spherewf import sphere_heat, wf_density
+from spherewf.specfun import sphere_surface_area
 from spherewf.sphere_heat import heat_kernel_circle
 from spherewf.types import SimplexPoint, Truncation
 from spherewf.wf_density import (
@@ -268,6 +270,34 @@ def test_griffiths_validation():
         GriffithsQuery(X3, X3B, 0.5, math.nan)
     with pytest.raises(ValueError):
         GriffithsQuery(SimplexPoint([0.0, 0.4, 0.6]), X3B, 0.5, 0.5)
+
+
+_EXPANSION_ENTRIES = {
+    "GriffithsQuery": lambda x, xp, eps: GriffithsQuery(x, xp, 0.5, eps),
+    "xi_m": partial(xi_m, 3),
+    "q_n": partial(q_n, 3),
+    "q_n at n = 0": partial(q_n, 0),
+}
+
+
+@pytest.mark.parametrize("entry", list(_EXPANSION_ENTRIES))
+@pytest.mark.parametrize("x, xp, eps, message", [
+    (X3, X3B, -0.5, "epsilon must be finite and > 0"),
+    (X3, X3B, 0.0, "epsilon must be finite and > 0"),
+    (X3, X3B, math.inf, "epsilon must be finite and > 0"),
+    (X3, X3B, math.nan, "epsilon must be finite and > 0"),
+    (X3, X3B, 1e-20, "epsilon = .* too small"),
+    (X3, X4B, 0.5, "x and x_prime differ in dimension k"),
+    (SimplexPoint([0.0, 0.4, 0.6]), X3B, 0.5, "x and x_prime must be interior points"),
+    (X3, SimplexPoint([0.4, 0.6, 0.0]), 0.5, "x and x_prime must be interior points"),
+], ids=["eps-negative", "eps-zero", "eps-inf", "eps-nan", "eps-tiny", "k-mismatch",
+        "x-boundary", "x_prime-boundary"])
+def test_expansion_parameters_are_refused_alike(entry, x, xp, eps, message):
+    # q_n returned -0.2351 at eps = -0.5, q_n and xi_m NaN at eps = inf, a
+    # mismatched k failed in numpy broadcasting, and q_n(0, ...) was 1.0 for any pair
+    who = entry.split()[0]
+    with pytest.raises(ValueError, match=f"{who}: {message}"):
+        _EXPANSION_ENTRIES[entry](x, xp, eps)
 
 
 def test_griffiths_nonconvergence_flagged():
@@ -626,31 +656,51 @@ def test_griffiths_density_integrates_to_one_k2(eps, t, x0):
 
 #: x' of the k = 3 normalization cases: an interior point and one near a face
 _NORM_K3_XP = ((0.2, 0.3, 0.5), (0.02, 0.49, 0.49))
+#: Gauss-Legendre nodes per angle and the bound on |integral - 1|, per k
+_NORM_RULE = {3: (40, 1e-8), 4: (16, 2e-6)}
 
 
-@pytest.mark.parametrize("eps", [0.5, 1.7])
-@pytest.mark.parametrize("t", [0.1, 0.5])
-@pytest.mark.parametrize("xp", _NORM_K3_XP, ids=["interior", "near-face"])
-def test_griffiths_density_integrates_to_one_k3(eps, t, xp):
-    # x = y^2 maps the uniform law on the positive octant of S^2 onto
-    # Dirichlet(1/2, 1/2, 1/2), so the integral of p over the simplex is the
-    # octant mean of p / Dirichlet(1/2); in spherical angles the normalized
-    # octant measure is (2/pi) sin(theta) dtheta dphi, and 40 Gauss-Legendre
-    # nodes per angle do the rest (measured |integral - 1| 1.3e-14 to 7.0e-10)
-    nodes, weights = np.polynomial.legendre.leggauss(40)
+def _orthant_point(angles):
+    """The point of S^(k-1), k = len(angles) + 1, at hyperspherical angles
+    (a_1, ..., a_{k-1}) in (0, pi/2), and the density of the surface measure
+    there: y = (sin a_1 * y'(a_2, ...), cos a_1) with y'(a) = (cos a, sin a)."""
+    y, weight = np.array([math.cos(angles[-1]), math.sin(angles[-1])]), 1.0
+    for a in reversed(angles[:-1]):
+        weight *= math.sin(a) ** (len(y) - 1)
+        y = np.append(math.sin(a) * y, math.cos(a))
+    return y, weight
+
+
+@pytest.mark.parametrize("xp, t, eps", [
+    *(pytest.param(xp, t, eps, id=f"{where}-{t}-{eps}")
+      for where, xp in zip(("interior", "near-face"), _NORM_K3_XP)
+      for t in (0.1, 0.5) for eps in (0.5, 1.7)),
+    pytest.param((0.1, 0.2, 0.3, 0.4), 0.1, 0.5, id="k4-0.1-0.5"),
+    pytest.param((0.1, 0.2, 0.3, 0.4), 0.5, 1.7, id="k4-0.5-1.7"),
+])
+def test_griffiths_density_integrates_to_one_k3(xp, t, eps):
+    # x = y^2 maps the uniform law on the positive orthant of S^(k-1) onto
+    # Dirichlet(1/2, ..., 1/2), so the integral of p over the simplex is the
+    # orthant mean of p / Dirichlet(1/2); in hyperspherical angles the
+    # normalized orthant measure is sin(theta) dtheta dphi / (pi/2) at k = 3
+    # and sin^2(a) sin(b) da db dc / (pi^2/8) at k = 4, and Gauss-Legendre
+    # nodes per angle do the rest (measured |integral - 1| 1.3e-14 to 7.0e-10
+    # at k = 3 on 40 nodes, 1.1e-7 and 2.0e-7 at k = 4 on 16)
+    k = len(xp)
+    n_nodes, bound = _NORM_RULE[k]
+    nodes, weights = np.polynomial.legendre.leggauss(n_nodes)
     angle = 0.25 * math.pi * (nodes + 1.0)
     w = 0.25 * math.pi * weights
     query_xp = SimplexPoint(xp)
+    # Dirichlet(1/2)^k density: Gamma(k/2) / pi^(k/2) / prod(y)
+    dirichlet = math.gamma(0.5 * k) / math.pi ** (0.5 * k)
     integral = 0.0
-    for theta, w_theta in zip(angle, w):
-        for phi, w_phi in zip(angle, w):
-            y = np.array([math.sin(theta) * math.cos(phi), math.sin(theta) * math.sin(phi),
-                          math.cos(theta)])
-            p = griffiths_density(GriffithsQuery(SimplexPoint(y * y), query_xp, t, eps)).value
-            # Dirichlet(1/2)^3 density: prod(x)^(-1/2) / (2 pi)
-            integral += w_theta * w_phi * math.sin(theta) * p * 2.0 * math.pi * float(np.prod(y))
-    integral *= 2.0 / math.pi
-    assert abs(integral - 1.0) <= 1e-8, integral
+    for cell in itertools.product(range(n_nodes), repeat=k - 1):
+        y, density = _orthant_point(angle[list(cell)])
+        p = griffiths_density(GriffithsQuery(SimplexPoint(y * y), query_xp, t, eps)).value
+        integral += math.prod(w[list(cell)]) * density * p * float(np.prod(y)) / dirichlet
+    integral /= sphere_surface_area(k) / 2 ** k  # the orthant's area
+    assert abs(integral - 1.0) <= bound, integral
 
 
 @pytest.mark.parametrize("k, eps", [(2, 1e-20), (2, 5e-17), (3, 3e-17), (8, 1e-17)])

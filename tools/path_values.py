@@ -1,4 +1,4 @@
-"""Write a digest of every single-path record on a fixed seeded grid, one per line.
+"""Write a digest of each path record and ensemble of a seeded grid, one per line.
 
     python tools/path_values.py OUT [--seed N] [--tiny] [--src DIR]
 
@@ -9,9 +9,15 @@ random signs on the sphere), 300 steps each.  A record's line gives the
 sha256 of each array field of its PathRecord (times, states, defects,
 clamps) and the repr of mean_defect, max_defect and n_steps.  The grid
 then runs CLI `simulate` with --paths 1 and --paths 3 for the four
-models at k = 2, 3, 5 and 8, strides 1 and 7, and gives each CSV's
-sha256.  So the files of two source trees agree under `cmp` only when
-every record and every CSV has the same bytes:
+models at k = 2, 3, 5 and 8, strides 1 and 7, plus one --paths 100 run
+per model at k = 3 (a batch large enough for the pair loop), and gives
+each CSV's sha256.  Last come `ensemble_final`'s chunks: one line per
+call for the four models, k = 2, 3, 5 and 8 and n_paths = 1, 16, 300
+and ENSEMBLE_CHUNK + 3, 50 steps of dt 1e-3 from a seeded start near
+the boundary on one worker, with the sha256 of the finals and the repr
+of each EnsembleDiagnostics field.  So the files of two source trees
+agree under `cmp` only when every record, CSV and ensemble has the same
+bytes:
 
     python tools/path_values.py a.txt --src ../parent/src
     python tools/path_values.py b.txt
@@ -19,10 +25,11 @@ every record and every CSV has the same bytes:
 
 --src picks the source tree whose `spherewf` is imported (default: the
 `src` next to this tool).  --tiny writes a small grid (k 2-3, dt 1e-3,
-20 steps) for smoke tests.  The command line and the exit codes are
-those of tools/density_values.py: 0 when the file is written, 2 on a
-usage error, an unwritable OUT or a --src without spherewf; a run that
-raises ends with its traceback (exit 1).
+20 steps, no --paths 100 run and no ensembles) for smoke tests.  The
+command line and the exit codes are those of tools/density_values.py: 0
+when the file is written, 2 on a usage error, an unwritable OUT or a
+--src without spherewf; a run that raises ends with its traceback (exit
+1).
 """
 
 from __future__ import annotations
@@ -30,6 +37,7 @@ from __future__ import annotations
 import hashlib
 import sys
 import tempfile
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
@@ -40,6 +48,11 @@ STEPS = 300
 DTS = (1e-3, 1e-4)
 CLI_KS = (2, 3, 5, 8)
 CLI_PATHS = (1, 3)
+#: --paths of the one CLI run per model at k = 3 that takes the batch's pair
+#: loop (simulate._MATRIX_MAX_ROWS[3] is 64)
+CLI_BATCH = 100
+ENSEMBLE_KS = (2, 3, 5, 8)
+ENSEMBLE_STEPS = 50
 
 
 def _sha(data: bytes) -> str:
@@ -55,7 +68,7 @@ def _start(rng, sphere: bool, k: int, alpha: float) -> list[float]:
 
 
 def lines(seed: int, tiny: bool):
-    """Yield one line per record, then one per CLI run, of the grid."""
+    """Yield one line per record, then one per CLI run and one per ensemble, of the grid."""
     from spherewf.cli import main
     from spherewf.simulate import Model, path_rng, simulate_path
     from spherewf.types import ModelParams
@@ -97,13 +110,37 @@ def lines(seed: int, tiny: bool):
                     argv += ["--epsilon", ",".join(map(repr, eps))]
                 else:
                     argv += ["--c", "1.3"]
-                for stride in STRIDES:
-                    for paths in CLI_PATHS:
-                        run = argv + ["--record-stride", str(stride), "--paths", str(paths),
-                                      "--seed", str(seed), "--output", str(out)]
-                        code = main(run)
-                        yield (f"cli {' '.join(run[:-2])}: exit={code} "
-                               f"csv={_sha(out.read_bytes())}")
+                runs = [(stride, paths) for stride in STRIDES for paths in CLI_PATHS]
+                if k == 3 and not tiny:
+                    runs.append((STRIDES[-1], CLI_BATCH))
+                for stride, paths in runs:
+                    run = argv + ["--record-stride", str(stride), "--paths", str(paths),
+                                  "--seed", str(seed), "--output", str(out)]
+                    code = main(run)
+                    yield f"cli {' '.join(run[:-2])}: exit={code} csv={_sha(out.read_bytes())}"
+    if not tiny:
+        yield from ensemble_lines(seed)
+
+
+def ensemble_lines(seed: int):
+    """Yield one line per `ensemble_final` call of the ensemble grid: the
+    sha256 of its finals and the repr of each EnsembleDiagnostics field."""
+    from spherewf.simulate import ENSEMBLE_CHUNK, Model, ensemble_final
+
+    rng = np.random.default_rng(seed)
+    dt = 1e-3
+    for model in Model:
+        for k in ENSEMBLE_KS:
+            eps = rng.uniform(0.2, 1.5, size=k).tolist() if model is Model.WF_MUTATION else None
+            for n_paths in (1, 16, 300, ENSEMBLE_CHUNK + 3):
+                start = _start(rng, model is Model.SPHERE, k, 0.1)
+                finals, diag = ensemble_final(model, t=ENSEMBLE_STEPS * dt, dt=dt,
+                                              n_paths=n_paths, seed=seed, start=start, c=1.3,
+                                              epsilon=eps, workers=1)
+                stats = " ".join(f"{f.name}={getattr(diag, f.name)!r}" for f in fields(diag))
+                yield (f"ensemble {model.value} k={k} n_paths={n_paths} c=1.3 dt={dt!r} "
+                       f"steps={ENSEMBLE_STEPS} seed={seed}: finals={_sha(finals.tobytes())} "
+                       f"{stats}")
 
 
 def main(argv: list[str]) -> int:
