@@ -53,10 +53,11 @@ vectorized ensembles use one stream per fixed-size chunk of paths, key
 worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
 normals from one standard_normal call, pair-major: the n draws of pair
 (1, 0), then of (2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in
-row-major order).  Each step of the CLI's batch of P paths takes row r's
-k(k-1)/2 normals from row r's own stream, in that pair order.  A single
-path takes the normals of _PATH_BLOCK steps from one draw_skew call: the
-same stream, in the same order, as one call per step.
+row-major order).  A path's own stream, alone or as one of the CLI's
+batch of P paths, is read in draw_skew blocks: one call takes the
+normals of B steps, B = _PATH_BLOCK alone and max(8, _PATH_BLOCK // P)
+in a batch, and gives, in flat order, the same stream as one k(k-1)/2
+draw per step.
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -83,7 +84,7 @@ from multiprocessing import get_context
 
 import numpy as np
 
-from .types import ModelParams, SimplexPoint, SpherePoint
+from .types import ModelParams, SimplexPoint, SpherePoint, _whole
 
 __all__ = [
     "Model",
@@ -515,12 +516,16 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     """The records of len(rngs) paths from `start`, stepped as one batch
     (one path steps on Python floats, in `_step_path`).
 
-    Each step, path r draws its k(k-1)/2 normals from rngs[r], into row r
-    of one (n, m) buffer that is scaled as draw_skew scales its draws, so
-    its record is the one `simulate_path(..., rngs[r], record_stride)`
-    gives, byte for byte.
+    Path r reads rngs[r] as `_step_path` does, one draw_skew call per
+    block of B steps, with B = max(8, _PATH_BLOCK // P) for P paths: the
+    batch's draws then stay near _PATH_BLOCK path-steps, and each call
+    still takes at least 8 steps.  The call's (m, B) array, m = k(k-1)/2,
+    is in flat order B steps of m normals, so its record is the one
+    `simulate_path(..., rngs[r], record_stride)` gives, byte for byte, and
+    rngs[r] is left in the same state.
     """
     n_steps = _step_count("simulate_path", T, dt, "T")
+    record_stride = _whole(record_stride, "simulate_path: record_stride")
     if record_stride < 1:
         raise ValueError("simulate_path: record_stride must be >= 1")
     model = Model(model)
@@ -532,35 +537,39 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     if n == 1:
         return [_step_path(model, point.coords.tolist(), n_steps, dt, params.c, params.epsilon,
                            rngs[0], record_stride)]
+    k = params.k
+    m = k * (k - 1) // 2
+    amp = _noise_amplitude(model, params.c)
+    block = max(8, _PATH_BLOCK // n)
     Y = np.repeat(point.coords[:, None], n, axis=1)  # (k, n): column r is path r
-    work = _Work(params.k, n)
-    draws = np.empty((n, params.k * (params.k - 1) // 2))  # row r: path r's draws
-    scale = _noise_amplitude(model, params.c) * math.sqrt(dt)
+    work = _Work(k, n)
+    G = np.empty((min(block, n_steps), m, n))  # G[s]: step s of a block, as advance reads it
     # per row, as Python numbers: cheaper per step than numpy arrays of n
     clamp_counts = [0] * n
     defect_sums = [0.0] * n
     defect_maxes = [0.0] * n
     times, states, defects, clamps = [0.0], [Y.T.copy()], [[0.0] * n], [clamp_counts]
 
-    for step in range(1, n_steps + 1):
-        for gen, row in zip(rngs, draws):
-            gen.standard_normal(out=row)
-        draws *= scale
-        d, clamped = advance(model, Y, dt, params.c, params.epsilon, draws.T, work)
-        if clamped.size:
-            clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
-            for r in clamped.tolist():
-                clamp_counts[r] += 1
-        d = d.tolist()
-        for r, defect in enumerate(d):
-            defect_sums[r] += defect
-            if defect > defect_maxes[r]:
-                defect_maxes[r] = defect
-        if step % record_stride == 0 or step == n_steps:
-            times.append(step * dt)
-            states.append(Y.T.copy())  # (n, k), as the records index it
-            defects.append(d)
-            clamps.append(clamp_counts)
+    for first in range(0, n_steps, block):
+        size = min(block, n_steps - first)
+        for r, gen in enumerate(rngs):
+            G[:size, :, r] = draw_skew(k, dt, gen, size, amp).reshape(size, m)
+        for step, g in zip(range(first + 1, first + size + 1), G):
+            d, clamped = advance(model, Y, dt, params.c, params.epsilon, g, work)
+            if clamped.size:
+                clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
+                for r in clamped.tolist():
+                    clamp_counts[r] += 1
+            d = d.tolist()
+            for r, defect in enumerate(d):
+                defect_sums[r] += defect
+                if defect > defect_maxes[r]:
+                    defect_maxes[r] = defect
+            if step % record_stride == 0 or step == n_steps:
+                times.append(step * dt)
+                states.append(Y.T.copy())  # (n, k), as the records index it
+                defects.append(d)
+                clamps.append(clamp_counts)
 
     # indexed [record, row]
     states = np.concatenate(states).reshape(len(times), n, -1)
@@ -665,6 +674,7 @@ def ensemble_final(model: Model, *, t: float, dt: float, n_paths: int, seed: int
     """
     model = Model(model)
     n_steps = _step_count("ensemble_final", t, dt, "t")
+    n_paths = _whole(n_paths, "ensemble_final: n_paths")
     if n_paths < 1:
         raise ValueError("ensemble_final: n_paths must be >= 1")
     if model is Model.WF_MUTATION and epsilon is None:
@@ -763,9 +773,12 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     1 - sum x_i^2.  Event ev uses row ev - 1 of the generator's uniforms
     in (events, 3) order: u1 picks the first particle (the first type a
     with u1 * N below the cumulative count), u2 the second among the other
-    N - 1, and u3 < 0.5 lets the first one win.  A count of events below 0
-    or above MAX_STEPS is refused (ValueError).
+    N - 1, and u3 < 0.5 lets the first one win.  A count of events that is
+    not a whole number, below 0 or above MAX_STEPS is refused
+    (ValueError), and so is a record_stride that is not a whole number >= 1.
     """
+    events = _whole(events, "simulate_moran: events")
+    record_stride = _whole(record_stride, "simulate_moran: record_stride")
     if not (0 <= events <= MAX_STEPS):
         raise ValueError(f"simulate_moran: events = {events:.3g} is outside [0, MAX_STEPS = "
                          f"{MAX_STEPS:.0e}]")

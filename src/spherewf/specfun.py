@@ -124,6 +124,8 @@ def generating_function_residual(p: float, z: float, h: float, L_max: int) -> fl
         raise ValueError("generating_function_residual: need |h| < 1")
     if not (p > 0.0):
         raise ValueError("generating_function_residual: p must be > 0")
+    if L_max < 0:  # an empty sum would return |target|
+        raise ValueError(f"generating_function_residual: L_max = {L_max!r} is not >= 0")
     z = _clamp_z(z, "generating_function_residual: z")
     target = (1.0 - 2.0 * z * h + h * h) ** (-p)
     terms = []

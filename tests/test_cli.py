@@ -523,25 +523,51 @@ def test_simulate_rejects_nonpositive_path_count(tmp_path, capsys, paths):
     assert not out.exists()
 
 
+#: the --paths P runs that end on a block edge and one step past it
+_BATCH_EDGES = [(p, steps) for p in (2, 3, 40) for steps in ("edge", "past-edge")]
+
+
 @pytest.mark.parametrize("stride", [1, 7])
 @pytest.mark.parametrize("model, start", [
     ("sphere", "0.6,-0.64,0.48"),
     ("wf-neutral", "0.01,0.02,0.03,0.94"),  # near the boundary: rows clamp
 ], ids=["sphere", "wf-neutral"])
-@pytest.mark.parametrize("paths", [3, 40])  # either side of simulate._MATRIX_MAX_ROWS
-def test_simulate_paths_step_as_one_batch(tmp_path, monkeypatch, paths, model, start, stride):
+@pytest.mark.parametrize("paths, steps", [
+    (3, "100"), (40, "100"),  # either side of simulate._MATRIX_MAX_ROWS
+    *_BATCH_EDGES,
+], ids=["3", "40", *(f"{p}-{steps}" for p, steps in _BATCH_EDGES)])
+def test_simulate_paths_step_as_one_batch(tmp_path, monkeypatch, paths, steps, model, start,
+                                          stride):
     # the rows of a --paths P run are the P records simulate_path gives
-    # one at a time, row r from path_rng(seed, r)
+    # one at a time, row r from path_rng(seed, r).  Each row reads its
+    # stream in blocks of max(8, _PATH_BLOCK // P) steps, all shorter than
+    # a single path's: 128 at P = 2, 85 at P = 3 and the floor of 8 at
+    # P = 40.  "edge" ends on the first block edge at or past step 100 and
+    # "past-edge" one step later, in a block of one step
     monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", dict.fromkeys(range(2, 7), 32))
+    block = max(8, simulate._PATH_BLOCK // paths)
+    assert block < simulate._PATH_BLOCK
+    edge = block * -(-100 // block)
+    n_steps = {"100": 100, "edge": edge, "past-edge": edge + 1}[steps]
+    sizes = []
+    draw = simulate.draw_skew
+    monkeypatch.setattr(simulate, "draw_skew",
+                        lambda k, dt, rng, n, *a: sizes.append(n) or draw(k, dt, rng, n, *a))
     out = tmp_path / "o.csv"
     k = start.count(",") + 1
+    T = n_steps * 0.001
     assert main(["simulate", "--model", model, "--k", str(k), "--start", start,
-                 "--T", "0.1", "--dt", "0.001", "--paths", str(paths),
+                 "--T", repr(T), "--dt", "0.001", "--paths", str(paths),
                  "--record-stride", str(stride), "--seed", "31",
                  "--output", str(out)]) == EXIT_OK
+    # one call per row and block, the last block cut at n_steps
+    full = (n_steps - 1) // block
+    last = n_steps - full * block
+    assert sizes == [block] * (full * paths) + [last] * paths
+    assert last == {"100": last, "edge": block, "past-edge": 1}[steps]
     expected, clamps = [], 0
     for i in range(paths):
-        rec = simulate_path(Model(model), [float(v) for v in start.split(",")], 0.1, 0.001,
+        rec = simulate_path(Model(model), [float(v) for v in start.split(",")], T, 0.001,
                             ModelParams(k, 1.0), path_rng(31, i), stride)
         clamps += int(rec.clamps[-1])
         for j in range(rec.times.size):

@@ -501,6 +501,11 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
         calls.append(G.size)
         return G
 
+    def same_bytes(rec, ref):
+        for name in ("times", "states", "defects", "clamps"):
+            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
+        assert (rec.mean_defect, rec.max_defect) == (ref.mean_defect, ref.max_defect)
+
     params = ModelParams(4, 1.0, (0.3, 0.5, 0.7, 0.9))
     for model, start in ((Model.SPHERE, [0.5, 0.5, 0.5, 0.5]),
                          (Model.WF_MUTATION, [0.1, 0.2, 0.3, 0.4])):
@@ -513,9 +518,20 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
         # draw every step's k(k-1)/2 normals, and the record keeps its bytes
         assert rec.n_steps == 300 and len(calls) > 1
         assert sum(calls) == rec.n_steps * 6
-        for name in ("times", "states", "defects", "clamps"):
-            assert getattr(rec, name).tobytes() == getattr(ref, name).tobytes(), name
-        assert (rec.mean_defect, rec.max_defect) == (ref.mean_defect, ref.max_defect)
+        same_bytes(rec, ref)
+        # so does each path of a batch, from its own int-size generator
+        P = 3
+        refs = simulate._simulate_paths(model, start, 0.3, 1e-3, params,
+                                        [path_rng(42, r) for r in range(P)], 1)
+        calls.clear()
+        monkeypatch.setattr(simulate, "draw_skew", hook)
+        recs = simulate._simulate_paths(model, start, 0.3, 1e-3, params,
+                                        [_IntSizeRng(path_rng(42, r)) for r in range(P)], 1)
+        monkeypatch.undo()
+        assert len(recs) == P and len(calls) > 1
+        assert sum(calls) == P * 300 * 6
+        for rec, ref in zip(recs, refs):
+            same_bytes(rec, ref)
     kw = dict(t=5e-3, dt=1e-3, n_paths=ENSEMBLE_CHUNK + 3, seed=43, start=X3.coords,
               epsilon=(0.3, 0.5, 0.7), workers=1)
     ref, _ = ensemble_final(Model.WF_MUTATION, **kw)
@@ -526,6 +542,7 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
 
 @pytest.mark.parametrize("change, message", [
     (dict(n_paths=0), "n_paths"),
+    (dict(n_paths=2.5), "n_paths must be a whole number, got 2.5"),
     (dict(model=Model.WF_MUTATION, start=X3.coords, epsilon=None), "needs epsilon"),
     (dict(start=[1.2, 1.6, 0.0]), "squared norm"),  # norm 2
     (dict(model=Model.WF_NEUTRAL, start=[0.6, 0.6]), "sum to"),
@@ -534,14 +551,40 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     (dict(t=math.inf), "must be finite"),
     (dict(t=1e300, dt=1e-300), "must be finite"),  # t/dt overflows
     (dict(t=1e300, dt=1e-4), "MAX_STEPS"),
-], ids=["no-paths", "mutation-without-epsilon", "start-norm-2", "start-off-simplex",
-        "c-zero", "epsilon-length", "t-inf", "steps-overflow", "steps-above-bound"])
+], ids=["no-paths", "fractional-paths", "mutation-without-epsilon", "start-norm-2",
+        "start-off-simplex", "c-zero", "epsilon-length", "t-inf", "steps-overflow",
+        "steps-above-bound"])
 def test_ensemble_final_rejects_invalid_input(change, message):
     kw = dict(model=Model.SPHERE, t=1e-3, dt=1e-3, n_paths=3, seed=44, start=Y3.coords,
               c=1.0, epsilon=None)
     kw.update(change)
     with pytest.raises(ValueError, match=message):
         ensemble_final(kw.pop("model"), **kw)
+
+
+def test_counts_and_strides_must_be_whole_numbers():
+    # a fractional count used to end in a TypeError, and a fractional stride
+    # recorded by step % 2.5 (a Moran run kept only its start record)
+    state, params = MoranState([5, 5], 1.0), ModelParams(3, 1.0, None)
+    with pytest.raises(ValueError, match="simulate_moran: events must be a whole number"):
+        simulate_moran(state, 2.5, path_rng(0))
+    with pytest.raises(ValueError, match="simulate_moran: record_stride must be a whole number"):
+        simulate_moran(state, 4, path_rng(0), record_stride=2.5)
+    with pytest.raises(ValueError, match="simulate_path: record_stride must be a whole number"):
+        simulate_path(Model.SPHERE, Y3, 1e-3, 1e-3, params, path_rng(0), 2.5)
+    # ints and numpy ints count as they did (a fractional n_paths is an
+    # input of test_ensemble_final_rejects_invalid_input)
+    a = simulate_moran(state, np.int64(40), path_rng(1), record_stride=np.int32(3))
+    b = simulate_moran(state, 40, path_rng(1), record_stride=3)
+    assert a.event_index.tolist() == b.event_index.tolist() == [*range(0, 40, 3), 40]
+    assert a.counts.tobytes() == b.counts.tobytes()
+    a = simulate_path(Model.SPHERE, Y3, 0.01, 1e-3, params, path_rng(2), np.int64(4))
+    b = simulate_path(Model.SPHERE, Y3, 0.01, 1e-3, params, path_rng(2), 4)
+    assert a.times.tolist() == b.times.tolist() and a.states.tobytes() == b.states.tobytes()
+    a, _ = ensemble_final(Model.SPHERE, t=1e-3, dt=1e-3, n_paths=np.int64(3), seed=3,
+                          start=Y3.coords)
+    b, _ = ensemble_final(Model.SPHERE, t=1e-3, dt=1e-3, n_paths=3, seed=3, start=Y3.coords)
+    assert a.tobytes() == b.tobytes()
 
 
 def test_ensemble_starts_from_the_callers_bytes(monkeypatch):

@@ -45,6 +45,10 @@ def test_gegenbauer_input_validation():
             f(3, 1.0, math.nan)
     with pytest.raises(ValueError, match="generating_function_residual: z = nan"):
         generating_function_residual(1.0, math.nan, 0.5, 10)
+    # L_max = -1 returned |target| as an empty sum, and -2 failed inside islice
+    for L_max in (-1, -2):
+        with pytest.raises(ValueError, match=f"L_max = {L_max} is not >= 0"):
+            generating_function_residual(1.0, 0.3, 0.5, L_max)
 
 
 def test_recurrence_matches_explicit_sum_on_grid():

@@ -9,15 +9,16 @@ random signs on the sphere), 300 steps each.  A record's line gives the
 sha256 of each array field of its PathRecord (times, states, defects,
 clamps) and the repr of mean_defect, max_defect and n_steps.  The grid
 then runs CLI `simulate` with --paths 1 and --paths 3 for the four
-models at k = 2, 3, 5 and 8, strides 1 and 7, plus one --paths 100 run
-per model at k = 3 (a batch large enough for the pair loop), and gives
-each CSV's sha256.  Last come `ensemble_final`'s chunks: one line per
-call for the four models, k = 2, 3, 5 and 8 and n_paths = 1, 16, 300
-and ENSEMBLE_CHUNK + 3, 50 steps of dt 1e-3 from a seeded start near
-the boundary on one worker, with the sha256 of the finals and the repr
-of each EnsembleDiagnostics field.  So the files of two source trees
-agree under `cmp` only when every record, CSV and ensemble has the same
-bytes:
+models at k = 2, 3, 5 and 8, strides 1 and 7, plus one run per model
+with --paths 100 at k = 3 and one with --paths 800 at k = 8, stride 7
+(batches large enough for the pair loop, whose draw_skew blocks are
+shorter than a single path's), and gives each CSV's sha256.  Last come
+`ensemble_final`'s chunks: one line per call for the four models, k = 2,
+3, 5 and 8 and n_paths = 1, 16, 300 and ENSEMBLE_CHUNK + 3, 50 steps of
+dt 1e-3 from a seeded start near the boundary on one worker, with the
+sha256 of the finals and the repr of each EnsembleDiagnostics field.  So
+the files of two source trees agree under `cmp` only when every record,
+CSV and ensemble has the same bytes:
 
     python tools/path_values.py a.txt --src ../parent/src
     python tools/path_values.py b.txt
@@ -25,11 +26,11 @@ bytes:
 
 --src picks the source tree whose `spherewf` is imported (default: the
 `src` next to this tool).  --tiny writes a small grid (k 2-3, dt 1e-3,
-20 steps, no --paths 100 run and no ensembles) for smoke tests.  The
-command line and the exit codes are those of tools/density_values.py: 0
-when the file is written, 2 on a usage error, an unwritable OUT or a
---src without spherewf; a run that raises ends with its traceback (exit
-1).
+20 steps, no --paths 100 or 800 run and no ensembles) for smoke tests.
+The command line and the exit codes are those of
+tools/density_values.py: 0 when the file is written, 2 on a usage error,
+an unwritable OUT or a --src without spherewf; a run that raises ends
+with its traceback (exit 1).
 """
 
 from __future__ import annotations
@@ -48,9 +49,9 @@ STEPS = 300
 DTS = (1e-3, 1e-4)
 CLI_KS = (2, 3, 5, 8)
 CLI_PATHS = (1, 3)
-#: --paths of the one CLI run per model at k = 3 that takes the batch's pair
-#: loop (simulate._MATRIX_MAX_ROWS[3] is 64)
-CLI_BATCH = 100
+#: --paths of the one CLI run per model and k that takes the batch's pair
+#: loop: simulate._MATRIX_MAX_ROWS is 64 at k = 3 and 768 from k = 6
+CLI_BATCHES = {3: 100, 8: 800}
 ENSEMBLE_KS = (2, 3, 5, 8)
 ENSEMBLE_STEPS = 50
 
@@ -111,8 +112,8 @@ def lines(seed: int, tiny: bool):
                 else:
                     argv += ["--c", "1.3"]
                 runs = [(stride, paths) for stride in STRIDES for paths in CLI_PATHS]
-                if k == 3 and not tiny:
-                    runs.append((STRIDES[-1], CLI_BATCH))
+                if k in CLI_BATCHES and not tiny:
+                    runs.append((STRIDES[-1], CLI_BATCHES[k]))
                 for stride, paths in runs:
                     run = argv + ["--record-stride", str(stride), "--paths", str(paths),
                                   "--seed", str(seed), "--output", str(out)]
