@@ -27,6 +27,8 @@ from __future__ import annotations
 import math
 from itertools import islice
 
+from .types import _whole
+
 __all__ = [
     "log_gamma",
     "gegenbauer_terms",
@@ -124,6 +126,7 @@ def generating_function_residual(p: float, z: float, h: float, L_max: int) -> fl
         raise ValueError("generating_function_residual: need |h| < 1")
     if not (p > 0.0):
         raise ValueError("generating_function_residual: p must be > 0")
+    L_max = _whole(L_max, "generating_function_residual: L_max")
     if L_max < 0:  # an empty sum would return |target|
         raise ValueError(f"generating_function_residual: L_max = {L_max!r} is not >= 0")
     z = _clamp_z(z, "generating_function_residual: z")

@@ -18,6 +18,12 @@ Gegenbauer terms.
 Both series are summed by one compensated (Kahan) loop and truncated at
 one memoised cutoff: a rigorous tail bound, from |C_L^p(z)| <=
 C_L^p(1) = poch(2p, L)/L! for k >= 3 and from |cos| <= 1 for k = 2.
+The loop runs on Python floats, point by point, for at most
+`_FLOAT_MAX_POINTS` points (a single pushforward query up to k = 5), and
+as numpy calls on the whole array otherwise, whose cost per term is
+call overhead up to about 128 points.  Both take the same IEEE
+operations in the same order, so they give the same bits; the weights
+of degrees 1 .. L are memoised per (t, D, k, L).
 Times below T_MIN are refused: the series would need thousands of terms.
 """
 
@@ -186,10 +192,46 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
     return L, achieved
 
 
+#: At most this many points go through the series on Python floats; more
+#: take the numpy loop, whose cost per term barely grows with the width.
+#: Measured crossover on a 2-core VM: the float loop stays faster up to
+#: 17-23 points at 20-70 terms (t = 0.05, 0.5) and breaks even at 14-17
+#: points with 5 terms (t = 5).
+_FLOAT_MAX_POINTS = 16
+
+
+@lru_cache(maxsize=256)
+def _weights(t: float, D: float, k: int, L_cap: int) -> tuple:
+    """The spectral weights of degrees 1 .. L_cap as floats: exp(-D L^2 t) for
+    k = 2, (2L+k-2)/(k-2) exp(-D L(L+k-2) t) for k >= 3.  They do not depend
+    on the points, so both loops of `_series` share one memoised tuple."""
+    return tuple(math.exp(-D * L * L * t) if k == 2 else
+                 (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
+                 for L in range(1, L_cap + 1))
+
+
+def _float_sums(basis, points: list, weights: tuple) -> tuple[list, list]:
+    """The compensated loop of `_series` at each point on Python floats: the
+    same IEEE operations in the same order.  Returns the lists (even, odd)."""
+    evens, odds = [], []
+    for z in points:
+        cur, cur_c, other, other_c = 0.0, 0.0, 1.0, 0.0  # odd L first; L = 0 adds 1
+        for w, b in zip(weights, basis(z)):
+            y = b * w - cur_c
+            s = cur + y
+            cur, cur_c, other, other_c = other, other_c, s, (s - cur) - y
+        if len(weights) % 2:
+            cur, other = other, cur
+        evens.append(other)
+        odds.append(cur)
+    return evens, odds
+
+
 def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
     """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
     the points x, up to the cutoff capped at trunc.max_terms, summed compensated
-    and split by parity.  Returns (even, odd, terms_used, tail_bound, converged)."""
+    and split by parity.  basis(z) yields basis_1, basis_2, ... at a float or an
+    array z.  Returns (even, odd, terms_used, tail_bound, converged)."""
     _check_series("the sphere series", t, D)
     # the scan stops past max_terms: a longer cutoff is not converged anyway
     L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
@@ -197,14 +239,17 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     converged = achieved and (L_needed <= trunc.max_terms)
     if not converged:
         tail = _tail_bound_after(L_cap, t, D, k)
+    weights = _weights(t, D, k, L_cap)
+    if x.size <= _FLOAT_MAX_POINTS:
+        even, odd = _float_sums(basis, x.ravel().tolist(), weights)
+        return (np.array(even).reshape(x.shape), np.array(odd).reshape(x.shape),
+                L_cap + 1, tail, converged)
     # per parity [sum, compensation, spare]; the Kahan step writes the new
     # sum into the spare and swaps, so the loop allocates nothing
     sums = ([np.ones_like(x), np.zeros_like(x), np.empty_like(x)],  # L = 0 adds 1
             [np.zeros_like(x), np.zeros_like(x), np.empty_like(x)])
     y = np.empty_like(x)
-    for L, b in zip(range(1, L_cap + 1), basis):
-        w = (math.exp(-D * L * L * t) if k == 2 else
-             (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t))
+    for L, (w, b) in enumerate(zip(weights, basis(x)), 1):
         acc = sums[L % 2]
         total, comp, spare = acc
         np.multiply(b, w, out=y)
@@ -230,9 +275,13 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
     dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
-    polys = gegenbauer_terms(0.5 * k - 1.0, dots)
-    next(polys)  # C_0, the L = 0 term
-    return _series(polys, dots, t, D, k, trunc)
+
+    def basis(z):
+        polys = gegenbauer_terms(0.5 * k - 1.0, z)
+        next(polys)  # C_0, the L = 0 term
+        return polys
+
+    return _series(basis, dots, t, D, k, trunc)
 
 
 def zonal_kernel(dot: float, t: float, D: float, k: int,
@@ -281,5 +330,10 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):
     """Array version of the circle kernel; returns (even, odd, terms, tail, converged)."""
     angles = np.asarray(angles, dtype=float)
-    basis = (2.0 * np.cos(L * angles) for L in count(1))
+
+    def basis(a):
+        # math.cos at one float point; it gives np.cos's bits (the circle byte test)
+        cos = math.cos if isinstance(a, float) else np.cos
+        return (2.0 * cos(L * a) for L in count(1))
+
     return _series(basis, angles, t, D, 2, trunc)

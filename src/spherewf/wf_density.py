@@ -30,6 +30,12 @@ measure dx_1...dx_{k-1} on the simplex:
 
   Odd-degree series terms cancel across the sign sum; the evaluator
   tracks the even/odd aggregates so that cancellation is observable.
+  A single query at k >= 3 evaluates the series only at the 2^{k-1}
+  sign vectors with s_1 = +1: s and -s give the dots d and -d, and
+  C_L(-d) = (-1)^L C_L(d), so the other half's even and odd sums are
+  the first half's, mirrored, the odd ones negated.  The full 2^k-row
+  arrays are rebuilt before the sum, so the value keeps the full sum's
+  bits.
 
 Numerical note: the alternating m-sum defining Q_n loses precision once
 n is moderately large (small t).  Each Q_n carries a cancellation flag,
@@ -495,6 +501,16 @@ def pushforward_series_batch(x_batch: np.ndarray, x_other: np.ndarray, t: float,
     if k == 2:
         angles = np.arccos(np.clip(dots, -1.0, 1.0))
         even, odd, terms, tail, conv = circle_series(angles, t, D, trunc)
+    elif len(ybatch) == 1:
+        # row 2^k-1-i of the sign matrix is minus row i, and a one-row matmul
+        # gives their dots as exact negations d and -d (checked for k = 2-18),
+        # whose even sums are equal and odd sums opposite: evaluate the rows
+        # with s_1 = +1 and mirror them.  A batch's matmul does not always
+        # negate exactly (k >= 4 at 500 rows), so batches keep the full sum.
+        half = len(dots) // 2
+        even, odd, terms, tail, conv = zonal_series(dots[:half], t, D, k, trunc)
+        even = np.concatenate((even, even[::-1]))
+        odd = np.concatenate((odd, -odd[::-1]))
     else:
         even, odd, terms, tail, conv = zonal_series(dots, t, D, k, trunc)
     scale = 0.5 ** k

@@ -49,6 +49,13 @@ def test_gegenbauer_input_validation():
     for L_max in (-1, -2):
         with pytest.raises(ValueError, match=f"L_max = {L_max} is not >= 0"):
             generating_function_residual(1.0, 0.3, 0.5, L_max)
+    # a fractional L_max failed inside islice without naming it; whole floats
+    # and numpy ints are the sum of the int
+    with pytest.raises(ValueError, match="L_max must be a whole number, got 2.5"):
+        generating_function_residual(1.0, 0.3, 0.5, 2.5)
+    ref = generating_function_residual(1.0, 0.3, 0.5, 3)
+    assert generating_function_residual(1.0, 0.3, 0.5, 3.0) == ref
+    assert generating_function_residual(1.0, 0.3, 0.5, np.int64(3)) == ref
 
 
 def test_recurrence_matches_explicit_sum_on_grid():

@@ -198,16 +198,30 @@ def _zonal_series_inline(dots, t, D, k, trunc):
     return even, odd, L_cap + 1, tail, converged
 
 
+def _every_size(values):
+    """Arrays of every size from 1 to one past the float path's limit, shaped
+    (n,) and (n, 1), cycling through values."""
+    for n in range(1, sphere_heat._FLOAT_MAX_POINTS + 2):
+        d = np.resize(values, n)
+        yield d
+        yield d[:, None]
+
+
 @pytest.mark.parametrize("k", range(3, 11))
 def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
     rng = np.random.default_rng(30 + k)
-    dots = np.concatenate([[-1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12], rng.uniform(-1.0, 1.0, 40)])
-    for d in (dots, np.asarray(dots[-1])):
+    specials = [-1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12]
+    dots = np.concatenate([specials, rng.uniform(-1.0, 1.0, 40)])
+    # both sides of the float path's limit; the sizes below 5 hold a prefix of the specials
+    small = list(_every_size(np.concatenate([specials, rng.uniform(-1.0, 1.0, 3)])))
+    for d in (dots, np.asarray(dots[-1]), *small):
         for t in (T_MIN, 0.01, 0.1, 1.0):
             for max_terms in (1, 2, 3, 17, 400):
                 trunc = Truncation(max_terms=max_terms, tol=1e-12)
                 even, odd, *rest = zonal_series(d, t, 0.125, k, trunc)
                 ref_even, ref_odd, *ref_rest = _zonal_series_inline(d, t, 0.125, k, trunc)
+                assert even.shape == odd.shape == d.shape
+                assert even.dtype == odd.dtype == np.float64
                 assert even.tobytes() == ref_even.tobytes()
                 assert odd.tobytes() == ref_odd.tobytes()
                 assert rest == ref_rest  # terms, tail bound, converged
@@ -242,14 +256,18 @@ def _circle_series_inline(angles, t, D, trunc):
 def test_circle_series_keeps_the_inline_loop_bytes():
     rng = np.random.default_rng(31)
     angles = np.concatenate([[0.0, math.pi, 2 * math.pi, 1e-9], rng.uniform(0.0, math.pi, 40)])
+    # both sides of the float path's limit; the sizes below 3 hold a prefix of 0, pi, 1e-9
+    small = list(_every_size(np.concatenate([[0.0, math.pi, 1e-9], rng.uniform(0.0, math.pi, 3)])))
     sphere_heat._cutoff_scan.cache_clear()
-    for a in (angles, np.asarray(angles[-1])):
+    for a in (angles, np.asarray(angles[-1]), *small):
         for t in (T_MIN, 0.01, 0.1, 1.0, 50.0):
             for D in (0.01, 0.125, 3.0):
                 for max_terms, tol in ((1, 1e-12), (3, 1e-12), (400, 1e-12), (5000, 1e-14)):
                     trunc = Truncation(max_terms=max_terms, tol=tol)
                     even, odd, *rest = circle_series(a, t, D, trunc)
                     ref_even, ref_odd, *ref_rest = _circle_series_inline(a, t, D, trunc)
+                    assert even.shape == odd.shape == a.shape
+                    assert even.dtype == odd.dtype == np.float64
                     assert even.tobytes() == ref_even.tobytes()
                     assert odd.tobytes() == ref_odd.tobytes()
                     assert rest == ref_rest  # terms, tail bound, converged

@@ -14,6 +14,7 @@ from spherewf.types import SimplexPoint, Truncation
 from spherewf.wf_density import (
     GRIFFITHS_T_MIN,
     WF_TRUNCATION,
+    DensityValue,
     GriffithsQuery,
     PushforwardQuery,
     dirichlet_stationary,
@@ -22,6 +23,7 @@ from spherewf.wf_density import (
     q_n,
     xi_m,
 )
+from test_sphere_heat import _zonal_series_inline
 
 X3 = SimplexPoint([0.5, 0.3, 0.2])
 X3B = SimplexPoint([0.25, 0.35, 0.40])
@@ -322,6 +324,52 @@ def test_pushforward_odd_terms_cancel():
             assert abs(r.odd_part) <= 1e-12 * abs(r.even_part)
 
 
+def _pushforward_full_sum(x_batch, x_other, t, D, trunc):
+    """pushforward_series_batch as it was: the inline series at all 2^k sign
+    rows, then the aggregates."""
+    k = x_other.size
+    dots = wf_density._sign_matrix(k) @ (np.sqrt(x_batch) * np.sqrt(x_other)).T
+    even, odd, terms, tail, conv = _zonal_series_inline(dots, t, D, k, trunc)
+    even_agg = even.sum(axis=0) * 0.5 ** k
+    odd_agg = odd.sum(axis=0) * 0.5 ** k
+    return even_agg + odd_agg, even_agg, odd_agg, terms, tail, conv
+
+
+def test_half_sign_sum_keeps_the_full_sums_bytes():
+    # a single query sums the rows with s_1 = +1 and mirrors them; the
+    # centroid's rows hold dots of exactly 0 (even k) and of +-1 to an ulp
+    rng = np.random.default_rng(25)
+
+    def point(k, m):
+        return np.concatenate([[m], (1.0 - m) * rng.dirichlet(np.ones(k - 1))])
+
+    for k in range(3, 11):
+        centroid = SimplexPoint(np.full(k, 1.0 / k))
+        pairs = [(centroid, centroid)]
+        pairs += [(SimplexPoint(point(k, m)), SimplexPoint(point(k, m))) for m in (1e-3, 0.02, 0.1)]
+        for x, xp in pairs:
+            for t in (0.001, 0.05, 1.0):
+                for max_terms in (1, 2, 400):
+                    trunc = Truncation(max_terms=max_terms, tol=WF_TRUNCATION.tol)
+                    got = pushforward_density(PushforwardQuery(x, xp, t, 0.125, trunc))
+                    series, even, odd, terms, tail, conv = _pushforward_full_sum(
+                        x.coords[None, :], xp.coords, t, 0.125, trunc)
+                    prefactor = math.exp(wf_density.pushforward_log_prefactor(x.coords))
+                    ref = DensityValue(
+                        value=prefactor * float(series[0]), prefactor=prefactor,
+                        series_sum=float(series[0]), terms_used=terms, tail_bound=tail,
+                        converged=conv, even_part=float(even[0]), odd_part=float(odd[0]))
+                    assert repr(got) == repr(ref), (k, x.coords, t, max_terms)
+    # a batch keeps the full sign sum: its s and -s rows need not be exact negations
+    x_batch = np.array([point(5, 0.02) for _ in range(500)])
+    x_other = point(5, 0.02)
+    got = wf_density.pushforward_series_batch(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
+    ref = _pushforward_full_sum(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
+    for a, b in zip(got[:3], ref[:3]):
+        assert a.tobytes() == b.tobytes()
+    assert got[3:] == ref[3:]
+
+
 def test_pushforward_long_time_limit():
     for x, xp in ((X3, X3B), (X4, X4B)):
         r = pushforward_density(PushforwardQuery(x, xp, 1e3))
@@ -540,7 +588,7 @@ def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
 
 
 CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._hp_weights,
-          sphere_heat._cutoff_scan)
+          sphere_heat._cutoff_scan, sphere_heat._weights)
 
 
 def test_density_caches_are_bounded_and_hold_no_state():

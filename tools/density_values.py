@@ -5,9 +5,14 @@
 The grid covers both simplex kernels: `griffiths_density` at eps 1/3,
 1/2 and 1.7, and `pushforward_density` at D = 1/8, for k = 2..8 and
 t = 0.02..5, at seeded pairs whose smallest coordinate is 1e-3, 0.02 or
-0.1.  Each line names its query and then gives the value's repr, which
-spells every float to the last bit, so the files of two source trees
-agree under `diff` only when every value has the same bytes:
+0.1.  The full grid ends with pushforward lines at its edges, at every
+t: x = x' at the centroid for k = 3..8, where sign vectors give dots of
+exactly 0 (even k) and of +-1 to an ulp, and one k = 10 pair per floor
+(the 0.1 floor leaves only the centroid there), whose 2^9 sign vectors
+with s_1 = +1 are too many for the series' float path.  Each line names
+its query and then gives the value's repr, which spells every float to
+the last bit, so the files of two source trees agree under `diff` only
+when every value has the same bytes:
 
     python tools/density_values.py a.txt --src ../parent/src
     python tools/density_values.py b.txt
@@ -76,6 +81,16 @@ def lines(seed: int, tiny: bool):
                     yield f"griffiths {where} eps={eps!r}: {value!r}"
                 value = pushforward_density(PushforwardQuery(a, b, t, D))
                 yield f"pushforward {where} D={D!r}: {value!r}"
+    if tiny:
+        return
+    centroids = [(k, SimplexPoint(np.full(k, 1.0 / k))) for k in range(3, 9)]
+    edges = [(f"k={k} centroid", c, c) for k, c in centroids]
+    edges += [(f"k=10 min={m!r} pair=0", SimplexPoint(x), SimplexPoint(xp))
+              for m in MIN_COORDS for x, xp in _pairs(rng, 10, m, 1)]
+    for where, a, b in edges:
+        for t in times:
+            value = pushforward_density(PushforwardQuery(a, b, t, D))
+            yield f"pushforward {where} t={t!r} D={D!r}: {value!r}"
 
 
 def dump(argv: list[str], lines, description: str, seed: int) -> int:
