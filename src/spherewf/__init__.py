@@ -17,8 +17,6 @@ from .types import (
     SimplexPoint,
     SpherePoint,
     Truncation,
-    sqrt_lift,
-    square_push,
 )
 from .specfun import (
     gegenbauer,
@@ -33,7 +31,6 @@ from .sphere_heat import (
     SphereKernelQuery,
     heat_kernel,
     heat_kernel_circle,
-    heat_kernel_unnormalized,
     truncation_cutoff,
     zonal_kernel,
 )

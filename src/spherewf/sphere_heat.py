@@ -7,7 +7,7 @@ The kernel is the spectral (Gegenbauer) series
 
 expressed here as a density with respect to the NORMALIZED uniform
 measure on S^{k-1} (total mass 1), so the stationary value is exactly 1.
-Divide by the surface area A_{k-1} (see `heat_kernel_unnormalized`) for
+Divide by the surface area A_{k-1} (`specfun.sphere_surface_area`) for
 the density with respect to the raw surface measure.
 
 k = 2 is served by a dedicated Fourier cosine kernel: the weight
@@ -16,14 +16,14 @@ k = 2 is served by a dedicated Fourier cosine kernel: the weight
 Gegenbauer terms.
 
 Both series are summed by one compensated (Kahan) loop and truncated at
-one memoised cutoff: a rigorous tail bound, from |C_L^p(z)| <=
-C_L^p(1) = poch(2p, L)/L! for k >= 3 and from |cos| <= 1 for k = 2.
-The loop runs on Python floats, point by point, for at most
-`_FLOAT_MAX_POINTS` points (a single pushforward query up to k = 5), and
-as numpy calls on the whole array otherwise, whose cost per term is
-call overhead up to about 128 points.  Both take the same IEEE
-operations in the same order, so they give the same bits; the weights
-of degrees 1 .. L are memoised per (t, D, k, L).
+one memoised cutoff, the smallest L whose rigorous tail bound is below
+tol: from |C_L^p(z)| <= C_L^p(1) = poch(2p, L)/L! for k >= 3 and from
+|cos| <= 1 for k = 2.  The loop takes each point as a Python float for
+at most `_FLOAT_MAX_POINTS` points (a single pushforward query up to
+k = 5), and the whole array as one point otherwise, whose cost per term
+is call overhead up to about 128 points.  The same code runs the same
+IEEE operations either way, so both give the same bits; the weights of
+degrees 1 .. L are memoised per (t, D, k, L).
 Times below T_MIN are refused: the series would need thousands of terms.
 """
 
@@ -36,7 +36,7 @@ from itertools import count
 
 import numpy as np
 
-from .specfun import _clamp_z, gegenbauer_terms, sphere_surface_area
+from .specfun import _clamp_z, gegenbauer_terms
 from .types import SpherePoint, Truncation
 
 __all__ = [
@@ -45,7 +45,6 @@ __all__ = [
     "SphereKernelQuery",
     "KernelValue",
     "heat_kernel",
-    "heat_kernel_unnormalized",
     "heat_kernel_circle",
     "zonal_kernel",
     "truncation_cutoff",
@@ -151,30 +150,16 @@ def _cutoff_scan(t: float, D: float, k: int, tol: float, cap: int = _HARD_CAP):
     when there is none.
 
     Depends only on its arguments, so it is memoised: every query at the
-    same (t, D, k, tol, cap) shares one O(L) scan, which carries the tail
-    bound's running product along (from L = 1 for k = 2).
+    same (t, D, k, tol, cap) shares one O(L) scan, which for k >= 3 carries
+    the tail bound's running product along.  The k = 2 scan starts at L = 1.
     """
     stop = min(cap + 1, _HARD_CAP)
-    if k == 2:
-        for L in range(1, stop):
-            tail = _tail_bound_after(L, t, D, k)
-            if tail < tol:
-                return L, tail, True
-        return stop, math.inf, False
-    r = 1.0  # poch(k-2, L)/L! at the running L
-    r_tail = 1.0  # the same at L + 1, rounded as _tail_bound_after rounds it
-    b_cur = _term_bound(0, r, t, D, k)
-    for L in range(stop):
-        r_next = r * (k - 3.0 + L + 1.0) / (L + 1.0)
-        r_tail *= (k - 3.0 + (L + 1)) / (L + 1)
-        b_next = _term_bound(L + 1, r_next, t, D, k)
-        if b_cur > 0.0 and b_next / b_cur < 1.0:
-            tail = _tail_from(L, r_tail, t, D, k)
-            if tail < tol:
-                return L, tail, True
-        elif b_next == 0.0:
-            return L, 0.0, True
-        r, b_cur = r_next, b_next
+    r = 1.0  # poch(k-2, L+1)/(L+1)! for k >= 3, rounded as _tail_bound_after rounds it
+    for L in range(1 if k == 2 else 0, stop):
+        r *= (k - 3.0 + (L + 1)) / (L + 1)
+        tail = _tail_bound_after(L, t, D, k) if k == 2 else _tail_from(L, r, t, D, k)
+        if tail < tol:
+            return L, tail, True
     return stop, math.inf, False
 
 
@@ -192,8 +177,9 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
     return L, achieved
 
 
-#: At most this many points go through the series on Python floats; more
-#: take the numpy loop, whose cost per term barely grows with the width.
+#: At most this many points go through the series one Python float at a
+#: time; more go through it as one array, whose cost per term barely grows
+#: with the width.
 #: Measured crossover on a 2-core VM: the float loop stays faster up to
 #: 17-23 points at 20-70 terms (t = 0.05, 0.5) and breaks even at 14-17
 #: points with 5 terms (t = 5).
@@ -204,15 +190,18 @@ _FLOAT_MAX_POINTS = 16
 def _weights(t: float, D: float, k: int, L_cap: int) -> tuple:
     """The spectral weights of degrees 1 .. L_cap as floats: exp(-D L^2 t) for
     k = 2, (2L+k-2)/(k-2) exp(-D L(L+k-2) t) for k >= 3.  They do not depend
-    on the points, so both loops of `_series` share one memoised tuple."""
+    on the points, so every call of `_series` at one cutoff shares one memoised
+    tuple."""
     return tuple(math.exp(-D * L * L * t) if k == 2 else
                  (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
                  for L in range(1, L_cap + 1))
 
 
-def _float_sums(basis, points: list, weights: tuple) -> tuple[list, list]:
-    """The compensated loop of `_series` at each point on Python floats: the
-    same IEEE operations in the same order.  Returns the lists (even, odd)."""
+def _compensated_sums(basis, points: list, weights: tuple) -> tuple[list, list]:
+    """The compensated loop of `_series` at each of `points`: Python floats, or
+    one numpy array taken as a single point, whose operators run the same IEEE
+    operations elementwise in the same order.  Returns the lists (even, odd);
+    a parity that took no term holds the float it started at."""
     evens, odds = [], []
     for z in points:
         cur, cur_c, other, other_c = 0.0, 0.0, 1.0, 0.0  # odd L first; L = 0 adds 1
@@ -241,24 +230,13 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
         tail = _tail_bound_after(L_cap, t, D, k)
     weights = _weights(t, D, k, L_cap)
     if x.size <= _FLOAT_MAX_POINTS:
-        even, odd = _float_sums(basis, x.ravel().tolist(), weights)
+        even, odd = _compensated_sums(basis, x.ravel().tolist(), weights)
         return (np.array(even).reshape(x.shape), np.array(odd).reshape(x.shape),
                 L_cap + 1, tail, converged)
-    # per parity [sum, compensation, spare]; the Kahan step writes the new
-    # sum into the spare and swaps, so the loop allocates nothing
-    sums = ([np.ones_like(x), np.zeros_like(x), np.empty_like(x)],  # L = 0 adds 1
-            [np.zeros_like(x), np.zeros_like(x), np.empty_like(x)])
-    y = np.empty_like(x)
-    for L, (w, b) in enumerate(zip(weights, basis(x)), 1):
-        acc = sums[L % 2]
-        total, comp, spare = acc
-        np.multiply(b, w, out=y)
-        np.subtract(y, comp, out=y)
-        np.add(total, y, out=spare)
-        np.subtract(spare, total, out=comp)
-        np.subtract(comp, y, out=comp)
-        acc[0], acc[2] = spare, total
-    return sums[0][0], sums[1][0], L_cap + 1, tail, converged
+    (even,), (odd,) = _compensated_sums(basis, [x], weights)
+    # a parity that took no term (L_cap < 2) is still the float it started at
+    even, odd = (np.full(x.shape, s) if isinstance(s, float) else s for s in (even, odd))
+    return even, odd, L_cap + 1, tail, converged
 
 
 def _kernel_value(even, odd, terms: int, tail: float, converged: bool) -> KernelValue:
@@ -305,14 +283,6 @@ def heat_kernel(q: SphereKernelQuery) -> KernelValue:
         angle = math.acos(_clamp_z(q.y.dot(q.y_prime), "heat_kernel: y.y_prime"))
         return heat_kernel_circle(angle, q.t, q.D, q.trunc)
     return zonal_kernel(q.y.dot(q.y_prime), q.t, q.D, k, q.trunc)
-
-
-def heat_kernel_unnormalized(q: SphereKernelQuery) -> KernelValue:
-    """Same kernel with respect to the raw surface measure (divide by A_{k-1})."""
-    res = heat_kernel(q)
-    a = sphere_surface_area(q.y.k)
-    return KernelValue(res.value / a, res.terms_used, res.tail_bound / a,
-                       res.converged, res.even_part / a, res.odd_part / a)
 
 
 def heat_kernel_circle(angle_diff: float, t: float, D: float,

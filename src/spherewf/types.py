@@ -21,8 +21,6 @@ __all__ = [
     "SpherePoint",
     "ModelParams",
     "Truncation",
-    "sqrt_lift",
-    "square_push",
 ]
 
 # Inputs within this distance of the constraint are renormalized and
@@ -152,14 +150,3 @@ class Truncation:
             raise ValueError("Truncation: tol must be > 0")
         if self.tol == math.inf:
             raise ValueError("Truncation: tol must be finite")
-
-
-def sqrt_lift(x: SimplexPoint) -> SpherePoint:
-    """Map x to the positive-orthant sphere representative y_i = +sqrt(x_i)."""
-    return SpherePoint(np.sqrt(x.coords))
-
-
-def square_push(y: SpherePoint) -> SimplexPoint:
-    """Map y to the simplex via x_i = y_i**2."""
-    return SimplexPoint(y.coords * y.coords)
-

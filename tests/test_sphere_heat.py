@@ -14,12 +14,10 @@ from spherewf.sphere_heat import (
     circle_series,
     heat_kernel,
     heat_kernel_circle,
-    heat_kernel_unnormalized,
     truncation_cutoff,
     zonal_kernel,
     zonal_series,
 )
-from spherewf.specfun import sphere_surface_area
 from spherewf.types import SpherePoint, Truncation
 
 
@@ -84,15 +82,6 @@ def test_positivity_of_truncated_kernel():
         z = float(rng.uniform(-1, 1))
         t = float(rng.uniform(0.05, 10.0))
         assert zonal_kernel(z, t, 0.125, k).value >= -1e-10
-
-
-def test_unnormalized_accessor_scales_by_area():
-    y = SpherePoint([0.6, -0.64, 0.48])
-    yp = SpherePoint([0.0, 0.0, 1.0])
-    q = SphereKernelQuery(y, yp, 0.7, 0.125)
-    a = heat_kernel(q)
-    b = heat_kernel_unnormalized(q)
-    assert b.value == pytest.approx(a.value / sphere_surface_area(3), rel=1e-15)
 
 
 def test_time_floor_enforced():
@@ -214,12 +203,14 @@ def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
     dots = np.concatenate([specials, rng.uniform(-1.0, 1.0, 40)])
     # both sides of the float path's limit; the sizes below 5 hold a prefix of the specials
     small = list(_every_size(np.concatenate([specials, rng.uniform(-1.0, 1.0, 3)])))
+    # at t = 8, D = 3 the cutoff is L = 0 (the degree-1 bound is about 4e-21 at
+    # k = 3), so no sum takes a term on either path
     for d in (dots, np.asarray(dots[-1]), *small):
-        for t in (T_MIN, 0.01, 0.1, 1.0):
+        for t, D in ((T_MIN, 0.125), (0.01, 0.125), (0.1, 0.125), (1.0, 0.125), (8.0, 3.0)):
             for max_terms in (1, 2, 3, 17, 400):
                 trunc = Truncation(max_terms=max_terms, tol=1e-12)
-                even, odd, *rest = zonal_series(d, t, 0.125, k, trunc)
-                ref_even, ref_odd, *ref_rest = _zonal_series_inline(d, t, 0.125, k, trunc)
+                even, odd, *rest = zonal_series(d, t, D, k, trunc)
+                ref_even, ref_odd, *ref_rest = _zonal_series_inline(d, t, D, k, trunc)
                 assert even.shape == odd.shape == d.shape
                 assert even.dtype == odd.dtype == np.float64
                 assert even.tobytes() == ref_even.tobytes()
@@ -370,6 +361,21 @@ def test_cutoff_scan_keeps_the_quadratic_scan_bytes():
         assert repr(got) == repr(_cutoff_scan_quadratic(t, D, k, tol, cap)), (k, t, D, tol, cap)
         outcomes.add((got[2], got[1] == 0.0))
     assert outcomes == {(True, False), (True, True), (False, False)}
+
+
+def test_cutoff_scan_returns_the_smallest_cutoff():
+    # the first L (from L = 1 at k = 2) whose tail bound is below tol, also
+    # for tol > 1, where a term-ratio pre-check once passed over it
+    tail_after = sphere_heat._tail_bound_after
+    for k, (t, D), tol in itertools.product(
+            (2, 3, 6), ((0.01, 0.125), (0.5, 0.125), (1.0, 0.5), (8.0, 0.125), (0.1, 3.0)),
+            (1e-12, 1.0, 2.0, 10.0)):
+        first = next(L for L in itertools.count(1 if k == 2 else 0)
+                     if tail_after(L, t, D, k) < tol)
+        got = sphere_heat._cutoff_scan.__wrapped__(t, D, k, tol, 5000)
+        assert repr(got) == repr((first, tail_after(first, t, D, k), True)), (k, t, D, tol)
+    # the degree-0 tail bound is 1.425 here
+    assert truncation_cutoff(1.0, 0.5, 3, 2.0) == (0, True)
 
 
 @pytest.mark.parametrize("k", [3, 6])

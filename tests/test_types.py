@@ -8,8 +8,6 @@ from spherewf.types import (
     SimplexPoint,
     SpherePoint,
     Truncation,
-    sqrt_lift,
-    square_push,
 )
 
 
@@ -44,34 +42,6 @@ def test_sphere_norm_validation():
     SpherePoint([0.6, -0.64, 0.48])
     with pytest.raises(ValueError):
         SpherePoint([1.0, 1.0])
-
-
-def test_sqrt_lift_examples():
-    assert np.array_equal(sqrt_lift(SimplexPoint([1, 0, 0])).coords, [1, 0, 0])
-    y = sqrt_lift(SimplexPoint([0.25, 0.25, 0.5]))
-    assert np.allclose(y.coords, [0.5, 0.5, 1 / math.sqrt(2)], rtol=0, atol=1e-15)
-
-
-def test_square_push_examples():
-    assert np.array_equal(square_push(SpherePoint([0, 1, 0])).coords, [0, 1, 0])
-    x = square_push(SpherePoint([1 / math.sqrt(2), -1 / math.sqrt(2), 0]))
-    assert np.allclose(x.coords, [0.5, 0.5, 0.0], atol=1e-15)
-    x2 = square_push(SpherePoint([0.5, 0.5, 1 / math.sqrt(2)]))
-    assert np.allclose(x2.coords, [0.25, 0.25, 0.5], atol=1e-15)
-
-
-def test_lift_push_round_trips():
-    rng = np.random.default_rng(11)
-    for _ in range(50):
-        x = SimplexPoint(rng.dirichlet(np.ones(4)))
-        back = square_push(sqrt_lift(x))
-        assert np.allclose(back.coords, x.coords, rtol=0, atol=1e-15)
-    # positive-orthant sphere points round trip the other way
-    for _ in range(50):
-        g = np.abs(rng.standard_normal(4)) + 1e-3
-        y = SpherePoint(g / np.linalg.norm(g))
-        there = sqrt_lift(square_push(y))
-        assert np.allclose(there.coords, y.coords, rtol=0, atol=1e-12)
 
 
 def test_model_params():
