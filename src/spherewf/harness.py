@@ -224,9 +224,9 @@ def _ks_report(name: str, params: dict, attempt, seed: int, alpha: float) -> Ver
     )
 
 
-def _converged(series: tuple) -> tuple:
-    """A quadrature grid's series result (converged flag last), which must have converged."""
-    if not series[-1]:
+def _converged(series):
+    """A quadrature grid's series result (a KernelValue), which must have converged."""
+    if not series.converged:
         raise RuntimeError("kernel series did not converge on the quadrature grid")
     return series
 
@@ -404,8 +404,8 @@ def gegenbauer_check(seed: int = DEFAULT_SEED) -> VerificationReport:
 def _wf_density_grid(x_eval: np.ndarray, x_cond: np.ndarray, t: float, D: float,
                      trunc: Truncation) -> np.ndarray:
     """p(x_eval_i, t | x_cond) for a batch of evaluation points (k = any)."""
-    series = _converged(pushforward_series_batch(x_eval, x_cond, t, D, trunc))[0]
-    return np.exp(pushforward_log_prefactor(x_eval)) * series
+    series = _converged(pushforward_series_batch(x_eval, x_cond, t, D, trunc))
+    return np.exp(pushforward_log_prefactor(x_eval)) * series.value
 
 
 def _simplex_grid_k3(quad_order: int):
@@ -441,8 +441,8 @@ def normalization_check(kernel: str, t: float, quad_order: int = 256,
     if kernel == "sphere":
         threshold = 1e-8 if threshold is None else threshold
         z, w = np.polynomial.legendre.leggauss(quad_order)
-        even, odd, _, _, conv = zonal_series(z, t, D, 3, SPHERE_TRUNCATION)
-        total = float(0.5 * (w * (even + odd)).sum())
+        series = zonal_series(z, t, D, 3, SPHERE_TRUNCATION)
+        total, conv = float(0.5 * (w * series.value).sum()), series.converged
     elif kernel == "wf":
         threshold = 5e-3 if threshold is None else threshold
         pts, w, dw = _simplex_grid_k3(quad_order)
@@ -473,10 +473,10 @@ def _ck_sphere_residual(t1: float, t2: float, quad_order: int, D: float) -> floa
     m_phi = 2 * quad_order
     phi = 2.0 * math.pi * np.arange(m_phi) / m_phi
     dots = sin_g * np.sqrt(1.0 - u[:, None] ** 2) * np.cos(phi)[None, :] + cos_g * u[:, None]
-    e2, o2, *_ = _converged(zonal_series(dots, t2, D, 3, SPHERE_TRUNCATION))
-    e1, o1, *_ = _converged(zonal_series(u, t1, D, 3, SPHERE_TRUNCATION))
-    inner = (e2 + o2).sum(axis=1)  # phi sum
-    integral = float((wu * (e1 + o1) * inner).sum() / (2.0 * m_phi))
+    second = _converged(zonal_series(dots, t2, D, 3, SPHERE_TRUNCATION)).value
+    first = _converged(zonal_series(u, t1, D, 3, SPHERE_TRUNCATION)).value
+    inner = second.sum(axis=1)  # phi sum
+    integral = float((wu * first * inner).sum() / (2.0 * m_phi))
     direct = zonal_kernel(cos_g, t1 + t2, D, 3).value
     return abs(integral - direct)
 
@@ -488,7 +488,7 @@ def _ck_wf_residual(t1: float, t2: float, quad_order: int, D: float,
     trunc = Truncation(max_terms=400, tol=1e-12)
     pts, w, dw = _simplex_grid_k3(quad_order)
     p_zx = _wf_density_grid(pts, x_from, t1, D, trunc)      # p(z, t1 | x_from)
-    series_to = _converged(pushforward_series_batch(pts, x_to, t2, D, trunc))[0]
+    series_to = _converged(pushforward_series_batch(pts, x_to, t2, D, trunc)).value
     p_xz = math.exp(pushforward_log_prefactor(x_to)) * series_to  # p(x_to, t2 | z)
     integral = float((w * p_xz * p_zx * dw).sum())
     direct = pushforward_density(

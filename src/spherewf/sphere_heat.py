@@ -33,6 +33,7 @@ import math
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import count
+from typing import NamedTuple
 
 import numpy as np
 
@@ -58,13 +59,18 @@ T_MIN = 1e-3
 SPHERE_TRUNCATION = Truncation(max_terms=5000, tol=1e-12)
 
 
+def _check_diffusion(who: str, D: float) -> None:
+    """The series' rule of D, for `who`: D > 0 (ValueError naming D; NaN fails)."""
+    if not (D > 0.0):
+        raise ValueError(f"{who}: D = {D!r} is not > 0")
+
+
 def _check_series(who: str, t: float, D: float) -> None:
     """The series' floor, for `who`: t >= T_MIN and D > 0 (ValueError naming
     the argument; NaN fails both)."""
     if not (t >= T_MIN):
         raise ValueError(f"{who}: t = {t:.3e} below the supported floor {T_MIN:.0e}")
-    if not (D > 0.0):
-        raise ValueError(f"{who}: D = {D!r} is not > 0")
+    _check_diffusion(who, D)
 
 
 @dataclass(frozen=True)
@@ -83,24 +89,33 @@ class SphereKernelQuery:
         _check_series("SphereKernelQuery", self.t, self.D)
 
 
-@dataclass(frozen=True)
-class KernelValue:
-    """Series evaluation result with truncation diagnostics.
+class KernelValue(NamedTuple):
+    """The sphere series' result with its truncation diagnostics.
 
-    even_part/odd_part split the sum by the parity of the series index.
-    tail_bound is a rigorous bound on the discarded tail; converged is
-    False when max_terms was hit before the tail bound met tol.
+    even_part/odd_part split the sum by the parity of the degree L, and
+    `value` is their sum.  terms_used counts the degrees summed (0 ..
+    terms_used - 1), tail_bound is a rigorous bound on the discarded tail,
+    and converged is False when max_terms was hit before the tail bound met
+    tol.  The two parts are arrays shaped like the points from
+    `zonal_series`, `circle_series` and `pushforward_series_batch`, and
+    Python floats from `zonal_kernel`, `heat_kernel` and
+    `heat_kernel_circle`.  terms_used stays at index 2, where a tracer of
+    the series calls reads it.
     """
 
-    value: float
+    even_part: float | np.ndarray
+    odd_part: float | np.ndarray
     terms_used: int
     tail_bound: float
     converged: bool
-    even_part: float
-    odd_part: float
+
+    @property
+    def value(self):
+        """The series sum, even_part + odd_part."""
+        return self.even_part + self.odd_part
 
     def __float__(self) -> float:
-        return self.value
+        return float(self.value)
 
 
 def _term_bound(L: int, r: float, t: float, D: float, k: int) -> float:
@@ -167,10 +182,12 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
     """Series length needed for the spectral kernel's tail bound to meet tol.
 
     Returns (L_max, achieved); achieved is False if the internal hard cap
-    was reached first (only possible for extremely small t).
+    was reached first (only possible for extremely small t).  D must be > 0
+    (ValueError naming D).
     """
     if not (t > 0.0 and tol > 0.0):
         raise ValueError("truncation_cutoff: need t > 0 and tol > 0")
+    _check_diffusion("truncation_cutoff", D)
     if k < 3:
         raise ValueError("truncation_cutoff: k must be >= 3 (k = 2 is the circle kernel)")
     L, _, achieved = _cutoff_scan(t, D, k, tol)
@@ -220,7 +237,7 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
     the points x, up to the cutoff capped at trunc.max_terms, summed compensated
     and split by parity.  basis(z) yields basis_1, basis_2, ... at a float or an
-    array z.  Returns (even, odd, terms_used, tail_bound, converged)."""
+    array z.  Returns a KernelValue whose parts are arrays shaped like x."""
     _check_series("the sphere series", t, D)
     # the scan stops past max_terms: a longer cutoff is not converged anyway
     L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
@@ -231,24 +248,25 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     weights = _weights(t, D, k, L_cap)
     if x.size <= _FLOAT_MAX_POINTS:
         even, odd = _compensated_sums(basis, x.ravel().tolist(), weights)
-        return (np.array(even).reshape(x.shape), np.array(odd).reshape(x.shape),
-                L_cap + 1, tail, converged)
+        return KernelValue(np.array(even).reshape(x.shape), np.array(odd).reshape(x.shape),
+                           L_cap + 1, tail, converged)
     (even,), (odd,) = _compensated_sums(basis, [x], weights)
     # a parity that took no term (L_cap < 2) is still the float it started at
     even, odd = (np.full(x.shape, s) if isinstance(s, float) else s for s in (even, odd))
-    return even, odd, L_cap + 1, tail, converged
+    return KernelValue(even, odd, L_cap + 1, tail, converged)
 
 
-def _kernel_value(even, odd, terms: int, tail: float, converged: bool) -> KernelValue:
-    e, o = float(even), float(odd)
-    return KernelValue(e + o, terms, tail, converged, e, o)
+def _at_one_point(series: KernelValue) -> KernelValue:
+    """A series result at a single point, its parts as Python floats."""
+    return KernelValue(float(series.even_part), float(series.odd_part), series.terms_used,
+                       series.tail_bound, series.converged)
 
 
 def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
     """Spectral series at an array of dot products (normalized-measure density).
 
-    Returns (even, odd, terms_used, tail_bound, converged) where even/odd
-    are arrays holding the even-L and odd-L partial sums.
+    Returns a KernelValue whose even_part/odd_part are arrays shaped like
+    dots, holding the even-L and odd-L partial sums.
     """
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
@@ -269,7 +287,7 @@ def zonal_kernel(dot: float, t: float, D: float, k: int,
     A dot within 1e-9 of [-1, 1] is clamped into it; one further out, or
     NaN, is refused (ValueError).
     """
-    return _kernel_value(*zonal_series(_clamp_z(dot, "zonal_kernel: dot"), t, D, k, trunc))
+    return _at_one_point(zonal_series(_clamp_z(dot, "zonal_kernel: dot"), t, D, k, trunc))
 
 
 def heat_kernel(q: SphereKernelQuery) -> KernelValue:
@@ -294,11 +312,12 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
     """
     if not math.isfinite(angle_diff):
         raise ValueError(f"heat_kernel_circle: angle_diff = {angle_diff!r} is not finite")
-    return _kernel_value(*circle_series(angle_diff, t, D, trunc))
+    return _at_one_point(circle_series(angle_diff, t, D, trunc))
 
 
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):
-    """Array version of the circle kernel; returns (even, odd, terms, tail, converged)."""
+    """Array version of the circle kernel; returns a KernelValue whose parts are
+    arrays shaped like angles."""
     angles = np.asarray(angles, dtype=float)
 
     def basis(a):

@@ -69,7 +69,7 @@ from mpmath.libmp import (fzero, mpf_add, mpf_mul, mpf_mul_int, mpf_sub,
                           round_nearest, to_float)
 
 from .specfun import log_gamma
-from .sphere_heat import _check_series, circle_series, zonal_series
+from .sphere_heat import KernelValue, _check_series, circle_series, zonal_series
 from .types import SimplexPoint, Truncation
 
 __all__ = [
@@ -99,6 +99,13 @@ _CONSECUTIVE_SMALL = 3
 
 #: Sign-preimage enumeration guard for the pushforward (2^k terms).
 _MAX_SIGN_K = 20
+
+
+def _check_sign_k(who: str, k: int) -> None:
+    """The sign sum's limit, for `who`: k <= _MAX_SIGN_K (ValueError), so
+    that no call asks for more than 2^_MAX_SIGN_K sign vectors."""
+    if k > _MAX_SIGN_K:
+        raise ValueError(f"{who}: k > {_MAX_SIGN_K} not supported (2^k sign sum)")
 
 
 def _check_pair(who: str, x: SimplexPoint, x_prime: SimplexPoint) -> None:
@@ -156,8 +163,7 @@ class PushforwardQuery:
         # interior points: the prefactor diverges on the boundary
         _check_pair("PushforwardQuery", self.x, self.x_prime)
         _check_series("PushforwardQuery", self.t, self.D)
-        if self.x.k > _MAX_SIGN_K:
-            raise ValueError(f"PushforwardQuery: k > {_MAX_SIGN_K} not supported (2^k sign sum)")
+        _check_sign_k("PushforwardQuery", self.x.k)
 
 
 @dataclass(frozen=True)
@@ -483,40 +489,38 @@ def _sign_matrix(k: int) -> np.ndarray:
 
 
 def pushforward_series_batch(x_batch: np.ndarray, x_other: np.ndarray, t: float,
-                             D: float, trunc: Truncation):
+                             D: float, trunc: Truncation) -> KernelValue:
     """Sign-summed kernel series 2^{-k} sum_s rho((s*y).y') for a batch of points.
 
     x_batch: (n, k) interior simplex coordinates; x_other: (k,) interior
-    point.  Symmetric in the roles of the two arguments.  Returns
-    (series, even, odd, terms_used, tail_bound, converged) with (n,)
-    arrays for the first three.
+    point.  Symmetric in the roles of the two arguments.  Returns a
+    KernelValue whose even_part/odd_part are the (n,) sign-summed parity
+    aggregates; its value is the sign-summed series.  k is limited as
+    PushforwardQuery limits it (ValueError).
     """
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
     x_other = np.asarray(x_other, dtype=float)
     k = x_other.size
-    ybatch = np.sqrt(x_batch)
-    yother = np.sqrt(x_other)
-    signs = _sign_matrix(k)
-    dots = signs @ (ybatch * yother).T  # (2^k, n)
+    _check_sign_k("pushforward_series_batch", k)
+    dots = _sign_matrix(k) @ (np.sqrt(x_batch) * np.sqrt(x_other)).T  # (2^k, n)
     if k == 2:
-        angles = np.arccos(np.clip(dots, -1.0, 1.0))
-        even, odd, terms, tail, conv = circle_series(angles, t, D, trunc)
-    elif len(ybatch) == 1:
+        r = circle_series(np.arccos(np.clip(dots, -1.0, 1.0)), t, D, trunc)
+        even, odd = r.even_part, r.odd_part
+    elif len(x_batch) == 1:
         # row 2^k-1-i of the sign matrix is minus row i, and a one-row matmul
         # gives their dots as exact negations d and -d (checked for k = 2-18),
         # whose even sums are equal and odd sums opposite: evaluate the rows
         # with s_1 = +1 and mirror them.  A batch's matmul does not always
         # negate exactly (k >= 4 at 500 rows), so batches keep the full sum.
-        half = len(dots) // 2
-        even, odd, terms, tail, conv = zonal_series(dots[:half], t, D, k, trunc)
-        even = np.concatenate((even, even[::-1]))
-        odd = np.concatenate((odd, -odd[::-1]))
+        r = zonal_series(dots[:len(dots) // 2], t, D, k, trunc)
+        even = np.concatenate((r.even_part, r.even_part[::-1]))
+        odd = np.concatenate((r.odd_part, -r.odd_part[::-1]))
     else:
-        even, odd, terms, tail, conv = zonal_series(dots, t, D, k, trunc)
+        r = zonal_series(dots, t, D, k, trunc)
+        even, odd = r.even_part, r.odd_part
     scale = 0.5 ** k
-    even_agg = even.sum(axis=0) * scale
-    odd_agg = odd.sum(axis=0) * scale
-    return even_agg + odd_agg, even_agg, odd_agg, terms, tail, conv
+    return KernelValue(even.sum(axis=0) * scale, odd.sum(axis=0) * scale, r.terms_used,
+                       r.tail_bound, r.converged)
 
 
 def pushforward_log_prefactor(x: np.ndarray):
@@ -538,16 +542,8 @@ def pushforward_density(q: PushforwardQuery) -> DensityValue:
     Gamma(k/2)/pi^{k/2} * prod x_i^{-1/2}.
     """
     prefactor = math.exp(pushforward_log_prefactor(q.x.coords))
-    series, even, odd, terms, tail, conv = pushforward_series_batch(
-        q.x.coords[None, :], q.x_prime.coords, q.t, q.D, q.trunc
-    )
-    return DensityValue(
-        value=prefactor * float(series[0]),
-        prefactor=prefactor,
-        series_sum=float(series[0]),
-        terms_used=terms,
-        tail_bound=tail,
-        converged=conv,
-        even_part=float(even[0]),
-        odd_part=float(odd[0]),
-    )
+    r = pushforward_series_batch(q.x.coords[None, :], q.x_prime.coords, q.t, q.D, q.trunc)
+    series = float(r.value[0])
+    return DensityValue(value=prefactor * series, prefactor=prefactor, series_sum=series,
+                        terms_used=r.terms_used, tail_bound=r.tail_bound, converged=r.converged,
+                        even_part=float(r.even_part[0]), odd_part=float(r.odd_part[0]))

@@ -1,6 +1,7 @@
-"""The goldens in tests/golden/, regenerated in process and compared byte for byte.
+"""The fast goldens in tests/golden/, regenerated in process and compared byte for byte.
 
-Three files hold the cheap part of the repository's byte record:
+`tools/check_golden.py` holds the table of goldens, their generators and
+the one comparison rule; this test runs its three fast files:
 
 - density_tiny.txt: `tools/density_values.py --tiny` (seed 12, 48 lines);
 - paths_tiny.txt: `tools/path_values.py --tiny` (seed 13, 48 lines);
@@ -8,69 +9,27 @@ Three files hold the cheap part of the repository's byte record:
   simulation, with wall_time_s stripped and the keys sorted as
   `tools/compare_reports.py` writes them.
 
-Line 1 of each file names the numpy version it was made with.  A change
-that moves bytes on purpose writes the new files and lists what moved in
-CHANGES.md; the full dumps and the Monte Carlo reports stay a tool run.
+Line 1 of each file names the numpy version and BLAS build it was made
+with.  The full dumps and the Monte Carlo reports stay a tool run:
+`python tools/check_golden.py`.
 """
 
 from __future__ import annotations
 
+import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
-ROOT = Path(__file__).resolve().parents[1]
-GOLDEN = ROOT / "tests" / "golden"
-TOOLS = ROOT / "tools"
+TOOLS = Path(__file__).resolve().parents[1] / "tools"
+if str(TOOLS) not in sys.path:  # the generators import the tools by name
+    sys.path.insert(0, str(TOOLS))
 
-#: the verify suites whose reports run no simulation, in `run_suite("all")` order
-NON_MC_SUITES = ("equivalence", "oddcancel", "exponent", "prefactor", "gegenbauer",
-                 "kernels", "controls")
+import check_golden  # noqa: E402
 
 
-def _density_tiny(tmp_path: Path) -> list[str]:
-    import density_values
-    return list(density_values.lines(12, tiny=True))
-
-
-def _paths_tiny(tmp_path: Path) -> list[str]:
-    import path_values
-    return list(path_values.lines(13, tiny=True))
-
-
-def _reports(tmp_path: Path) -> list[str]:
-    import compare_reports
-    from spherewf import harness
-    reports = [report for key in NON_MC_SUITES
-               for report in harness.SUITES[key](harness.DEFAULT_SEED, 1, None)]
-    path = tmp_path / "reports.jsonl"
-    harness.write_reports_jsonl(reports, path)
-    return compare_reports._stripped_lines(str(path))
-
-
-#: file name -> its lines below line 1, made from the spherewf on sys.path
-GOLDENS = {"density_tiny.txt": _density_tiny, "paths_tiny.txt": _paths_tiny,
-           "reports.jsonl": _reports}
-
-
-def golden_body(name: str, tmp_path: Path) -> str:
-    """Golden `name` below its numpy line, made from the spherewf on sys.path
-    (tools/ must be on it too)."""
-    return "".join(f"{line}\n" for line in GOLDENS[name](tmp_path))
-
-
-@pytest.mark.parametrize("name", GOLDENS)
-def test_golden_keeps_its_bytes(name, tmp_path, monkeypatch):
-    monkeypatch.syspath_prepend(str(TOOLS))
-    header, want = (GOLDEN / name).read_text(encoding="utf-8").split("\n", 1)
-    got = golden_body(name, tmp_path)
-    if got == want:
-        return
-    versions = f"golden made with {header[2:]}, this run with numpy {np.__version__}"
-    want_lines, got_lines = want.splitlines(), got.splitlines()
-    for number, (a, b) in enumerate(zip(want_lines, got_lines), 2):  # line 1 names numpy
-        if a != b:
-            pytest.fail(f"{name}:{number} differs ({versions}):\n  golden: {a}\n  now:    {b}")
-    pytest.fail(f"{name} has {len(want_lines)} lines below line 1, this run "
-                f"{len(got_lines)} ({versions})")
+@pytest.mark.parametrize("name", check_golden.FAST)
+def test_golden_keeps_its_bytes(name, tmp_path):
+    problem = check_golden.difference(name, tmp_path)
+    if problem:
+        pytest.fail(problem)

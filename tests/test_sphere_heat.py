@@ -5,7 +5,7 @@ from functools import partial
 import numpy as np
 import pytest
 
-from spherewf import sphere_heat
+from spherewf import sphere_heat, wf_density
 from spherewf.sphere_heat import (
     SPHERE_TRUNCATION,
     T_MIN,
@@ -145,9 +145,32 @@ def test_truncation_cutoff_properties():
 
 
 def test_kernel_value_float_conversion():
-    res = zonal_kernel(0.1, 0.5, 0.125, 3)
-    assert isinstance(res, KernelValue)
-    assert float(res) == res.value
+    # one record at every layer: arrays from the series and the sign sum,
+    # Python floats from the kernels; a tracer reads terms_used at index 2
+    def batch(k, rows):
+        first = np.linspace(0.4, 0.2, rows)[:, None]
+        x = np.concatenate((first, np.tile((1.0 - first) / (k - 1), k - 1)), axis=1)
+        return wf_density.pushforward_series_batch(x, np.full(k, 1.0 / k), 0.3, 0.125,
+                                                   SPHERE_TRUNCATION)
+
+    arrays = [zonal_series(np.array([0.1, -0.4, 0.9]), 0.5, 0.125, 3, SPHERE_TRUNCATION),
+              circle_series(np.array([0.0, 1.2]), 0.5, 0.125, SPHERE_TRUNCATION)]
+    arrays += [batch(k, rows) for k in (2, 3, 5) for rows in (1, 3)]
+    y2, y3 = SpherePoint([0.6, 0.8]), SpherePoint([0.6, 0.0, 0.8])
+    scalars = [zonal_kernel(0.1, 0.5, 0.125, 3), heat_kernel_circle(0.7, 0.5, 0.125),
+               heat_kernel(SphereKernelQuery(y2, SpherePoint([1.0, 0.0]), 0.5, 0.125)),
+               heat_kernel(SphereKernelQuery(y3, SpherePoint([0.0, 1.0, 0.0]), 0.5, 0.125))]
+    for res in arrays + scalars:
+        assert isinstance(res, KernelValue)
+        assert res[2] is res.terms_used
+        assert (np.asarray(res.value).tobytes()
+                == np.asarray(res.even_part + res.odd_part).tobytes())
+    for res in arrays:
+        assert isinstance(res.even_part, np.ndarray) and isinstance(res.odd_part, np.ndarray)
+    for res in scalars:
+        assert [type(f) for f in res] == [float, float, int, float, bool]
+        assert type(res.value) is float
+        assert float(res) == res.value
 
 
 def _kahan_add(total, comp, term):
@@ -277,6 +300,9 @@ def test_kernels_refuse_a_non_positive_diffusion_constant(D):
     y = SpherePoint([1.0, 0.0, 0.0])
     with pytest.raises(ValueError, match="SphereKernelQuery: D = "):
         SphereKernelQuery(y, y, 0.5, D)
+    # the cutoff used to scan all 200,000 degrees at D = 0 or NaN and overflow at D < 0
+    with pytest.raises(ValueError, match="truncation_cutoff: D = "):
+        truncation_cutoff(0.5, D, 3, 1e-8)
 
 
 @pytest.mark.parametrize("dot", [1.5, -1.5, 1.0 + 1e-8, math.nan, math.inf])

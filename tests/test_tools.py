@@ -3,6 +3,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 COMPARE = Path(__file__).resolve().parents[1] / "tools" / "compare_reports.py"
@@ -132,3 +133,47 @@ def test_path_dump_digests_every_ensemble_shape(monkeypatch):
                for line in lines)
     assert sum(f" n_paths={ENSEMBLE_CHUNK + 3} " in line for line in lines) == 16
     assert any("wf-neutral" in line and "clamp_fraction=0.0 " not in line for line in lines)
+
+
+CHECK = Path(__file__).resolve().parents[1] / "tools" / "check_golden.py"
+
+
+def test_check_golden_exit_codes(tmp_path, monkeypatch, capsys):
+    # a stand-in table and golden directory, so no slow golden is regenerated
+    monkeypatch.syspath_prepend(str(CHECK.parent))
+    import check_golden
+
+    lines = {"a.txt": ["x 1", "y nan"], "b.jsonl": ['{"s": 2}']}
+    monkeypatch.setattr(check_golden, "GOLDEN", tmp_path)
+    monkeypatch.setattr(check_golden, "GOLDENS",
+                        {name: (lambda tmp, name=name: lines[name]) for name in lines})
+    assert check_golden.main(["--update"]) == 0
+    assert (tmp_path / "a.txt").read_text() == f"# {check_golden.build()}\nx 1\ny nan\n"
+    assert check_golden.main([]) == 0
+    assert capsys.readouterr().out.count("keeps its bytes") == 2
+
+    (tmp_path / "a.txt").write_text("# numpy 1.0, BLAS other\nx 1\ny nan\n")
+    lines["a.txt"] = ["x 1", "y 2"]
+    assert check_golden.main([]) == 1
+    out = capsys.readouterr().out
+    assert "a.txt:3 differs:\n  golden: y nan\n  now:    y 2\n" in out
+    assert "golden made with numpy 1.0, BLAS other" in out
+    assert f"this run with    numpy {np.__version__}, BLAS " in out
+    assert "b.jsonl: keeps its bytes" in out
+    assert check_golden.main(["b.jsonl"]) == 0
+
+    lines["a.txt"] = ["x 1"]
+    assert check_golden.main(["a.txt"]) == 1
+    assert "a.txt has 2 lines below line 1, this run 1" in capsys.readouterr().out
+    assert check_golden.main(["a.txt", "--update"]) == 0
+    assert check_golden.main([]) == 0
+    with pytest.raises(SystemExit) as exc:
+        check_golden.main(["c.txt"])
+    assert exc.value.code == 2
+
+
+def test_check_golden_passes_on_a_fast_golden():
+    result = subprocess.run([sys.executable, str(CHECK), "paths_tiny.txt"],
+                            capture_output=True, text=True, timeout=120)
+    assert result.returncode == 0, result.stdout + result.stderr
+    assert result.stdout == "paths_tiny.txt: keeps its bytes\n"

@@ -365,9 +365,32 @@ def test_half_sign_sum_keeps_the_full_sums_bytes():
     x_other = point(5, 0.02)
     got = wf_density.pushforward_series_batch(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
     ref = _pushforward_full_sum(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
-    for a, b in zip(got[:3], ref[:3]):
+    for a, b in zip((got.value, got.even_part, got.odd_part), ref[:3]):
         assert a.tobytes() == b.tobytes()
-    assert got[3:] == ref[3:]
+    assert (got.terms_used, got.tail_bound, got.converged) == ref[3:]
+
+
+class _SignMatrixCalled(RuntimeError):
+    pass
+
+
+def test_pushforward_refuses_more_sign_vectors_than_its_limit(monkeypatch):
+    # both the query and a direct batch call check k before the 2^k sign
+    # matrix is asked for, so no call here builds one
+    def refuse(k):
+        raise _SignMatrixCalled(k)
+
+    monkeypatch.setattr(wf_density, "_sign_matrix", refuse)
+    limit = wf_density._MAX_SIGN_K
+    for k in (limit + 1, 24):
+        x = np.full(k, 1.0 / k)
+        with pytest.raises(ValueError, match=f"pushforward_series_batch: k > {limit} "):
+            wf_density.pushforward_series_batch(x[None, :], x, 0.5, 0.125, WF_TRUNCATION)
+        with pytest.raises(ValueError, match=f"PushforwardQuery: k > {limit} "):
+            PushforwardQuery(SimplexPoint(x), SimplexPoint(x), 0.5)
+    x = np.full(limit, 1.0 / limit)
+    with pytest.raises(_SignMatrixCalled):  # the limit itself is allowed
+        wf_density.pushforward_series_batch(x[None, :], x, 0.5, 0.125, WF_TRUNCATION)
 
 
 def test_pushforward_long_time_limit():
