@@ -270,7 +270,8 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     """
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
-    dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
+    # min/max, not np.clip: the same bits (NaN and -0.0 too) at half the call cost
+    dots = np.minimum(np.maximum(np.asarray(dots, dtype=float), -1.0), 1.0)
 
     def basis(z):
         polys = gegenbauer_terms(0.5 * k - 1.0, z)

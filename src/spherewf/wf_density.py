@@ -10,7 +10,7 @@ measure dx_1...dx_{k-1} on the simplex:
   mutation parameter eps:
 
       p(x,t|x') = [Gamma(mu) prod x_i^{eps-1} / Gamma(eps)^k]
-                  * sum_n exp(-n(n-1)t/2 - mu*n*t/2) Q_n(x, x')
+                  * sum_n e_n(t) Q_n(x, x'),  e_n(t) = exp(-n(n-1)t/2 - mu*n*t/2),
 
   with Q_0 = 1 and, for n >= 1,
 
@@ -19,7 +19,16 @@ measure dx_1...dx_{k-1} on the simplex:
       f(u) = sum_l u^l / (l! Gamma(l + eps)),
 
   where a_{(m)} is the rising factorial.  xi_0..xi_n come from k-1
-  truncated convolutions in O(k n^2) time, for any k.
+  truncated convolutions in O(k n^2) time, for any k.  Summed by the
+  xi_m, the series is Griffiths' line-of-descent mixture
+
+      sum_n e_n(t) Q_n = sum_m q_m(t) xi_m,
+      q_m(t) = sum_{n>=m} (-1)^{n-m} e_n(t) (mu+2n-1) (mu+m)_{(n-1)} / (m! (n-m)!)
+
+  (plus e_0 = 1 at m = 0): the law of the number of lines of descent
+  (Griffiths 1980; Tavare 1984), >= 0 and summing to 1.  Since
+  xi_m = E[Dir(x' | eps + l) / Dir(x' | eps)] with l ~ Multinomial(m, x),
+  every term q_m xi_m is >= 0.  `griffiths_density` evaluates this form.
 
 * `pushforward_density` - the sphere heat kernel pushed through
   x_i = y_i^2, summing over the 2^k sign preimages of y (y' is fixed to
@@ -37,22 +46,25 @@ measure dx_1...dx_{k-1} on the simplex:
   arrays are rebuilt before the sum, so the value keeps the full sum's
   bits.
 
-Numerical note: the alternating m-sum defining Q_n loses precision once
-n is moderately large (small t).  Each Q_n carries a cancellation flag,
-and `griffiths_density` automatically switches to a resummed evaluation
-by powers of the (all-positive) xi_m,
+Numerical note: the alternating sums behind Q_n and q_m cancel once n
+is moderately large (small t); their largest term is about 1e5 at
+t = 0.1 and 1e31 at t = 0.02.  `griffiths_density` therefore never sums
+them in float.  For each (t, k, eps, trunc) it computes the law
+q_0 .. q_M once, in arbitrary precision on mpmath's raw mpf tuples
+(`_hp_weights`), and caches it (`_law`); a query is then one xi table
+of M + 1 entries and one exact float sum (`math.fsum`) of the terms
+q_m xi_m.  Both cuts come from trunc.tol (tol^2, kept between the
+smallest float and 1) and neither depends on x:
 
-      sum_n e_n(t) Q_n = sum_m xi_m * W_m(t),
+* the inner sums stop at n_max, the first row of the (n, m) triangle
+  past its largest term whose next row stays below tol^2; the rows fall
+  from there on, so each q_m is within about tol^2 of its limit;
+* the mixture stops at M, the first m past the law's mode with
+  q_m < tol^2 (n_max if none); the law stays below tol^2 after it.
 
-whose x-independent weights W_m(t) are computed once per (t, k, eps, n)
-in arbitrary-precision arithmetic and cached.  The m-ordered sum has no
-destructive cancellation, so float64 xi_m values suffice.  A weight
-table is O(n^2) operations on mpmath's raw mpf tuples, rounded as mpf
-arithmetic rounds them; at eps = 1/2 a cold build takes about 5 ms for
-n = 24 (t = 0.1, k = 3), 25 ms for n = 64-72 and 125 ms for n = 160
-(t = 0.02, k = 6) on a 2-core VM.  The direct scan computes Q_n in fixed
-blocks of 16 rows (1-16, 17-32, ...), so it pays only for the rows up to
-the block its stop falls in.
+At the default tol = 1e-10 that is n_max = 190-196 and M = 150-157 at
+t = 0.02, n_max = 82-89 and M = 71-77 at t = 0.05, and M <= 17 for
+t >= 0.5, for k = 2-8 and eps 1/3-1.7.
 """
 
 from __future__ import annotations
@@ -94,8 +106,12 @@ GRIFFITHS_T_MIN = 0.01
 #: Default truncation for the simplex expansions.
 WF_TRUNCATION = Truncation(max_terms=200, tol=1e-10)
 
-#: The Griffiths scan stops after this many successive terms below tol.
-_CONSECUTIVE_SMALL = 3
+#: mode label: a law whose alternating sums reach a term above this is
+#: "resummed" (a float n-ordered scan would lose more than three digits)
+_RESUMMED_TERM = 1e3
+
+#: log of the smallest positive float
+_LOG_TINY = math.log(math.ulp(0.0))
 
 #: Sign-preimage enumeration guard for the pushforward (2^k terms).
 _MAX_SIGN_K = 20
@@ -172,13 +188,18 @@ class DensityValue:
 
     value = prefactor * series_sum.  even_part/odd_part are the
     parity-split series aggregates for the pushforward (None for the
-    Griffiths expansion).  cancellation reports that at least one Q_n
-    lost more than ten digits to cancellation; mode records whether the
-    direct float scan or the resummed high-precision path produced
-    series_sum.  tail_bound is in series_sum units: for the pushforward
-    it is the sphere series' rigorous bound on the discarded tail; for
-    the Griffiths expansion it is a heuristic, the largest of the last
-    three terms (`_CONSECUTIVE_SMALL`).
+    Griffiths expansion).  tail_bound is in series_sum units: for the
+    pushforward it is the sphere series' rigorous bound on the discarded
+    tail, and terms_used its number of degrees.
+
+    For the Griffiths expansion series_sum is the line-of-descent
+    mixture sum_{m<=M} q_m(t) xi_m and terms_used is M + 1.  tail_bound
+    is a heuristic: the last term kept, q_M xi_M; past M the law stays
+    below tol^2.  converged is False only when the law's inner cut would
+    pass trunc.max_terms.  mode labels the (t, k, eps) regime, not the
+    evaluation, which is the same in both: "resummed" where the
+    alternating sums behind Q_n reach a term above 1e3 (t <= 0.1 or so),
+    "direct" elsewhere.
     """
 
     value: float
@@ -189,7 +210,6 @@ class DensityValue:
     converged: bool
     even_part: Optional[float] = None
     odd_part: Optional[float] = None
-    cancellation: bool = False
     mode: str = "direct"
 
     def __float__(self) -> float:
@@ -272,11 +292,6 @@ def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> floa
     return math.exp(_log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, m)[m])
 
 
-#: The scan computes Q_n in fixed blocks of this many rows (1-16, 17-32, ...),
-#: so it pays only for the rows up to the block its stop falls in.
-_Q_BLOCK = 16
-
-
 @lru_cache(maxsize=64)
 def _q_base(mu: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """x-independent parts of Q_n0 .. Q_n1 (n0 >= 1): one row per n, columns m = 0..n1.
@@ -322,10 +337,10 @@ def _q_rows(mu: float, log_xi: np.ndarray, n0: int, n1: int) -> tuple[list, list
 def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
     """Expansion coefficient Q_n(x, x'); Q_0 = 1 by definition.
 
-    Flags nothing by itself; see griffiths_density for the cancellation
-    handling.  The value degrades once the alternating sum cancels more
-    than ~10 digits (large n, typical for small t).  The parameters are
-    checked as GriffithsQuery checks them (ValueError), at n = 0 too.
+    The value degrades once the alternating sum cancels more than ~10
+    digits (large n, typical for small t); griffiths_density does not sum
+    Q_n.  The parameters are checked as GriffithsQuery checks them
+    (ValueError), at n = 0 too.
     """
     if n < 0:
         raise ValueError("q_n: n must be >= 0")
@@ -337,34 +352,40 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
     return values[-1]
 
 
-# --- high-precision resummed weights -----------------------------------
+# --- the line-of-descent law ----------------------------------------------
+
+def _row_peak(n: int, t: float, mu: float) -> float:
+    """log of the largest term of row n of the weights' triangle,
+    max over m <= n of e_n(t) (mu+2n-1) (mu+m)_{(n-1)} / (m! (n-m)!).
+
+    The terms are unimodal in m (the ratio of neighbours falls), so the
+    peak sits at the ceiling of the root of 2m^2 + 2 mu m + mu = n(n-1+mu);
+    both integers next to the root are tried, against its rounding.
+    """
+    if n == 0:
+        return 0.0  # e_0 Q_0 = 1
+    root = 0.5 * (math.sqrt(mu * mu - 2.0 * mu + 2.0 * n * (n - 1.0 + mu)) - mu)
+    return max(
+        -0.5 * (n * (n - 1.0) + mu * n) * t + math.log(mu + 2.0 * n - 1.0)
+        + log_gamma(mu + m + n - 1.0) - log_gamma(mu + m)
+        - log_gamma(m + 1.0) - log_gamma(n - m + 1.0)
+        for m in {min(n, max(0, math.floor(root))), min(n, math.ceil(root))}
+    )
+
 
 def _weights_dps(t: float, k: int, eps: float, n_max: int) -> int:
     """Working precision for _hp_weights: enough digits to make the largest
     alternating term's absolute rounding error negligible (< 1e-30)."""
-    mu = k * eps
-    max_log10 = 0.0
-    for n in range(1, n_max + 1):
-        e_log = -0.5 * (n * (n - 1.0) + mu * n) * t
-        for m in (0, n // 2, n):
-            term = (
-                e_log
-                + math.log(mu + 2.0 * n - 1.0)
-                + math.log(math.comb(n, m))
-                + log_gamma(mu + m + n - 1.0)
-                - log_gamma(mu + m)
-                - log_gamma(n + 1.0)
-            )
-            max_log10 = max(max_log10, term / math.log(10.0))
-    return int(max_log10) + 40
+    peak = max(_row_peak(n, t, k * eps) for n in range(n_max + 1))
+    return int(peak / math.log(10.0)) + 40
 
 
-@lru_cache(maxsize=128)
 def _hp_weights(t: float, k: int, eps: float, n_max: int) -> np.ndarray:
-    """W_m(t) with sum_n e_n Q_n = sum_m xi_m W_m, computed in mp arithmetic.
+    """W_m(t) with sum_{n<=n_max} e_n Q_n = sum_{m<=n_max} xi_m W_m, in mp arithmetic.
 
-    W_m = sum_{n >= max(m,1)} (-1)^{n-m} e_n(t) (mu+2n-1)/n! C(n,m) (mu+m)_{(n-1)},
-    plus the n = 0 contribution (Q_0 = 1, xi_0 = 1) folded into W_0.
+    W_m = sum_{n=max(m,1)}^{n_max} (-1)^{n-m} e_n(t) (mu+2n-1)/n! C(n,m) (mu+m)_{(n-1)},
+    plus the n = 0 contribution (Q_0 = 1, xi_0 = 1) folded into W_0: the
+    law q_m(t) with its inner sums stopped at n_max.
 
     The double loop runs on mpmath's raw mpf tuples (`mpmath.libmp`), each
     operation rounded to nearest at the working precision, which is what
@@ -391,90 +412,57 @@ def _hp_weights(t: float, k: int, eps: float, n_max: int) -> np.ndarray:
                 total = (mpf_sub if (n - m) % 2 else mpf_add)(total, term, prec, rnd)
                 rising = mpf_mul(rising, mu_plus[m + n - 1], prec, rnd)
             out[m] = to_float(total, rnd=rnd)
-    out.flags.writeable = False
     return out
 
 
-def griffiths_density(q: GriffithsQuery) -> DensityValue:
-    """Transition density via the orthogonal-polynomial expansion.
+@lru_cache(maxsize=128)
+def _law(t: float, k: int, eps: float, trunc: Truncation) -> tuple[np.ndarray, bool, str]:
+    """The line-of-descent law q_0 .. q_M(t), whether its cuts held within
+    trunc.max_terms, and the regime's mode label.
 
-    Runs the n-ordered scan in float arithmetic with the truncation rule
-    (stop after `_CONSECUTIVE_SMALL` terms below tol, n >= 5 required, Q_n
-    can grow before the exponential wins).  If the accumulated
-    cancellation estimate endangers ~1e-10 relative accuracy, the series
-    is re-evaluated as sum_m xi_m W_m(t) with cached high-precision
-    weights (mode = "resummed").
+    The inner cut n_max is the first row past the triangle's peak whose
+    next row stays below tol^2 (`_row_peak`); the outer cut M is the first
+    m past the law's mode with q_m < tol^2, or n_max.
+    """
+    mu = k * eps
+    # tol^2, kept between the smallest float, below which no term can move a
+    # float sum, and 1, which no law value exceeds
+    log_cut = min(0.0, max(2.0 * math.log(trunc.tol), _LOG_TINY))
+    rows = [_row_peak(0, t, mu), _row_peak(1, t, mu)]
+    while not rows[-1] < min(log_cut, rows[-2]):  # e_n(t) drives the rows to -inf
+        rows.append(_row_peak(len(rows), t, mu))
+    n_max = len(rows) - 2
+    converged = n_max <= trunc.max_terms
+    w = _hp_weights(t, k, eps, min(n_max, trunc.max_terms))
+    cut = math.exp(log_cut)
+    m_cut = next((m for m in range(int(w.argmax()), len(w)) if w[m] < cut), len(w) - 1)
+    q = w[:m_cut + 1]
+    q.flags.writeable = False
+    mode = "resummed" if max(rows) > math.log(_RESUMMED_TERM) else "direct"
+    return q, converged, mode
+
+
+def griffiths_density(q: GriffithsQuery) -> DensityValue:
+    """Transition density via the expansion, summed as the line-of-descent
+    mixture prefactor * sum_{m<=M} q_m(t) xi_m.
+
+    The law q_m(t) comes from the (t, k, eps, trunc) cache (`_law`); the
+    query builds one xi table and sums the terms q_m xi_m exactly.
     """
     k = q.x.k
     eps = float(q.epsilon)
-    mu = k * eps
-    trunc = q.trunc
+    law, converged, mode = _law(q.t, k, eps, q.trunc)
     prefactor = math.exp(_log_dirichlet(q.x.coords, np.full(k, eps)))
-    log_xx = np.log(q.x.coords * q.x_prime.coords)
-    # doubled only when the scan or the resummation runs past its end
-    n_table = 16
-    log_xi = _log_xi_table(log_xx, k, eps, n_table)
-    # q_vals[i], q_scales[i]: Q_n and its largest partial term for n = q_first + i
-    q_first, q_vals, q_scales = 1, [], []
-    total = 0.0
-    comp = 0.0
-    err_est = 0.0
-    cancellation = False
-    small_run = 0
-    recent: list[float] = []
-    converged = False
-    n_stop = 0
-    for n in range(trunc.max_terms + 1):
-        e_n = math.exp(-0.5 * (n * (n - 1.0) + mu * n) * q.t)
-        if n == 0:
-            term = 1.0
-        elif e_n == 0.0:
-            term = 0.0
-        else:
-            if n >= q_first + len(q_vals):
-                if n > n_table:
-                    n_table = min(2 * n_table, trunc.max_terms)
-                    log_xi = _log_xi_table(log_xx, k, eps, n_table)
-                q_first = n
-                q_vals, q_scales = _q_rows(mu, log_xi, n, min(n + _Q_BLOCK - 1, n_table))
-            qn, max_partial = q_vals[n - q_first], q_scales[n - q_first]
-            if abs(qn) < 1e-10 * max_partial:
-                cancellation = True
-            err_est += e_n * max_partial * 5e-15
-            term = e_n * qn
-        y = term - comp
-        s = total + y
-        comp = (s - total) - y
-        total = s
-        recent.append(abs(term))
-        small_run = small_run + 1 if abs(term) < trunc.tol else 0
-        n_stop = n
-        if small_run >= _CONSECUTIVE_SMALL and n >= 5:
-            converged = True
-            break
-    tail = max(recent[-_CONSECUTIVE_SMALL:]) if recent else math.inf
-    mode = "direct"
-    series = total
-    if err_est > 1e-10 * max(1.0, abs(total)):
-        # round the weight count up to a bucket so the (t, k, eps, n_max)
-        # cache is shared across nearby queries; extra weights only add
-        # negligibly small terms
-        n_hp = min(-(-(n_stop + 8) // 8) * 8, trunc.max_terms)
-        weights = _hp_weights(q.t, k, eps, n_hp)
-        if n_hp > n_table:
-            log_xi = _log_xi_table(log_xx, k, eps, n_hp)
-        series = math.fsum(
-            math.exp(a) * w for a, w in zip(log_xi[:n_hp + 1].tolist(), weights.tolist())
-        )
-        mode = "resummed"
+    log_xi = _log_xi_table(np.log(q.x.coords * q.x_prime.coords), k, eps, len(law) - 1)
+    terms = np.exp(log_xi) * law
+    series = math.fsum(terms.tolist())
     return DensityValue(
         value=prefactor * series,
         prefactor=prefactor,
         series_sum=series,
-        terms_used=n_stop + 1,
-        tail_bound=tail,
+        terms_used=len(law),
+        tail_bound=abs(float(terms[-1])),
         converged=converged,
-        cancellation=cancellation,
         mode=mode,
     )
 
@@ -504,7 +492,7 @@ def pushforward_series_batch(x_batch: np.ndarray, x_other: np.ndarray, t: float,
     _check_sign_k("pushforward_series_batch", k)
     dots = _sign_matrix(k) @ (np.sqrt(x_batch) * np.sqrt(x_other)).T  # (2^k, n)
     if k == 2:
-        r = circle_series(np.arccos(np.clip(dots, -1.0, 1.0)), t, D, trunc)
+        r = circle_series(np.arccos(np.minimum(np.maximum(dots, -1.0), 1.0)), t, D, trunc)
         even, odd = r.even_part, r.odd_part
     elif len(x_batch) == 1:
         # row 2^k-1-i of the sign matrix is minus row i, and a one-row matmul

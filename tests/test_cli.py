@@ -48,6 +48,21 @@ def test_density_stationary_arcsine(tmp_path):
     assert config["kernel"] == "stationary"
 
 
+def test_python_dash_m_spherewf_runs_the_cli(tmp_path):
+    # the package itself is runnable, as `spherewf` and `python -m spherewf.cli` are
+    out = tmp_path / "d.csv"
+    argv = ["density", "--kernel", "stationary", "--x", "0.5,0.5", "--epsilon", "0.5"]
+    done = subprocess.run([sys.executable, "-m", "spherewf", *argv, "--output", str(out)],
+                          env=_ENV, capture_output=True, text=True, timeout=300)
+    assert done.returncode == EXIT_OK, done.stderr
+    ref = tmp_path / "ref.csv"
+    assert main([*argv, "--output", str(ref)]) == EXIT_OK
+    assert out.read_text() == ref.read_text()
+    bad = subprocess.run([sys.executable, "-m", "spherewf", "density", "--kernel", "nope"],
+                         env=_ENV, capture_output=True, text=True, timeout=300)
+    assert bad.returncode == EXIT_CONFIG and "nope" in bad.stderr
+
+
 def test_density_sphere_long_time(tmp_path):
     out = tmp_path / "s.csv"
     code = main(["density", "--kernel", "sphere", "--y", "0,0,1",

@@ -308,11 +308,75 @@ def test_griffiths_nonconvergence_flagged():
     assert not res.converged
 
 
+def test_griffiths_takes_any_valid_tolerance():
+    # the law's cut is tol^2, which overflowed a float for tol > 1e154
+    for tol in (1e-300, 1e-10, 0.5, 10.0, 1e200, 1.7e308):
+        res = griffiths_density(GriffithsQuery(X3, X3B, 0.05, 0.5, Truncation(400, tol)))
+        assert math.isfinite(res.value), tol
+        assert res.converged
+
+
 def test_griffiths_resummed_mode_kicks_in_at_small_t():
     res = griffiths_density(GriffithsQuery(X3, X3B, 0.05, 0.5))
     assert res.mode == "resummed"
     late = griffiths_density(GriffithsQuery(X3, X3B, 2.0, 0.5))
     assert late.mode == "direct"
+    # the mode labels the (t, k, eps) regime: every pair of a cell shares it
+    edge = SimplexPoint([1e-3, 0.499, 0.5])
+    for t, mode in ((0.05, "resummed"), (2.0, "direct")):
+        assert {griffiths_density(GriffithsQuery(a, b, t, 0.5)).mode
+                for a, b in ((X3, X3B), (edge, X3B), (edge, edge))} == {mode}
+
+
+def _mp_direct_series(x, xp, eps, times, n_terms, dps=50):
+    """Oracle: sum_{n<=n_terms} e_n(t) Q_n for each t, all in mp arithmetic.
+
+    xi_m = mu_(m) m! [h^m] prod_j sum_l (h x_j x'_j)^l / (l! eps_(l)) by the
+    series product, and Q_n by its alternating m-sum, written as
+    (mu+2n-1) sum_m (-1)^(n-m) mu_(m+n-1) / (mu_(m) m! (n-m)!) xi_m.
+    """
+    with mpmath.workdps(dps):
+        e = mpmath.mpf(eps)
+        mu = len(x) * e
+        acc = None
+        for a, b in zip(x, xp):
+            z = mpmath.mpf(float(a)) * mpmath.mpf(float(b))
+            c = [mpmath.mpf(1)]
+            for lag in range(1, n_terms + 1):
+                c.append(c[-1] * z / (lag * (e + lag - 1)))
+            acc = c if acc is None else [mpmath.fdot(acc[:n + 1], c[n::-1])
+                                         for n in range(n_terms + 1)]
+        rising, inv_fact = [mpmath.mpf(1)], [mpmath.mpf(1)]  # mu_(j), 1/j!
+        for j in range(1, 2 * n_terms):
+            rising.append(rising[-1] * (mu + j - 1))
+            inv_fact.append(inv_fact[-1] / j)
+        # xi_m (-1)^m / (mu_(m) m!) = (-1)^m acc_m
+        signed = [-a if m % 2 else a for m, a in enumerate(acc)]
+        q = [mpmath.mpf(1)]
+        for n in range(1, n_terms + 1):
+            row = [r * f for r, f in zip(rising[n - 1:2 * n], inv_fact[n::-1])]
+            q.append((-1) ** n * (mu + 2 * n - 1) * mpmath.fdot(row, signed[:n + 1]))
+        return [mpmath.fsum(mpmath.exp(-(n * (n - 1) + mu * n) * mpmath.mpf(t) / 2) * q[n]
+                            for n in range(n_terms + 1)) for t in times]
+
+
+def test_griffiths_density_matches_a_50_digit_direct_sum():
+    # the mixture against the expansion it resums, at pairs whose smallest
+    # coordinate is 1e-3: |v - ref| <= 1e-12 max(1, |ref|)
+    rng = np.random.default_rng(26)
+    times = (0.02, 0.1, 1.0)
+    for k in (2, 3, 5, 8):
+        x, xp = (SimplexPoint(np.concatenate([[1e-3], (1.0 - 1e-3) * rng.dirichlet(np.ones(k - 1))]))
+                 for _ in range(2))
+        for eps in (1.0 / 3.0, 0.5, 1.7):
+            with mpmath.workdps(50):
+                prefactor = (mpmath.gamma(k * mpmath.mpf(eps)) / mpmath.gamma(eps) ** k
+                             * mpmath.fprod(mpmath.mpf(float(c)) ** (eps - 1) for c in x.coords))
+                refs = [prefactor * s for s in _mp_direct_series(x.coords, xp.coords, eps, times, 170)]
+            for t, ref in zip(times, refs):
+                v = griffiths_density(GriffithsQuery(x, xp, t, eps))
+                assert v.converged
+                assert abs(v.value - ref) <= 1e-12 * max(1, abs(ref)), (k, eps, t, v.value, ref)
 
 
 # --- pushforward density ----------------------------------------------------------
@@ -605,12 +669,11 @@ def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
             queries += [GriffithsQuery(x, xp, t, eps) for t in (0.05, 0.3, 2.0)]
     got = [repr(griffiths_density(q)) for q in queries]
     assert {v.split("mode=")[1] for v in got} == {"'direct')", "'resummed')"}
-    monkeypatch.setattr(wf_density, "_q_rows", _q_rows_by_scalar)
     monkeypatch.setattr(wf_density, "_log_xi_table", _log_xi_table_inline)
     assert got == [repr(griffiths_density(q)) for q in queries]
 
 
-CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._hp_weights,
+CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._law,
           sphere_heat._cutoff_scan, sphere_heat._weights)
 
 
@@ -686,19 +749,19 @@ def test_hp_weights_match_the_mpf_loop_bytes():
              for k in range(2, 9) for i, eps in enumerate((1.0 / 3.0, 0.5, 1.7))]
     assert {c[0] for c in cases} == set(times) and {c[3] for c in cases} == set(sizes)
     for case in cases:
-        got = wf_density._hp_weights.__wrapped__(*case)
+        got = wf_density._hp_weights(*case)
         assert got.tobytes() == _hp_weights_mpf(*case).tobytes(), case
 
 
 def test_a_warm_pass_adds_no_cache_misses():
-    # 16-row blocks give each scan several _q_base keys; the set below makes
-    # 16 of its 64 entries, so a second pass must find all of them
+    # one law per (t, k, eps, trunc) and one xi constant table per
+    # (k, eps, M): a second pass must find all of them
     rng = np.random.default_rng(24)
     queries = []
     for k in (2, 3, 4, 5):
         x, xp = _seeded_pair(rng, k)
         queries += [GriffithsQuery(x, xp, t, 0.5) for t in (0.05, 0.1, 0.5)]
-    caches = (wf_density._q_base, wf_density._xi_constants, wf_density._hp_weights)
+    caches = (wf_density._law, wf_density._xi_constants)
     for cache in caches:
         cache.cache_clear()
     first = [griffiths_density(q) for q in queries]
