@@ -14,6 +14,7 @@ wall_time_s is the only report field that varies between runs.
 from __future__ import annotations
 
 import csv
+import itertools
 import json
 import math
 import time
@@ -34,7 +35,8 @@ from .simulate import (
     path_rng,
     simulate_moran,
 )
-from .specfun import gegenbauer, gegenbauer_explicit, generating_function_residual
+from .specfun import (gegenbauer, gegenbauer_explicit, gegenbauer_terms,
+                      generating_function_residual)
 from .sphere_heat import SPHERE_TRUNCATION, truncation_cutoff, zonal_kernel, zonal_series
 from .types import SimplexPoint, Truncation
 from .wf_density import (
@@ -45,6 +47,7 @@ from .wf_density import (
     pushforward_density,
     pushforward_log_prefactor,
     pushforward_series_batch,
+    q_n,
 )
 
 __all__ = [
@@ -57,7 +60,7 @@ __all__ = [
     "zonal_cdf",
     "jacobi_01",
     "equivalence_scan",
-    "odd_cancellation_check",
+    "sign_sum_degree_check",
     "exponent_match_check",
     "prefactor_identity_check",
     "gegenbauer_check",
@@ -279,34 +282,54 @@ def equivalence_scan(k: int, t_grid=(0.05, 0.1, 0.5, 1.0, 5.0), n_points: int = 
 
 
 @_timed
-def odd_cancellation_check(ks=(3, 4), t_grid=(0.1, 1.0), n_points: int = 5,
-                           seed: int = DEFAULT_SEED,
-                           threshold: float = 1e-12) -> VerificationReport:
-    """Aggregate odd-degree contribution after the sign sum, relative to even.
+def sign_sum_degree_check(ks=(2, 3, 4, 5, 6), n_max: int = 6, n_points: int = 4,
+                          seed: int = DEFAULT_SEED,
+                          threshold: float = 1e-9) -> VerificationReport:
+    """The paper's identity degree by degree: the sign sum keeps the even
+    degrees, which are the expansion's Q_n at eps = 1/2, and drops the odd.
 
-    At its pinned k = 3 and 4 the statistic is exactly 0.0 whatever the
-    series does, so this check cannot fail there: the sign vectors s and -s
-    give exactly negated odd sums, and numpy's pairwise sum of an 8- or
-    16-entry column whose entry N-1-i is minus entry i is exactly 0.0.  At
-    k = 2 and k >= 5 that sum rounds to a nonzero value for many pairs.
+    For seeded pairs (x, x') and n = 1 .. n_max, the full 2^k sign sum
+    2^{-k} sum_s b_L(s.y), y = sqrt(x x'), of the sphere's degree-L term
+    b_L = (2L+k-2)/(k-2) C_L^{k/2-1} (by `gegenbauer_terms`; 2 cos(L a) at
+    k = 2) must equal `q_n` at L = 2n and vanish at L = 2n+1.  The sums are
+    exact (math.fsum).  The statistic is the worst of |even - Q_n| /
+    max(1, |Q_n|) and |odd| / max(1, |even|).  The float q_n's alternating
+    sum loses about a digit per n (gaps near 4e-11 at n = 6 and 1e-8 at
+    n = 8), hence n_max = 6.
     """
     rng = path_rng(seed, 0xE1)
-    worst = 0.0
+    even_gap = odd_ratio = 0.0
     for k in ks:
-        xs = _interior_points(rng, k, n_points, 0.02)
-        xps = _interior_points(rng, k, n_points, 0.02)
-        for t in t_grid:
-            for i in range(n_points):
-                r = pushforward_density(
-                    PushforwardQuery(SimplexPoint(xs[i]), SimplexPoint(xps[i]), t)
-                )
-                worst = max(worst, abs(r.odd_part) / abs(r.even_part))
+        lam = 0.5 * k - 1.0
+        for x, xp in zip(_interior_points(rng, k, n_points, 0.02),
+                         _interior_points(rng, k, n_points, 0.02)):
+            y = np.sqrt(x * xp).tolist()
+            terms = [[] for _ in range(2 * n_max + 2)]  # terms[L]: b_L at every s
+            for s in itertools.product((1.0, -1.0), repeat=k):
+                z = math.fsum(si * yi for si, yi in zip(s, y))
+                if k == 2:
+                    angle = math.acos(max(-1.0, min(1.0, z)))
+                    row = [2.0 * math.cos(L * angle) for L in range(len(terms))]
+                else:
+                    polys = itertools.islice(gegenbauer_terms(lam, z), len(terms))
+                    row = [(L + lam) / lam * c for L, c in enumerate(polys)]
+                for col, b in zip(terms, row):
+                    col.append(b)
+            pair = SimplexPoint(x), SimplexPoint(xp)
+            for n in range(1, n_max + 1):
+                even = math.fsum(terms[2 * n]) / 2 ** k
+                odd = math.fsum(terms[2 * n + 1]) / 2 ** k
+                q = q_n(n, *pair, 0.5)
+                even_gap = max(even_gap, abs(even - q) / max(1.0, abs(q)))
+                odd_ratio = max(odd_ratio, abs(odd) / max(1.0, abs(even)))
+    worst = max(even_gap, odd_ratio)
     return VerificationReport(
-        name="odd-degree-cancellation",
-        params={"ks": list(ks), "t_grid": list(t_grid), "n_points": n_points, "seed": seed},
+        name="sign-sum-degrees",
+        params={"ks": list(ks), "n_max": n_max, "n_points": n_points, "seed": seed},
         statistic=worst,
         threshold=threshold,
         passed=worst < threshold,
+        stats={"even_vs_q_n": even_gap, "odd_vs_even": odd_ratio},
     )
 
 
@@ -771,7 +794,7 @@ def control_checks(seed: int = DEFAULT_SEED, threshold: float = 1e-6) -> Verific
 SUITES = {
     "equivalence": lambda seed, workers, k: [
         equivalence_scan(dim, seed=seed) for dim in ((3, 4) if k is None else (k,))],
-    "oddcancel": lambda seed, workers, k: [odd_cancellation_check(seed=seed)],
+    "degrees": lambda seed, workers, k: [sign_sum_degree_check(seed=seed)],
     "exponent": lambda seed, workers, k: [exponent_match_check()],
     "prefactor": lambda seed, workers, k: [prefactor_identity_check(seed=seed)],
     "gegenbauer": lambda seed, workers, k: [gegenbauer_check(seed=seed)],

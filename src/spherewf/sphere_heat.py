@@ -19,12 +19,20 @@ Both series are summed by one compensated (Kahan) loop and truncated at
 one memoised cutoff, the smallest L whose rigorous tail bound is below
 tol: from |C_L^p(z)| <= C_L^p(1) = poch(2p, L)/L! for k >= 3 and from
 |cos| <= 1 for k = 2.  The loop takes each point as a Python float for
-at most `_FLOAT_MAX_POINTS` points (a single pushforward query up to
-k = 5), and the whole array as one point otherwise, whose cost per term
-is call overhead up to about 128 points.  The same code runs the same
-IEEE operations either way, so both give the same bits; the weights of
-degrees 1 .. L are memoised per (t, D, k, L).
+at most `_FLOAT_MAX_POINTS` points, and the whole array as one point
+otherwise, whose cost per term is call overhead up to about 128 points.
+The same code runs the same IEEE operations either way, so both give the
+same bits; the weights of degrees 1 .. L are memoised per (t, D, k, L).
 Times below T_MIN are refused: the series would need thousands of terms.
+
+For the pushforward's sign sum, `zonal_series` and `circle_series` take
+even=True: they sum only the even degrees, (rho(z) + rho(-z))/2, by the
+quadratic transformation C_2n^lam(z) = (lam)_n/(1/2)_n P_n^(lam-1/2,
+-1/2)(2z^2 - 1) (DLMF 18.7.15; 2 cos(2n a) = 2 T_n(cos 2a) at k = 2), one
+three-term step per even degree, at the same cutoff and with the same
+compensated step, and average over the first axis of the points.  Its
+loop switches to one array above `_EVEN_FLOAT_MAX_POINTS` points, so a
+single pushforward query runs on floats up to k = 6.
 """
 
 from __future__ import annotations
@@ -97,8 +105,9 @@ class KernelValue(NamedTuple):
     terms_used - 1), tail_bound is a rigorous bound on the discarded tail,
     and converged is False when max_terms was hit before the tail bound met
     tol.  The two parts are arrays shaped like the points from
-    `zonal_series`, `circle_series` and `pushforward_series_batch`, and
-    Python floats from `zonal_kernel`, `heat_kernel` and
+    `zonal_series` and `circle_series` (shaped like their first row, the
+    odd part zero, with even=True and from `pushforward_series_batch`),
+    and Python floats from `zonal_kernel`, `heat_kernel` and
     `heat_kernel_circle`.  terms_used stays at index 2, where a tracer of
     the series calls reads it.
     """
@@ -202,6 +211,12 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
 #: points with 5 terms (t = 5).
 _FLOAT_MAX_POINTS = 16
 
+#: The same switch for the even-degree loop (`_even_sums`), whose step is
+#: cheaper on floats: there the float loop stays faster up to 40-48 points
+#: at 2-38 even degrees (k = 6, t = 5, 0.5, 0.05; same VM), so a single
+#: pushforward query runs on floats up to k = 6 (32 sign vectors).
+_EVEN_FLOAT_MAX_POINTS = 40
+
 
 @lru_cache(maxsize=256)
 def _weights(t: float, D: float, k: int, L_cap: int) -> tuple:
@@ -233,11 +248,9 @@ def _compensated_sums(basis, points: list, weights: tuple) -> tuple[list, list]:
     return evens, odds
 
 
-def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
-    """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
-    the points x, up to the cutoff capped at trunc.max_terms, summed compensated
-    and split by parity.  basis(z) yields basis_1, basis_2, ... at a float or an
-    array z.  Returns a KernelValue whose parts are arrays shaped like x."""
+def _cutoff(t: float, D: float, k: int, trunc: Truncation) -> tuple[int, float, bool]:
+    """The series' cutoff L_cap, its tail bound and whether it converged: the
+    memoised scan's L, capped at trunc.max_terms."""
     _check_series("the sphere series", t, D)
     # the scan stops past max_terms: a longer cutoff is not converged anyway
     L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
@@ -245,6 +258,15 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     converged = achieved and (L_needed <= trunc.max_terms)
     if not converged:
         tail = _tail_bound_after(L_cap, t, D, k)
+    return L_cap, tail, converged
+
+
+def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
+    """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
+    the points x, up to the cutoff capped at trunc.max_terms, summed compensated
+    and split by parity.  basis(z) yields basis_1, basis_2, ... at a float or an
+    array z.  Returns a KernelValue whose parts are arrays shaped like x."""
+    L_cap, tail, converged = _cutoff(t, D, k, trunc)
     weights = _weights(t, D, k, L_cap)
     if x.size <= _FLOAT_MAX_POINTS:
         even, odd = _compensated_sums(basis, x.ravel().tolist(), weights)
@@ -256,22 +278,102 @@ def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation)
     return KernelValue(even, odd, L_cap + 1, tail, converged)
 
 
+@lru_cache(maxsize=256)
+def _even_table(t: float, D: float, k: int, L_cap: int) -> tuple:
+    """The even degrees 2n <= L_cap as one three-term recurrence in u = 2z^2 - 1:
+    per n = 1, 2, ..., the floats (a, b, c, w) with P_n = (a u + b) P_{n-1} -
+    c P_{n-2} from P_0 = 1, and the weight w that term n of the series puts on P_n.
+
+    k >= 3: P_n is the Jacobi P_n^(lam-1/2, -1/2) (DLMF 18.9.2), lam = k/2 - 1,
+    and C_2n^lam(z) = s_n P_n(u) with s_n = (lam)_n / (1/2)_n (DLMF 18.7.15),
+    built as the running product s_n = s_{n-1} (lam+n-1)/(n-1/2); so w is the
+    sphere weight of degree 2n times s_n.  k = 2: P_n = T_n and 2 cos(2n a) =
+    2 T_n(cos 2a), so w = 2 exp(-4 D n^2 t).  Memoised like `_weights`.
+    """
+    lam = 0.5 * k - 1.0
+    al, be = lam - 0.5, -0.5
+    rows, scale = [], 1.0
+    for n in range(1, L_cap // 2 + 1):
+        if k == 2:
+            a, b, c = (1.0, 0.0, 0.0) if n == 1 else (2.0, 0.0, 1.0)
+            rows.append((a, b, c, 2.0 * math.exp(-4.0 * D * n * n * t)))
+            continue
+        sig = 2.0 * n + al + be
+        if n == 1:
+            a, b, c = 0.5 * sig, 0.5 * (al - be), 0.0
+        else:
+            den = 2.0 * n * (n + al + be) * (sig - 2.0)
+            a = (sig - 1.0) * sig * (sig - 2.0) / den
+            b = (sig - 1.0) * (al * al - be * be) / den
+            c = 2.0 * (n + al - 1.0) * (n + be - 1.0) * sig / den
+        scale *= (lam + n - 1.0) / (n - 0.5)
+        L = 2.0 * n
+        w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
+        rows.append((a, b, c, w * scale))
+    return tuple(rows)
+
+
+def _even_sums(to_u, points: list, table: tuple) -> list:
+    """1 plus the even-degree terms of `table` at each of `points`, summed by the
+    compensated step of `_compensated_sums`: Python floats, or one numpy array
+    taken as a single point, with the same IEEE operations in the same order.
+    to_u maps a point to u.  A sum that took no term is the float 1.0."""
+    out = []
+    for z in points:
+        u = to_u(z)
+        tot, comp, prev, cur = 1.0, 0.0, 0.0, 1.0
+        for a, b, c, w in table:
+            prev, cur = cur, (a * u + b) * cur - c * prev
+            y = cur * w - comp
+            s = tot + y
+            comp = (s - tot) - y
+            tot = s
+        out.append(tot)
+    return out
+
+
+def _even_series(to_u, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
+    """The even part of the series, (rho(z) + rho(-z))/2 = 1 + sum_n w_2n C_2n(z),
+    at the points x and averaged over their first axis, with an exact sum
+    (math.fsum) per column.  Returns a KernelValue of arrays shaped like x[0]
+    whose odd part is zero."""
+    L_cap, tail, converged = _cutoff(t, D, k, trunc)
+    table = _even_table(t, D, k, L_cap)
+    shape = x.shape[1:]
+    x = x.reshape(len(x) if x.ndim else 1, -1)  # (rows, columns)
+    rows = len(x)
+    if x.size <= _EVEN_FLOAT_MAX_POINTS:
+        flat = _even_sums(to_u, x.T.ravel().tolist(), table)
+    else:
+        (sums,) = _even_sums(to_u, [x], table)
+        flat = np.broadcast_to(sums, x.shape).T.ravel().tolist()
+    # column by column: the rows of one column are consecutive in flat
+    value = np.array([math.fsum(flat[i:i + rows]) / rows
+                      for i in range(0, len(flat), rows)]).reshape(shape)
+    return KernelValue(value, np.zeros(value.shape), L_cap + 1, tail, converged)
+
+
 def _at_one_point(series: KernelValue) -> KernelValue:
     """A series result at a single point, its parts as Python floats."""
     return KernelValue(float(series.even_part), float(series.odd_part), series.terms_used,
                        series.tail_bound, series.converged)
 
 
-def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
+def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation, *,
+                 even: bool = False):
     """Spectral series at an array of dot products (normalized-measure density).
 
     Returns a KernelValue whose even_part/odd_part are arrays shaped like
-    dots, holding the even-L and odd-L partial sums.
+    dots, holding the even-L and odd-L partial sums.  With even=True it sums
+    only the even degrees, (rho(d) + rho(-d))/2, and averages them over the
+    first axis of dots (`_even_series`): the pushforward's sign sum.
     """
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
     # min/max, not np.clip: the same bits (NaN and -0.0 too) at half the call cost
     dots = np.minimum(np.maximum(np.asarray(dots, dtype=float), -1.0), 1.0)
+    if even:
+        return _even_series(lambda z: 2.0 * z * z - 1.0, dots, t, D, k, trunc)
 
     def basis(z):
         polys = gegenbauer_terms(0.5 * k - 1.0, z)
@@ -316,10 +418,15 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
     return _at_one_point(circle_series(angle_diff, t, D, trunc))
 
 
-def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation):
+def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation, *,
+                  even: bool = False):
     """Array version of the circle kernel; returns a KernelValue whose parts are
-    arrays shaped like angles."""
+    arrays shaped like angles.  even=True is zonal_series' even mode, in
+    u = cos 2a."""
     angles = np.asarray(angles, dtype=float)
+    if even:
+        return _even_series(lambda a: (math.cos if isinstance(a, float) else np.cos)(2.0 * a),
+                            angles, t, D, 2, trunc)
 
     def basis(a):
         # math.cos at one float point; it gives np.cos's bits (the circle byte test)

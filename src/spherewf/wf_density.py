@@ -37,14 +37,15 @@ measure dx_1...dx_{k-1} on the simplex:
       p(x,t|x') = Gamma(k/2)/pi^{k/2} * prod x_i^{-1/2} * 2^{-k}
                   * sum_{s in {-1,1}^k} rho_series((s*y).y', t, D)
 
-  Odd-degree series terms cancel across the sign sum; the evaluator
-  tracks the even/odd aggregates so that cancellation is observable.
-  A single query at k >= 3 evaluates the series only at the 2^{k-1}
-  sign vectors with s_1 = +1: s and -s give the dots d and -d, and
-  C_L(-d) = (-1)^L C_L(d), so the other half's even and odd sums are
-  the first half's, mirrored, the odd ones negated.  The full 2^k-row
-  arrays are rebuilt before the sum, so the value keeps the full sum's
-  bits.
+  s and -s give the dots d and -d, and C_L(-d) = (-1)^L C_L(d), so the
+  odd degrees cancel in pairs and the sum is
+
+      2^{-(k-1)} sum_{s_1 = +1} sum_n w_2n C_2n((s*y).y'),
+
+  the paper's reading of Griffiths' expansion.  The evaluator sums
+  exactly this: the 2^{k-1} sign vectors with s_1 = +1 and the even
+  degrees only, each by one Jacobi recurrence step in u = 2d^2 - 1
+  (`sphere_heat.zonal_series` and `circle_series` with even=True).
 
 Numerical note: the alternating sums behind Q_n and q_m cancel once n
 is moderately large (small t); their largest term is about 1e5 at
@@ -73,7 +74,6 @@ import itertools
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Optional
 
 import mpmath
 import numpy as np
@@ -186,11 +186,11 @@ class PushforwardQuery:
 class DensityValue:
     """Density evaluation with diagnostics.
 
-    value = prefactor * series_sum.  even_part/odd_part are the
-    parity-split series aggregates for the pushforward (None for the
-    Griffiths expansion).  tail_bound is in series_sum units: for the
-    pushforward it is the sphere series' rigorous bound on the discarded
-    tail, and terms_used its number of degrees.
+    value = prefactor * series_sum.  tail_bound is in series_sum units:
+    for the pushforward it is the sphere series' rigorous bound on the
+    discarded tail (the even degrees' tail is part of it), and terms_used
+    the number of degrees 0 .. L_cap that the cutoff admits, of which the
+    sign sum keeps the even ones.
 
     For the Griffiths expansion series_sum is the line-of-descent
     mixture sum_{m<=M} q_m(t) xi_m and terms_used is M + 1.  tail_bound
@@ -208,8 +208,6 @@ class DensityValue:
     terms_used: int
     tail_bound: float
     converged: bool
-    even_part: Optional[float] = None
-    odd_part: Optional[float] = None
     mode: str = "direct"
 
     def __float__(self) -> float:
@@ -471,7 +469,8 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
 
 @lru_cache(maxsize=None)
 def _sign_matrix(k: int) -> np.ndarray:
-    arr = np.array(list(itertools.product((1.0, -1.0), repeat=k)))
+    """The 2^(k-1) sign vectors s in {-1, 1}^k with s_1 = +1, as rows."""
+    arr = np.array([(1.0, *s) for s in itertools.product((1.0, -1.0), repeat=k - 1)])
     arr.flags.writeable = False
     return arr
 
@@ -481,34 +480,21 @@ def pushforward_series_batch(x_batch: np.ndarray, x_other: np.ndarray, t: float,
     """Sign-summed kernel series 2^{-k} sum_s rho((s*y).y') for a batch of points.
 
     x_batch: (n, k) interior simplex coordinates; x_other: (k,) interior
-    point.  Symmetric in the roles of the two arguments.  Returns a
-    KernelValue whose even_part/odd_part are the (n,) sign-summed parity
-    aggregates; its value is the sign-summed series.  k is limited as
-    PushforwardQuery limits it (ValueError).
+    point.  Symmetric in the roles of the two arguments.  s and -s give the
+    dots d and -d, and C_L(-d) = (-1)^L C_L(d), so the sum is the mean of the
+    even-degree series over the 2^(k-1) sign vectors with s_1 = +1, which the
+    series' even mode evaluates.  Returns its KernelValue: (n,) arrays, the
+    odd part zero.  k is limited as PushforwardQuery limits it (ValueError).
     """
     x_batch = np.atleast_2d(np.asarray(x_batch, dtype=float))
     x_other = np.asarray(x_other, dtype=float)
     k = x_other.size
     _check_sign_k("pushforward_series_batch", k)
-    dots = _sign_matrix(k) @ (np.sqrt(x_batch) * np.sqrt(x_other)).T  # (2^k, n)
+    dots = _sign_matrix(k) @ np.sqrt(x_batch * x_other).T  # (2^(k-1), n)
     if k == 2:
-        r = circle_series(np.arccos(np.minimum(np.maximum(dots, -1.0), 1.0)), t, D, trunc)
-        even, odd = r.even_part, r.odd_part
-    elif len(x_batch) == 1:
-        # row 2^k-1-i of the sign matrix is minus row i, and a one-row matmul
-        # gives their dots as exact negations d and -d (checked for k = 2-18),
-        # whose even sums are equal and odd sums opposite: evaluate the rows
-        # with s_1 = +1 and mirror them.  A batch's matmul does not always
-        # negate exactly (k >= 4 at 500 rows), so batches keep the full sum.
-        r = zonal_series(dots[:len(dots) // 2], t, D, k, trunc)
-        even = np.concatenate((r.even_part, r.even_part[::-1]))
-        odd = np.concatenate((r.odd_part, -r.odd_part[::-1]))
-    else:
-        r = zonal_series(dots, t, D, k, trunc)
-        even, odd = r.even_part, r.odd_part
-    scale = 0.5 ** k
-    return KernelValue(even.sum(axis=0) * scale, odd.sum(axis=0) * scale, r.terms_used,
-                       r.tail_bound, r.converged)
+        angles = np.arccos(np.minimum(np.maximum(dots, -1.0), 1.0))
+        return circle_series(angles, t, D, trunc, even=True)
+    return zonal_series(dots, t, D, k, trunc, even=True)
 
 
 def pushforward_log_prefactor(x: np.ndarray):
@@ -531,7 +517,6 @@ def pushforward_density(q: PushforwardQuery) -> DensityValue:
     """
     prefactor = math.exp(pushforward_log_prefactor(q.x.coords))
     r = pushforward_series_batch(q.x.coords[None, :], q.x_prime.coords, q.t, q.D, q.trunc)
-    series = float(r.value[0])
+    series = float(r.even_part[0])  # the odd part is zero
     return DensityValue(value=prefactor * series, prefactor=prefactor, series_sum=series,
-                        terms_used=r.terms_used, tail_bound=r.tail_bound, converged=r.converged,
-                        even_part=float(r.even_part[0]), odd_part=float(r.odd_part[0]))
+                        terms_used=r.terms_used, tail_bound=r.tail_bound, converged=r.converged)

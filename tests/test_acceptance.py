@@ -21,8 +21,8 @@ from spherewf.harness import (
     mc_vs_analytic,
     moran_limit_check,
     normalization_check,
-    odd_cancellation_check,
     prefactor_identity_check,
+    sign_sum_degree_check,
     stationary_law_check,
     stationary_limit_check,
 )
@@ -49,9 +49,9 @@ def test_criterion_01_density_equivalence():
 
 
 def test_criterion_02_odd_degree_cancellation():
-    r = odd_cancellation_check(seed=SEED)
-    line = _emit(2, "odd-degree cancellation in the sign sum", r.passed,
-                 f"max |odd|/|even| = {r.statistic:.3e} < 1e-12")
+    r = sign_sum_degree_check(seed=SEED)
+    line = _emit(2, "sign sum by degree: even = Q_n, odd cancels", r.passed,
+                 f"max gap = {r.statistic:.3e} < 1e-09")
     assert r.passed, line
 
 

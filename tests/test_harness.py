@@ -17,9 +17,9 @@ from spherewf.harness import (
     ks_two_sample,
     mc_vs_analytic,
     normalization_check,
-    odd_cancellation_check,
     prefactor_identity_check,
     run_suite,
+    sign_sum_degree_check,
     stationary_law_check,
     stationary_limit_check,
     write_reports_jsonl,
@@ -93,9 +93,13 @@ def test_exponent_and_prefactor_checks():
     assert rep.statistic < 1e-13
 
 
-def test_odd_cancellation_check():
-    rep = odd_cancellation_check(n_points=2, seed=5)
-    assert rep.passed
+def test_sign_sum_degree_check(monkeypatch):
+    rep = sign_sum_degree_check(n_points=2, seed=5)
+    assert rep.passed and rep.stats["odd_vs_even"] < 1e-14
+    # a weight off by 1e-6 on one degree fails it
+    q_n = harness.q_n
+    monkeypatch.setattr(harness, "q_n", lambda n, *a: q_n(n, *a) * (1 + 1e-6 * (n == 3)))
+    assert not sign_sum_degree_check(n_points=2, seed=5).passed
 
 
 def test_normalization_checks():

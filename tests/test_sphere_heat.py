@@ -289,6 +289,35 @@ def test_circle_series_keeps_the_inline_loop_bytes():
     assert not circle_series(angles, T_MIN, 0.125, Truncation(max_terms=3, tol=1e-12))[4]
 
 
+@pytest.mark.parametrize("k", range(2, 9))
+def test_even_mode_is_the_mean_of_the_even_parts(k, monkeypatch):
+    # even=True: (rho(d) + rho(-d))/2 averaged over the first axis, which is
+    # the parity split's even part averaged; the float and array paths give
+    # the same bits
+    rng = np.random.default_rng(40 + k)
+    for rows, cols in ((1, 1), (4, 1), (8, 5), (16, 3), (64, 1)):
+        dots = rng.uniform(-1.0, 1.0, (rows, cols))
+        dots[0, 0] = 1.0
+        for t, max_terms in ((T_MIN, 400), (0.05, 400), (0.5, 3), (5.0, 400)):
+            trunc = Truncation(max_terms=max_terms, tol=1e-12)
+            if k == 2:
+                angles = np.arccos(dots)
+                series = partial(circle_series, angles, t, 0.125, trunc)
+            else:
+                series = partial(zonal_series, dots, t, 0.125, k, trunc)
+            full = series()
+            ref = full.even_part.mean(axis=0)
+            paths = []
+            for limit in (0, 10_000):
+                monkeypatch.setattr(sphere_heat, "_EVEN_FLOAT_MAX_POINTS", limit)
+                paths.append(series(even=True))
+            got = paths[0]
+            assert paths[1].value.tobytes() == got.value.tobytes()
+            assert got.value.shape == (cols,) and not got.odd_part.any()
+            assert got[2:] == full[2:]  # terms, tail bound, converged
+            assert np.abs(got.value - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), (t, rows)
+
+
 @pytest.mark.parametrize("D", [0.0, -0.1, math.nan])
 def test_kernels_refuse_a_non_positive_diffusion_constant(D):
     with pytest.raises(ValueError, match="D = "):

@@ -14,7 +14,6 @@ from spherewf.types import SimplexPoint, Truncation
 from spherewf.wf_density import (
     GRIFFITHS_T_MIN,
     WF_TRUNCATION,
-    DensityValue,
     GriffithsQuery,
     PushforwardQuery,
     dirichlet_stationary,
@@ -23,7 +22,6 @@ from spherewf.wf_density import (
     q_n,
     xi_m,
 )
-from test_sphere_heat import _zonal_series_inline
 
 X3 = SimplexPoint([0.5, 0.3, 0.2])
 X3B = SimplexPoint([0.25, 0.35, 0.40])
@@ -381,57 +379,54 @@ def test_griffiths_density_matches_a_50_digit_direct_sum():
 
 # --- pushforward density ----------------------------------------------------------
 
-def test_pushforward_odd_terms_cancel():
-    for x, xp in ((X3, X3B), (X4, X4B)):
-        for t in (0.1, 1.0):
-            r = pushforward_density(PushforwardQuery(x, xp, t))
-            assert abs(r.odd_part) <= 1e-12 * abs(r.even_part)
+def _mp_sign_sums(x, xp, L_max, dps=40):
+    """Oracle: S_L = 2^{-k} sum_s b_L(s.y), L = 0..L_max, over all 2^k sign
+    vectors s, with y = sqrt(x x') and b_L = C_L^{k/2-1} (k >= 3) or the
+    Chebyshev T_L (k = 2), each by its three-term recurrence in mp arithmetic."""
+    k = len(x)
+    p = mpmath.mpf(k) / 2 - 1
+    with mpmath.workdps(dps):
+        y = [mpmath.sqrt(mpmath.mpf(float(a)) * mpmath.mpf(float(b))) for a, b in zip(x, xp)]
+        sums = [mpmath.mpf(0)] * (L_max + 1)
+        for s in itertools.product((1, -1), repeat=k):
+            z = mpmath.fsum(si * yi for si, yi in zip(s, y))
+            prev, cur = mpmath.mpf(1), (z if k == 2 else 2 * p * z)
+            sums[0] += prev
+            for L in range(1, L_max + 1):
+                sums[L] += cur
+                if k == 2:
+                    prev, cur = cur, 2 * z * cur - prev
+                else:
+                    prev, cur = cur, (2 * z * (L + p) * cur - (L + 2 * p - 1) * prev) / (L + 1)
+        return [v / 2 ** k for v in sums]
 
 
-def _pushforward_full_sum(x_batch, x_other, t, D, trunc):
-    """pushforward_series_batch as it was: the inline series at all 2^k sign
-    rows, then the aggregates."""
-    k = x_other.size
-    dots = wf_density._sign_matrix(k) @ (np.sqrt(x_batch) * np.sqrt(x_other)).T
-    even, odd, terms, tail, conv = _zonal_series_inline(dots, t, D, k, trunc)
-    even_agg = even.sum(axis=0) * 0.5 ** k
-    odd_agg = odd.sum(axis=0) * 0.5 ** k
-    return even_agg + odd_agg, even_agg, odd_agg, terms, tail, conv
-
-
-def test_half_sign_sum_keeps_the_full_sums_bytes():
-    # a single query sums the rows with s_1 = +1 and mirrors them; the
-    # centroid's rows hold dots of exactly 0 (even k) and of +-1 to an ulp
-    rng = np.random.default_rng(25)
-
-    def point(k, m):
-        return np.concatenate([[m], (1.0 - m) * rng.dirichlet(np.ones(k - 1))])
-
-    for k in range(3, 11):
-        centroid = SimplexPoint(np.full(k, 1.0 / k))
-        pairs = [(centroid, centroid)]
-        pairs += [(SimplexPoint(point(k, m)), SimplexPoint(point(k, m))) for m in (1e-3, 0.02, 0.1)]
-        for x, xp in pairs:
-            for t in (0.001, 0.05, 1.0):
-                for max_terms in (1, 2, 400):
-                    trunc = Truncation(max_terms=max_terms, tol=WF_TRUNCATION.tol)
-                    got = pushforward_density(PushforwardQuery(x, xp, t, 0.125, trunc))
-                    series, even, odd, terms, tail, conv = _pushforward_full_sum(
-                        x.coords[None, :], xp.coords, t, 0.125, trunc)
-                    prefactor = math.exp(wf_density.pushforward_log_prefactor(x.coords))
-                    ref = DensityValue(
-                        value=prefactor * float(series[0]), prefactor=prefactor,
-                        series_sum=float(series[0]), terms_used=terms, tail_bound=tail,
-                        converged=conv, even_part=float(even[0]), odd_part=float(odd[0]))
-                    assert repr(got) == repr(ref), (k, x.coords, t, max_terms)
-    # a batch keeps the full sign sum: its s and -s rows need not be exact negations
-    x_batch = np.array([point(5, 0.02) for _ in range(500)])
-    x_other = point(5, 0.02)
-    got = wf_density.pushforward_series_batch(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
-    ref = _pushforward_full_sum(x_batch, x_other, 0.05, 0.125, WF_TRUNCATION)
-    for a, b in zip((got.value, got.even_part, got.odd_part), ref[:3]):
-        assert a.tobytes() == b.tobytes()
-    assert (got.terms_used, got.tail_bound, got.converged) == ref[3:]
+def test_pushforward_matches_a_40_digit_sign_sum():
+    # the half-sign, even-degree evaluator against the full 2^k sign sum of
+    # every degree 0..L_cap, at pairs whose smallest coordinate is 1e-3: the
+    # series within 2e-14 max(1, |ref|), the prefactor within 2e-14 relative
+    # (the prefactor, up to 4e4 here, scales the series' absolute rounding)
+    rng = np.random.default_rng(27)
+    times = (0.02, 0.05, 0.5, 5.0)
+    trunc = Truncation(max_terms=400, tol=1e-15)
+    D = 0.125
+    for k in range(2, 9):
+        x, xp = (SimplexPoint(np.concatenate([[1e-3], (1 - 1e-3) * rng.dirichlet(np.ones(k - 1))]))
+                 for _ in range(2))
+        values = [pushforward_density(PushforwardQuery(x, xp, t, D, trunc)) for t in times]
+        sums = _mp_sign_sums(x.coords, xp.coords, max(v.terms_used for v in values) - 1)
+        with mpmath.workdps(40):
+            prefactor = (mpmath.gamma(mpmath.mpf(k) / 2) / mpmath.pi ** (mpmath.mpf(k) / 2)
+                         / mpmath.sqrt(mpmath.fprod(mpmath.mpf(float(c)) for c in x.coords)))
+            for t, v in zip(times, values):
+                assert v.converged
+                weights = [mpmath.exp(-D * L * (L + k - 2) * mpmath.mpf(t))
+                           * ((2 if L else 1) if k == 2 else mpmath.mpf(2 * L + k - 2) / (k - 2))
+                           for L in range(v.terms_used)]
+                ref = mpmath.fdot(weights, sums[:v.terms_used])
+                assert abs(v.series_sum - ref) <= 2e-14 * max(1, abs(ref)), (k, t, v, ref)
+            got = values[0].prefactor  # the same at every t
+            assert abs(got - prefactor) <= 2e-14 * prefactor, (k, got, prefactor)
 
 
 class _SignMatrixCalled(RuntimeError):
@@ -674,7 +669,7 @@ def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
 
 
 CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._law,
-          sphere_heat._cutoff_scan, sphere_heat._weights)
+          sphere_heat._cutoff_scan, sphere_heat._weights, sphere_heat._even_table)
 
 
 def test_density_caches_are_bounded_and_hold_no_state():

@@ -40,7 +40,7 @@ ROOT = Path(__file__).resolve().parents[1]
 GOLDEN = ROOT / "tests" / "golden"
 
 #: the verify suites whose reports run no simulation, in `run_suite("all")` order
-NON_MC_SUITES = ("equivalence", "oddcancel", "exponent", "prefactor", "gegenbauer",
+NON_MC_SUITES = ("equivalence", "degrees", "exponent", "prefactor", "gegenbauer",
                  "kernels", "controls")
 #: the suites that simulate, in the same order
 MC_SUITES = ("mc", "isotropy", "conservation", "moran", "stationary")
