@@ -164,6 +164,40 @@ def test_xi_oracle_property():
     check()
 
 
+def test_half_sign_xi_matches_the_series_product():
+    # at eps = 1/2, xi_m = (k/2)_m/(1/2)_m mean_s d_s^2m over the half-sign dots;
+    # the series product's table is its oracle, to m = 200, at pairs whose
+    # smallest coordinate is 1e-3
+    rng = np.random.default_rng(25)
+    n = 200
+    for k in range(2, wf_density._HALF_SIGN_MAX_K + 1):
+        for _ in range(2):
+            x, xp = (np.concatenate([[1e-3], (1.0 - 1e-3) * rng.dirichlet(np.ones(k - 1))])
+                     for _ in range(2))
+            xx = x * xp
+            got = wf_density._half_sign_scale(k, n) * wf_density._half_sign_sums(xx, n)
+            ref = np.exp(wf_density._log_xi_table(np.log(xx), k, 0.5, n))
+            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), k
+
+
+def test_half_sign_table_stops_at_its_k_limit(monkeypatch):
+    # above the limit an eps = 1/2 query takes the series product, whose
+    # memory grows as k (M+1)^2 and not as 2^(k-1) (M+1)
+    calls = []
+
+    def counted(*args):
+        calls.append(args[1])
+        return xi_table(*args)
+
+    xi_table = wf_density._log_xi_table
+    monkeypatch.setattr(wf_density, "_log_xi_table", counted)
+    top = wf_density._HALF_SIGN_MAX_K
+    for k in (2, top, top + 1):
+        x, xp = _seeded_pair(np.random.default_rng(k), k)
+        assert griffiths_density(GriffithsQuery(x, xp, 5.0, 0.5)).converged
+    assert calls == [top + 1]
+
+
 # --- expansion coefficients -----------------------------------------------------
 
 def test_q0_is_one():
@@ -360,7 +394,8 @@ def _mp_direct_series(x, xp, eps, times, n_terms, dps=50):
 
 def test_griffiths_density_matches_a_50_digit_direct_sum():
     # the mixture against the expansion it resums, at pairs whose smallest
-    # coordinate is 1e-3: |v - ref| <= 1e-12 max(1, |ref|)
+    # coordinate is 1e-3: |v - ref| <= 1e-12 max(1, |ref|), and 2e-14 max(1, |ref|)
+    # at eps = 1/2, whose xi_m are powers of the half-sign dots
     rng = np.random.default_rng(26)
     times = (0.02, 0.1, 1.0)
     for k in (2, 3, 5, 8):
@@ -371,10 +406,11 @@ def test_griffiths_density_matches_a_50_digit_direct_sum():
                 prefactor = (mpmath.gamma(k * mpmath.mpf(eps)) / mpmath.gamma(eps) ** k
                              * mpmath.fprod(mpmath.mpf(float(c)) ** (eps - 1) for c in x.coords))
                 refs = [prefactor * s for s in _mp_direct_series(x.coords, xp.coords, eps, times, 170)]
+            bound = 2e-14 if eps == 0.5 else 1e-12
             for t, ref in zip(times, refs):
                 v = griffiths_density(GriffithsQuery(x, xp, t, eps))
                 assert v.converged
-                assert abs(v.value - ref) <= 1e-12 * max(1, abs(ref)), (k, eps, t, v.value, ref)
+                assert abs(v.value - ref) <= bound * max(1, abs(ref)), (k, eps, t, v.value, ref)
 
 
 # --- pushforward density ----------------------------------------------------------
@@ -656,6 +692,9 @@ def test_q_rows_match_the_scalar_loop_bytes():
 
 
 def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
+    # every query takes the series product here, eps = 1/2 too (as above
+    # _HALF_SIGN_MAX_K), and each one calls the inline table once
+    monkeypatch.setattr(wf_density, "_HALF_SIGN_MAX_K", 0)
     rng = np.random.default_rng(21)
     queries = []
     for k in range(2, 9):
@@ -664,12 +703,20 @@ def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
             queries += [GriffithsQuery(x, xp, t, eps) for t in (0.05, 0.3, 2.0)]
     got = [repr(griffiths_density(q)) for q in queries]
     assert {v.split("mode=")[1] for v in got} == {"'direct')", "'resummed')"}
-    monkeypatch.setattr(wf_density, "_log_xi_table", _log_xi_table_inline)
+    calls = []
+
+    def inline(*args):
+        calls.append(args[1:3])
+        return _log_xi_table_inline(*args)
+
+    monkeypatch.setattr(wf_density, "_log_xi_table", inline)
     assert got == [repr(griffiths_density(q)) for q in queries]
+    assert calls == [(q.x.k, q.epsilon) for q in queries]
 
 
 CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._law,
-          sphere_heat._cutoff_scan, sphere_heat._weights, sphere_heat._even_table)
+          wf_density._half_sign_law, sphere_heat._cutoff_scan, sphere_heat._weights,
+          sphere_heat._even_table)
 
 
 def test_density_caches_are_bounded_and_hold_no_state():
@@ -749,19 +796,25 @@ def test_hp_weights_match_the_mpf_loop_bytes():
 
 
 def test_a_warm_pass_adds_no_cache_misses():
-    # one law per (t, k, eps, trunc) and one xi constant table per
-    # (k, eps, M): a second pass must find all of them
+    # one law per (t, k, eps, trunc), one half-sign law per (t, k, trunc) and
+    # one xi constant table per (k, eps, M): a second pass must find all of them.
+    # eps = 1/3 and eps = 1/2 above _HALF_SIGN_MAX_K take the series-product
+    # path, so every cache is filled on the first pass
     rng = np.random.default_rng(24)
     queries = []
     for k in (2, 3, 4, 5):
         x, xp = _seeded_pair(rng, k)
-        queries += [GriffithsQuery(x, xp, t, 0.5) for t in (0.05, 0.1, 0.5)]
-    caches = (wf_density._law, wf_density._xi_constants)
+        queries += [GriffithsQuery(x, xp, t, eps) for t in (0.05, 0.1, 0.5)
+                    for eps in (0.5, 1.0 / 3.0)]
+    x, xp = _seeded_pair(rng, wf_density._HALF_SIGN_MAX_K + 1)
+    queries.append(GriffithsQuery(x, xp, 0.5, 0.5))
+    caches = (wf_density._law, wf_density._half_sign_law, wf_density._xi_constants)
     for cache in caches:
         cache.cache_clear()
     first = [griffiths_density(q) for q in queries]
     assert {v.mode for v in first} == {"direct", "resummed"}
     misses = [cache.cache_info().misses for cache in caches]
+    assert min(misses) >= 1, misses
     assert [griffiths_density(q) for q in queries] == first
     assert [cache.cache_info().misses for cache in caches] == misses
 
