@@ -61,9 +61,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # The harness imports scipy.stats, which costs more than the rest of the
-    # package together, so it loads on first use.  Spawned pool workers and
-    # callers that never verify do not pay for it.
+    # The harness imports scipy.special, which costs more than the rest of
+    # the package together, so it loads on first use.  Spawned pool workers
+    # and callers that never verify do not pay for it.
     if name in ("harness", "VerificationReport", "run_suite"):
         harness = importlib.import_module(".harness", __name__)
         return harness if name == "harness" else getattr(harness, name)

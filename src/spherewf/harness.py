@@ -20,11 +20,10 @@ import math
 import time
 from dataclasses import asdict, dataclass, field, replace
 from fractions import Fraction
-from functools import wraps
+from functools import partial, wraps
 
 import numpy as np
-from scipy.special import kolmogorov, roots_jacobi
-from scipy.stats import beta as beta_dist
+from scipy.special import betainc, kolmogorov, roots_jacobi
 
 from .simulate import (
     DEFAULT_SEED,
@@ -751,7 +750,7 @@ def stationary_law_check(eps: float = 2.0, n_paths: int = 4000, T: float = 6.0,
     slowest decay rate is mu/2 = eps per unit time), so the samples are
     independent across paths.  One reseed allowed.
     """
-    cdf = beta_dist(eps, eps).cdf
+    cdf = partial(betainc, eps, eps)  # the Beta(eps, eps) CDF
 
     def attempt(s):
         finals, _ = ensemble_final(Model.WF_MUTATION, t=T, dt=dt, n_paths=n_paths,

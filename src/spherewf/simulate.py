@@ -50,14 +50,14 @@ RNG: counter-based Philox4x64-10 (numpy.random.Philox).  Single paths
 use key = (master_seed, path_index), also as the paths of one batch;
 vectorized ensembles use one stream per fixed-size chunk of paths, key
 = (master_seed, 2^63 + chunk_index), so results are independent of the
-worker count.  Each step of an n-path chunk takes its k(k-1)/2 * n
-normals from one standard_normal call, pair-major: the n draws of pair
-(1, 0), then of (2, 0), (2, 1), (3, 0), ... (pairs (i, j), i > j, in
-row-major order).  A path's own stream, alone or as one of the CLI's
-batch of P paths, is read in draw_skew blocks: one call takes the
-normals of B steps, B = _PATH_BLOCK alone and max(8, _PATH_BLOCK // P)
-in a batch, and gives, in flat order, the same stream as one k(k-1)/2
-draw per step.
+worker count.  Each step of an n-path chunk takes k(k-1)/2 * n normals,
+pair-major: the n draws of pair (1, 0), then of (2, 0), (2, 1), (3, 0),
+... (pairs (i, j), i > j, in row-major order).  One standard_normal call
+takes the normals of B = max(1, _PATH_BLOCK // n) steps, in flat order
+the stream of B one-step draws; a full chunk of ENSEMBLE_CHUNK paths
+still takes one step per call.  A path's own stream, alone or as one of
+the CLI's batch of P paths, is read in draw_skew blocks the same way,
+with B = _PATH_BLOCK alone and max(8, _PATH_BLOCK // P) in a batch.
 
 The Moran model is simulated in the pair-interaction form: an event
 picks an unordered pair of particles uniformly; a discordant pair
@@ -66,8 +66,10 @@ per-unit-time covariance c^2 x_i (delta_ij - x_j) with c = sqrt(lam/(2N))
 requires each unordered pair to interact at rate lam/(2N), i.e. a total
 event rate of lam (N-1)/4; `moran_event_rate` exposes that mapping.
 Each event takes 3 uniforms (first particle, second particle, winner),
-drawn in blocks of _MORAN_BLOCK rows; the event loop runs on Python ints
-and floats, which costs a fraction of indexing numpy scalars.
+drawn in blocks of _MORAN_BLOCK rows.  The event loop runs on Python
+ints: the running cumulative counts, bisected at the integer thresholds
+floor(u1 N) and floor(u2 (N - 1)) that numpy takes for a whole block,
+which pick the same types as the float comparisons.
 """
 
 from __future__ import annotations
@@ -76,10 +78,12 @@ import atexit
 import enum
 import math
 import threading
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from functools import lru_cache, partial
+from itertools import accumulate, islice
 from multiprocessing import get_context
 
 import numpy as np
@@ -641,22 +645,37 @@ class EnsembleDiagnostics:
 def _run_chunk(model: Model, start: np.ndarray, n_steps: int, dt: float, c: float,
                eps: np.ndarray, seed: int, chunk: tuple[int, int]):
     """Advance `chunk` = (index, size) paths from `start` n_steps on chunk_rng(seed,
-    index); returns (final (k, size) block, defect_sum, defect_max, clamp_events)."""
+    index); returns (final (k, size) block, defect_sum, defect_max, clamp_events).
+
+    One draw_skew call takes the normals of B = max(1, _PATH_BLOCK // size)
+    steps, laid out (B, m, size): in flat order the stream of B one-step
+    draws.  The step defects of a block go into its rows, and the sums
+    and the maxima of the rows are taken in step order, so the diagnostics
+    are those of one d.sum() and one d.max() per step.
+    """
     index, size = chunk
     k = len(start)
+    m = k * (k - 1) // 2
     Y = np.repeat(start[:, None], size, axis=1)
     work = _Work(k, size)
     rng = chunk_rng(seed, index)
     amp = _noise_amplitude(model, c)
+    block = max(1, _PATH_BLOCK // size)
+    defects = np.empty((min(block, n_steps), size))
     defect_sum = 0.0
     defect_max = 0.0
     clamp_events = 0
-    for _ in range(n_steps):
-        G = draw_skew(k, dt, rng, size, amp)
-        d, clamped = advance(model, Y, dt, c, eps, G, work)
-        defect_sum += float(d.sum())
-        defect_max = max(defect_max, float(d.max()))
-        clamp_events += clamped.size
+    for first in range(0, n_steps, block):
+        steps = min(block, n_steps - first)
+        G = draw_skew(k, dt, rng, steps * size, amp).reshape(steps, m, size)
+        for g, row in zip(G, defects):
+            d, clamped = advance(model, Y, dt, c, eps, g, work)
+            row[:] = d
+            clamp_events += clamped.size
+        rows = defects[:steps]
+        for s, top in zip(np.add.reduce(rows, axis=1).tolist(), rows.max(axis=1).tolist()):
+            defect_sum += s
+            defect_max = max(defect_max, top)
     return Y, defect_sum, defect_max, clamp_events
 
 
@@ -773,9 +792,14 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     1 - sum x_i^2.  Event ev uses row ev - 1 of the generator's uniforms
     in (events, 3) order: u1 picks the first particle (the first type a
     with u1 * N below the cumulative count), u2 the second among the other
-    N - 1, and u3 < 0.5 lets the first one win.  A count of events that is
-    not a whole number, below 0 or above MAX_STEPS is refused
-    (ValueError), and so is a record_stride that is not a whole number >= 1.
+    N - 1, and u3 < 0.5 lets the first one win.  The loop keeps the
+    cumulative counts as Python ints and finds each type by bisection on
+    the integer thresholds floor(u1 * N) and floor(u2 * (N - 1)), taken for
+    a block of events at once: the same types as the float comparisons.
+    It turns the cumulative counts back into counts only at a record.  A
+    count of events that is not a whole number, below 0 or above
+    MAX_STEPS is refused (ValueError), and so is a record_stride that is
+    not a whole number >= 1.
     """
     events = _whole(events, "simulate_moran: events")
     record_stride = _whole(record_stride, "simulate_moran: record_stride")
@@ -784,41 +808,44 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
                          f"{MAX_STEPS:.0e}]")
     if record_stride < 1:
         raise ValueError("simulate_moran: record_stride must be >= 1")
-    counts = state.counts.tolist()
     N = state.N
     rate = moran_event_rate(state)
+    cum = list(accumulate(state.counts.tolist()))  # the running cumulative counts
     idx = [0]
-    rows = [counts[:]]
-    next_record = min(record_stride, events)
+    rows = [cum[:]]
+    record = min(record_stride, events)  # the next event to record
     for first in range(0, events, _MORAN_BLOCK):
-        m = min(_MORAN_BLOCK, events - first)
-        u1s, u2s, u3s = rng.random((m, 3)).T.tolist()
-        for ev, u1, u2, u3 in zip(range(first + 1, first + m + 1), u1s, u2s, u3s):
-            # first particle by cumulative counts, second among the rest
-            target = u1 * N
-            acc = 0
-            for a, n in enumerate(counts):
-                acc += n
-                if target < acc:
-                    break
-            target = u2 * (N - 1)
-            acc = 0
-            for b, n in enumerate(counts):
-                acc += n - (b == a)
-                if target < acc:
-                    break
-            if a != b:
-                if u3 < 0.5:
-                    counts[a] += 1
-                    counts[b] -= 1
-                else:
-                    counts[b] += 1
-                    counts[a] -= 1
-            if ev == next_record:
+        last = min(first + _MORAN_BLOCK, events)
+        u1, u2, u3 = rng.random((last - first, 3)).T
+        # for an int c and a float x >= 0, x < c exactly when floor(x) < c;
+        # win is +1 when the first particle wins, -1 when the second does
+        draws = zip((u1 * N).astype(np.int64).tolist(), (u2 * (N - 1)).astype(np.int64).tolist(),
+                    np.where(u3 < 0.5, 1, -1).tolist())
+        ev = first
+        while ev < last:  # the events up to the next record, or to the block's end
+            stop = min(record, last)
+            for t1, t2, win in islice(draws, stop - ev):
+                # the first particle's type a is the first with t1 < cum[a]; the
+                # second's, b, the same among the other N - 1, whose cums from a on
+                # are one less
+                a = bisect_right(cum, t1)
+                b = bisect_right(cum, t2)
+                if b >= a:
+                    b = bisect_right(cum, t2 + 1, a)
+                # the winner's count rises by one and the loser's falls: the cums
+                # from the lower of the two types up to the higher move
+                if a < b:
+                    for i in range(a, b):
+                        cum[i] += win
+                elif b < a:
+                    for i in range(b, a):
+                        cum[i] -= win
+            ev = stop
+            if ev == record:
                 idx.append(ev)
-                rows.append(counts[:])
-                next_record = min(ev + record_stride, events)
-    counts_arr = np.array(rows, dtype=np.int64)
+                rows.append(cum[:])
+                record = min(ev + record_stride, events)
+    counts_arr = np.diff(np.array(rows, dtype=np.int64), axis=1, prepend=0)
     x = counts_arr / N
     het = 1.0 - (x * x).sum(axis=1)
     idx_arr = np.array(idx, dtype=np.int64)

@@ -214,11 +214,11 @@ class DensityValue:
     For the Griffiths expansion series_sum is the line-of-descent
     mixture sum_{m<=M} q_m(t) xi_m and terms_used is M + 1.  tail_bound
     is a heuristic: the last term kept, q_M xi_M; past M the law stays
-    below tol^2.  converged is False only when the law's inner cut would
-    pass trunc.max_terms.  mode labels the (t, k, eps) regime, not the
-    evaluation, which is the same in both: "resummed" where the
-    alternating sums behind Q_n reach a term above 1e3 (t <= 0.1 or so),
-    "direct" elsewhere.
+    below tol^2.  converged is False only when the mixture needs more
+    than trunc.max_terms terms; it then stops at its first max_terms.
+    mode labels the (t, k, eps) regime, not the evaluation, which is the
+    same in both: "resummed" where the alternating sums behind Q_n reach
+    a term above 1e3 (t <= 0.1 or so), "direct" elsewhere.
     """
 
     value: float
@@ -434,12 +434,16 @@ def _hp_weights(t: float, k: int, eps: float, n_max: int) -> np.ndarray:
 
 @lru_cache(maxsize=128)
 def _law(t: float, k: int, eps: float, trunc: Truncation) -> tuple[np.ndarray, bool, str]:
-    """The line-of-descent law q_0 .. q_M(t), whether its cuts held within
-    trunc.max_terms, and the regime's mode label.
+    """The line-of-descent law q_0 .. q_M(t), whether its outer cut held
+    within trunc.max_terms, and the regime's mode label.
 
     The inner cut n_max is the first row past the triangle's peak whose
-    next row stays below tol^2 (`_row_peak`); the outer cut M is the first
-    m past the law's mode with q_m < tol^2, or n_max.
+    next row stays below tol^2 (`_row_peak`); the inner sums always run to
+    it, since a sum stopped earlier is not the law (at t = 0.01 it gave
+    -7.6e57).  The outer cut M is the first m past the law's mode with
+    q_m < tol^2, or n_max; trunc.max_terms caps only the mixture, to its
+    first max_terms terms, and the law is not converged when M + 1 passes
+    it.
     """
     mu = k * eps
     # tol^2, kept between the smallest float, below which no term can move a
@@ -449,11 +453,11 @@ def _law(t: float, k: int, eps: float, trunc: Truncation) -> tuple[np.ndarray, b
     while not rows[-1] < min(log_cut, rows[-2]):  # e_n(t) drives the rows to -inf
         rows.append(_row_peak(len(rows), t, mu))
     n_max = len(rows) - 2
-    converged = n_max <= trunc.max_terms
-    w = _hp_weights(t, k, eps, min(n_max, trunc.max_terms))
+    w = _hp_weights(t, k, eps, n_max)
     cut = math.exp(log_cut)
     m_cut = next((m for m in range(int(w.argmax()), len(w)) if w[m] < cut), len(w) - 1)
-    q = w[:m_cut + 1]
+    converged = m_cut < trunc.max_terms
+    q = w[:min(m_cut + 1, trunc.max_terms)]
     q.flags.writeable = False
     mode = "resummed" if max(rows) > math.log(_RESUMMED_TERM) else "direct"
     return q, converged, mode

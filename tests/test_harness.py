@@ -184,6 +184,23 @@ def test_stationary_law_smoke():
     assert rep.passed
 
 
+@pytest.mark.parametrize("eps", [0.5, 1.7, 2.0])
+def test_stationary_law_cdf_is_the_scipy_stats_beta_cdf(eps, monkeypatch):
+    # the check's CDF is scipy.special.betainc, which spares the harness the
+    # scipy.stats import; it gives the bits of scipy.stats' beta(eps, eps).cdf
+    # on the check's own samples, uniform points and the ends of [0, 1]
+    from scipy.stats import beta
+
+    seen = []
+    monkeypatch.setattr(harness, "ks_one_sample",
+                        lambda x, cdf: seen.append((x, cdf)) or (0.0, 1.0))
+    stationary_law_check(eps=eps, n_paths=500, T=0.5, dt=1e-2, seed=29)
+    (samples, cdf), = seen
+    x = np.concatenate([samples, np.random.default_rng(29).random(100_000),
+                        [0.0, 1.0, 1e-300, 5e-324, 1.0 - 1e-16, 0.5]])
+    assert cdf(x).tobytes() == beta(eps, eps).cdf(x).tobytes()
+
+
 def test_report_serialization(tmp_path):
     reports = [exponent_match_check(), prefactor_identity_check(n_points=50, seed=5)]
     jpath = tmp_path / "reports.jsonl"

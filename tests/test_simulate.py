@@ -490,6 +490,57 @@ def test_ensemble_finals_keep_their_bytes(model):
     assert hashlib.sha256(finals.tobytes()).hexdigest() == _FINALS_SHA256[model]
 
 
+def _oracle_run_chunk(model, start, n_steps, dt, c, eps, rng, size):
+    # the chunk loop before block draws, kept as the oracle: one draw_skew
+    # call per step, one d.sum() and one d.max() per step
+    k = len(start)
+    Y = np.repeat(start[:, None], size, axis=1)
+    work = simulate._Work(k, size)
+    defect_sum = defect_max = 0.0
+    clamp_events = 0
+    for _ in range(n_steps):
+        G = _draw(model, k, dt, c, rng, size)
+        d, clamped = advance(model, Y, dt, c, eps, G, work)
+        defect_sum += float(d.sum())
+        defect_max = max(defect_max, float(d.max()))
+        clamp_events += clamped.size
+    return Y, defect_sum, defect_max, clamp_events
+
+
+#: chunk size -> step count that leaves a remainder block (B = _PATH_BLOCK
+#: // size steps per draw: 256, 16, 2, then 1 for a full chunk)
+_CHUNK_STEPS = {1: 300, 16: 37, 100: 5, ENSEMBLE_CHUNK: 3}
+
+
+@pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
+def test_block_drawn_chunks_keep_the_one_draw_per_step_bytes(model, monkeypatch):
+    # a chunk draws B steps per draw_skew call; the loop with one draw per
+    # step is the oracle of its finals, its three diagnostics and the
+    # generator's state after the run.  Starts near the boundary, c = 1.3:
+    # the simplex chunks clamp.  A defect is a multiple of 2^-53, so a
+    # defect sum below 1 is exact in any order; dt = 1e-2 takes the sphere's
+    # sums past 1, where the order of the additions shows
+    rng = np.random.default_rng(61)
+    clamps = 0
+    for k in (2, 3, 6, 8):
+        eps = rng.uniform(0.1, 2.0, k) if model is Model.WF_MUTATION else None
+        for size, n_steps in _CHUNK_STEPS.items():
+            start = _boundary_start(model, k, rng).coords
+            seed = int(rng.integers(2**32))
+            gen = chunk_rng(seed, 5)
+            monkeypatch.setattr(simulate, "chunk_rng", lambda s, i: gen)
+            Y, *diag = simulate._run_chunk(model, start, n_steps, 1e-2, 1.3, eps, seed, (5, size))
+            monkeypatch.undo()
+            ref_gen = chunk_rng(seed, 5)
+            ref_Y, *ref_diag = _oracle_run_chunk(model, start, n_steps, 1e-2, 1.3, eps, ref_gen,
+                                                 size)
+            assert Y.tobytes() == ref_Y.tobytes(), (k, size)
+            assert diag == ref_diag, (k, size)
+            assert gen.standard_normal() == ref_gen.standard_normal(), (k, size)
+            clamps += diag[2]
+    assert (clamps > 0) == (model is not Model.SPHERE)
+
+
 def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     # a tracer wraps simulate.draw_skew and times standard_normal(int) calls
     # on the generators of simulate.chunk_rng; both must keep working
@@ -537,6 +588,17 @@ def test_trace_hooks_see_one_draw_per_step(monkeypatch):
     ref, _ = ensemble_final(Model.WF_MUTATION, **kw)
     monkeypatch.setattr(simulate, "chunk_rng", lambda seed, i: _IntSizeRng(chunk_rng(seed, i)))
     finals, _ = ensemble_final(Model.WF_MUTATION, **kw)
+    assert finals.tobytes() == ref.tobytes()
+    # a small chunk draws blocks of steps, still one int-size draw a call:
+    # 16 paths take 16 steps a call, so 37 steps take 3 calls
+    kw.update(t=0.037, n_paths=16)
+    monkeypatch.undo()
+    ref, _ = ensemble_final(Model.WF_MUTATION, **kw)
+    calls.clear()
+    monkeypatch.setattr(simulate, "chunk_rng", lambda seed, i: _IntSizeRng(chunk_rng(seed, i)))
+    monkeypatch.setattr(simulate, "draw_skew", hook)
+    finals, _ = ensemble_final(Model.WF_MUTATION, **kw)
+    assert len(calls) == 3 and sum(calls) == 37 * 3 * 16
     assert finals.tobytes() == ref.tobytes()
 
 
@@ -716,6 +778,8 @@ _MORAN_CASES = [
     ([40, 60], 0, 3),  # no events
     ([40, 60], 25, 40),  # stride larger than events
     ([250] * 4, 2 * simulate._MORAN_BLOCK + 37, 124),  # more than one draw block
+    # records at block ends and inside blocks, the last at the last block's end
+    ([10, 20, 0, 30, 40], 3 * simulate._MORAN_BLOCK, simulate._MORAN_BLOCK // 2),
 ]
 
 

@@ -135,6 +135,20 @@ def test_path_dump_digests_every_ensemble_shape(monkeypatch):
     assert any("wf-neutral" in line and "clamp_fraction=0.0 " not in line for line in lines)
 
 
+def test_path_dump_digests_every_moran_run(monkeypatch):
+    # k 2, 4, 8 x N 100, 1000 x an interior start and one with a zero count
+    # x strides 1 and 124, 20,000 events each
+    monkeypatch.syspath_prepend(str(PATHS.parent))
+    import path_values
+
+    lines = list(path_values.moran_lines(5))
+    assert len(lines) == len(set(lines)) == 3 * 2 * 2 * 2
+    assert all(line.startswith("moran ") and " events=20000 " in line
+               and all(f" {f}=" in line for f in ("counts", "times", "heterozygosity"))
+               for line in lines)
+    assert sum(" zero counts=" in line and ", 0] " in line for line in lines) == 12
+
+
 CHECK = Path(__file__).resolve().parents[1] / "tools" / "check_golden.py"
 
 

@@ -340,6 +340,24 @@ def test_griffiths_nonconvergence_flagged():
     assert not res.converged
 
 
+@pytest.mark.parametrize("t", [GRIFFITHS_T_MIN, 0.015])
+def test_griffiths_default_truncation_builds_the_whole_law(t):
+    # the law's inner sums stopped at max_terms = 200 gave -7.6e57 at t =
+    # 0.01 and -1.1e14 at t = 0.015; they run to the law's own n_max (about
+    # 370 at t = 0.01), and max_terms caps only the mixture: M is 198 at
+    # t = 0.015 and 278 at t = 0.01
+    x, xp = SimplexPoint([0.2, 0.3, 0.5]), SimplexPoint([0.4, 0.4, 0.2])
+    res = griffiths_density(GriffithsQuery(x, xp, t, 0.5))
+    full = griffiths_density(GriffithsQuery(x, xp, t, 0.5, Truncation(400, 1e-10)))
+    push = pushforward_density(PushforwardQuery(x, xp, t)).value
+    assert full.converged and full.value == pytest.approx(push, rel=1e-5)
+    if full.terms_used <= WF_TRUNCATION.max_terms:
+        assert res.converged and res.value == full.value
+    else:  # the first max_terms terms of the mixture, all positive
+        assert not res.converged and res.terms_used == WF_TRUNCATION.max_terms
+        assert 0.0 < res.value < full.value
+
+
 def test_griffiths_takes_any_valid_tolerance():
     # the law's cut is tol^2, which overflowed a float for tol > 1e154
     for tol in (1e-300, 1e-10, 0.5, 10.0, 1e200, 1.7e308):

@@ -8,7 +8,7 @@ of GOLDENS:
 - density_tiny.txt and density.txt: `tools/density_values.py` (seed 12)
   with --tiny (48 lines) and in full (1,566 lines);
 - paths_tiny.txt and paths.txt: `tools/path_values.py` (seed 13) with
-  --tiny (48 lines) and in full (424 lines);
+  --tiny (48 lines) and in full (448 lines);
 - reports.jsonl: the 12 `verify --suite all` reports that run no
   simulation; reports_mc.jsonl: the 6 that do, on 2 workers as
   `verify --threads 2` runs them.

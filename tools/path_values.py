@@ -16,9 +16,13 @@ shorter than a single path's), and gives each CSV's sha256.  Last come
 `ensemble_final`'s chunks: one line per call for the four models, k = 2,
 3, 5 and 8 and n_paths = 1, 16, 300 and ENSEMBLE_CHUNK + 3, 50 steps of
 dt 1e-3 from a seeded start near the boundary on one worker, with the
-sha256 of the finals and the repr of each EnsembleDiagnostics field.  So
+sha256 of the finals and the repr of each EnsembleDiagnostics field.
+Then `simulate_moran`: k = 2, 4 and 8 types, N = 100 and 1,000, from a
+seeded interior composition and from one with a zero count, strides 1
+and 124, 20,000 events each (many draw blocks), with the sha256 of the
+counts and of the times and the repr of the last heterozygosity.  So
 the files of two source trees agree under `cmp` only when every record,
-CSV and ensemble has the same bytes:
+CSV, ensemble and Moran run has the same bytes:
 
     python tools/path_values.py a.txt --src ../parent/src
     python tools/path_values.py b.txt
@@ -26,7 +30,8 @@ CSV and ensemble has the same bytes:
 
 --src picks the source tree whose `spherewf` is imported (default: the
 `src` next to this tool).  --tiny writes a small grid (k 2-3, dt 1e-3,
-20 steps, no --paths 100 or 800 run and no ensembles) for smoke tests.
+20 steps, no --paths 100 or 800 run, no ensembles and no Moran runs) for
+smoke tests.
 The command line and the exit codes are those of
 tools/density_values.py: 0 when the file is written, 2 on a usage error,
 an unwritable OUT or a --src without spherewf; a run that raises ends
@@ -54,6 +59,10 @@ CLI_PATHS = (1, 3)
 CLI_BATCHES = {3: 100, 8: 800}
 ENSEMBLE_KS = (2, 3, 5, 8)
 ENSEMBLE_STEPS = 50
+MORAN_KS = (2, 4, 8)
+MORAN_NS = (100, 1000)
+MORAN_STRIDES = (1, 124)
+MORAN_EVENTS = 20_000
 
 
 def _sha(data: bytes) -> str:
@@ -121,6 +130,7 @@ def lines(seed: int, tiny: bool):
                     yield f"cli {' '.join(run[:-2])}: exit={code} csv={_sha(out.read_bytes())}"
     if not tiny:
         yield from ensemble_lines(seed)
+        yield from moran_lines(seed)
 
 
 def ensemble_lines(seed: int):
@@ -142,6 +152,32 @@ def ensemble_lines(seed: int):
                 yield (f"ensemble {model.value} k={k} n_paths={n_paths} c=1.3 dt={dt!r} "
                        f"steps={ENSEMBLE_STEPS} seed={seed}: finals={_sha(finals.tobytes())} "
                        f"{stats}")
+
+
+def moran_lines(seed: int):
+    """Yield one line per `simulate_moran` run of the Moran grid: the
+    sha256 of its counts and times and the repr of its last heterozygosity."""
+    from spherewf.simulate import MoranState, path_rng, simulate_moran
+
+    rng = np.random.default_rng(seed)
+    index = 0
+    for k in MORAN_KS:
+        for N in MORAN_NS:
+            interior = rng.multinomial(N - k, np.full(k, 1.0 / k)) + 1
+            zero = interior.copy()
+            zero[-1] = 0
+            zero[0] += N - zero.sum()
+            for where, counts in (("interior", interior), ("zero", zero)):
+                state = MoranState(counts, 1.5)
+                for stride in MORAN_STRIDES:
+                    index += 1  # 2^32 + index: streams apart from the path grid's
+                    rec = simulate_moran(state, MORAN_EVENTS, path_rng(seed, 2**32 + index),
+                                         stride)
+                    yield (f"moran k={k} N={N} {where} counts={counts.tolist()} "
+                           f"stride={stride} events={MORAN_EVENTS} seed={seed},{2**32 + index}: "
+                           f"counts={_sha(rec.counts.tobytes())} "
+                           f"times={_sha(rec.times.tobytes())} "
+                           f"heterozygosity={float(rec.heterozygosity[-1])!r}")
 
 
 def main(argv: list[str]) -> int:
