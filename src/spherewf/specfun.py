@@ -1,16 +1,20 @@
-"""Special functions used by both transition-density kernels.
+"""Special functions for the transition-density kernels and their checks.
 
 Gegenbauer (ultraspherical) polynomials C_L^p(z), defined as the
 coefficients of h^L in (1 - 2*z*h + h**2)**(-p); log-gamma; and the
 surface area of S^{k-1}.
 
-The production Gegenbauer evaluator is the three-term recurrence
+The Gegenbauer three-term recurrence
 
     C_0 = 1,  C_1 = 2*p*z,
     C_L = (2*z*(L+p-1)*C_{L-1} - (L+2*p-2)*C_{L-2}) / L,
 
-which is stable on z in [-1, 1] and is written once, in
-`gegenbauer_terms`.  The explicit alternating sum
+is stable on z in [-1, 1] and is written once, in `gegenbauer_terms`.
+No kernel evaluates it: the sphere series steps Jacobi recurrences in
+u = 2z^2 - 1 (`sphere_heat`), so the recurrence is the independent
+oracle of the harness's `gegenbauer_check` and `sign_sum_degree_check`,
+which then share no recurrence with the evaluator they check.  The
+explicit alternating sum
 
     C_L^p(z) = sum_{j=0}^{floor(L/2)} (-1)^j Gamma(L-j+p) /
                (Gamma(p) j! (L-2j)!) * (2z)^{L-2j}

@@ -15,24 +15,33 @@ k = 2 is served by a dedicated Fourier cosine kernel: the weight
 (L+p)/p * C_L^p(cos a) -> 2 cos(L a) as p -> 0 replaces the
 Gegenbauer terms.
 
-Both series are summed by one compensated (Kahan) loop and truncated at
-one memoised cutoff, the smallest L whose rigorous tail bound is below
-tol: from |C_L^p(z)| <= C_L^p(1) = poch(2p, L)/L! for k >= 3 and from
-|cos| <= 1 for k = 2.  The loop takes each point as a Python float for
-at most `_FLOAT_MAX_POINTS` points, and the whole array as one point
-otherwise, whose cost per term is call overhead up to about 128 points.
-The same code runs the same IEEE operations either way, so both give the
-same bits; the weights of degrees 1 .. L are memoised per (t, D, k, L).
-Times below T_MIN are refused: the series would need thousands of terms.
+Both series are truncated at one memoised cutoff, the smallest L whose
+rigorous tail bound is below tol: from |C_L^p(z)| <= C_L^p(1) =
+poch(2p, L)/L! for k >= 3 and from |cos| <= 1 for k = 2.  Times below
+T_MIN are refused: the series would need thousands of terms.
+
+One loop sums both.  By the quadratic transformations (DLMF 18.7.15-16)
+
+    C_2n^lam(z)   = (lam)_n/(1/2)_n           P_n^(lam-1/2, -1/2)(2z^2 - 1),
+    C_2n+1^lam(z) = (lam)_{n+1}/(1/2)_{n+1} z P_n^(lam-1/2, +1/2)(2z^2 - 1),
+
+and at k = 2 by 2 cos(2n a) = 2 T_n(cos 2a) and 2 cos((2n+1) a) =
+2 cos a V_n(cos 2a) (V_n the Chebyshev polynomial of the third kind),
+each parity is one three-term recurrence in
+u = 2z^2 - 1, one step per degree of that parity.  `_table` builds its
+coefficients and weights once per (t, D, k, L, parity), and `_sums` steps
+it with a compensated (Kahan) sum; the odd part is z times its sum.  The
+loop takes each point as a Python float for at most `_FLOAT_MAX_POINTS`
+points, and the whole array as one point otherwise, whose cost per term is
+call overhead up to about 128 points.  The same code runs the same IEEE
+operations either way, so both give the same bits.  The Gegenbauer
+recurrence (`specfun.gegenbauer_terms`) evaluates no kernel: it is the
+independent oracle of the harness's checks.
 
 For the pushforward's sign sum, `zonal_series` and `circle_series` take
-even=True: they sum only the even degrees, (rho(z) + rho(-z))/2, by the
-quadratic transformation C_2n^lam(z) = (lam)_n/(1/2)_n P_n^(lam-1/2,
--1/2)(2z^2 - 1) (DLMF 18.7.15; 2 cos(2n a) = 2 T_n(cos 2a) at k = 2), one
-three-term step per even degree, at the same cutoff and with the same
-compensated step, and average over the first axis of the points.  Its
-loop switches to one array above `_EVEN_FLOAT_MAX_POINTS` points, so a
-single pushforward query runs on floats up to k = 6.
+even=True: they sum only the even degrees, (rho(z) + rho(-z))/2, at the
+same cutoff, and average over the first axis of the points, so a single
+pushforward query runs on floats up to k = 6.
 """
 
 from __future__ import annotations
@@ -40,12 +49,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import count
 from typing import NamedTuple
 
 import numpy as np
 
-from .specfun import _clamp_z, gegenbauer_terms
+from .specfun import _clamp_z
 from .types import SpherePoint, Truncation
 
 __all__ = [
@@ -100,16 +108,17 @@ class SphereKernelQuery:
 class KernelValue(NamedTuple):
     """The sphere series' result with its truncation diagnostics.
 
-    even_part/odd_part split the sum by the parity of the degree L, and
-    `value` is their sum.  terms_used counts the degrees summed (0 ..
-    terms_used - 1), tail_bound is a rigorous bound on the discarded tail,
-    and converged is False when max_terms was hit before the tail bound met
-    tol.  The two parts are arrays shaped like the points from
-    `zonal_series` and `circle_series` (shaped like their first row, the
-    odd part zero, with even=True and from `pushforward_series_batch`),
-    and Python floats from `zonal_kernel`, `heat_kernel` and
-    `heat_kernel_circle`.  terms_used stays at index 2, where a tracer of
-    the series calls reads it.
+    even_part/odd_part split the sum by the parity of the degree L, each
+    summed by its own Jacobi recurrence in u = 2z^2 - 1 (the odd one times
+    z), and `value` is their sum.  terms_used counts the degrees 0 ..
+    terms_used - 1 that the cutoff admits, tail_bound is a rigorous bound
+    on the discarded tail, and converged is False when max_terms was hit
+    before the tail bound met tol.  The two parts are arrays shaped like the
+    points from `zonal_series` and `circle_series` (shaped like their first
+    row, the odd part zero, with even=True and from
+    `pushforward_series_batch`), and Python floats from `zonal_kernel`,
+    `heat_kernel` and `heat_kernel_circle`.  terms_used stays at index 2,
+    where a tracer of the series calls reads it.
     """
 
     even_part: float | np.ndarray
@@ -205,47 +214,12 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
 
 #: At most this many points go through the series one Python float at a
 #: time; more go through it as one array, whose cost per term barely grows
-#: with the width.
-#: Measured crossover on a 2-core VM: the float loop stays faster up to
-#: 17-23 points at 20-70 terms (t = 0.05, 0.5) and breaks even at 14-17
-#: points with 5 terms (t = 5).
-_FLOAT_MAX_POINTS = 16
-
-#: The same switch for the even-degree loop (`_even_sums`), whose step is
-#: cheaper on floats: there the float loop stays faster up to 40-48 points
-#: at 2-38 even degrees (k = 6, t = 5, 0.5, 0.05; same VM), so a single
-#: pushforward query runs on floats up to k = 6 (32 sign vectors).
-_EVEN_FLOAT_MAX_POINTS = 40
-
-
-@lru_cache(maxsize=256)
-def _weights(t: float, D: float, k: int, L_cap: int) -> tuple:
-    """The spectral weights of degrees 1 .. L_cap as floats: exp(-D L^2 t) for
-    k = 2, (2L+k-2)/(k-2) exp(-D L(L+k-2) t) for k >= 3.  They do not depend
-    on the points, so every call of `_series` at one cutoff shares one memoised
-    tuple."""
-    return tuple(math.exp(-D * L * L * t) if k == 2 else
-                 (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
-                 for L in range(1, L_cap + 1))
-
-
-def _compensated_sums(basis, points: list, weights: tuple) -> tuple[list, list]:
-    """The compensated loop of `_series` at each of `points`: Python floats, or
-    one numpy array taken as a single point, whose operators run the same IEEE
-    operations elementwise in the same order.  Returns the lists (even, odd);
-    a parity that took no term holds the float it started at."""
-    evens, odds = [], []
-    for z in points:
-        cur, cur_c, other, other_c = 0.0, 0.0, 1.0, 0.0  # odd L first; L = 0 adds 1
-        for w, b in zip(weights, basis(z)):
-            y = b * w - cur_c
-            s = cur + y
-            cur, cur_c, other, other_c = other, other_c, s, (s - cur) - y
-        if len(weights) % 2:
-            cur, other = other, cur
-        evens.append(other)
-        odds.append(cur)
-    return evens, odds
+#: with the width.  Measured crossover on a 2-core VM: the float loop stays
+#: faster up to 40-48 points in the even mode (2-38 steps, k = 6, t = 5,
+#: 0.5, 0.05), so a single pushforward query runs on floats up to k = 6 (32
+#: sign vectors), and breaks even at 32-40 points with both parities (k = 3
+#: and 6, same times).
+_FLOAT_MAX_POINTS = 40
 
 
 def _cutoff(t: float, D: float, k: int, trunc: Truncation) -> tuple[int, float, bool]:
@@ -261,68 +235,60 @@ def _cutoff(t: float, D: float, k: int, trunc: Truncation) -> tuple[int, float, 
     return L_cap, tail, converged
 
 
-def _series(basis, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
-    """1 plus basis_L times the spectral weight of degree L, L = 1, 2, ..., at
-    the points x, up to the cutoff capped at trunc.max_terms, summed compensated
-    and split by parity.  basis(z) yields basis_1, basis_2, ... at a float or an
-    array z.  Returns a KernelValue whose parts are arrays shaped like x."""
-    L_cap, tail, converged = _cutoff(t, D, k, trunc)
-    weights = _weights(t, D, k, L_cap)
-    if x.size <= _FLOAT_MAX_POINTS:
-        even, odd = _compensated_sums(basis, x.ravel().tolist(), weights)
-        return KernelValue(np.array(even).reshape(x.shape), np.array(odd).reshape(x.shape),
-                           L_cap + 1, tail, converged)
-    (even,), (odd,) = _compensated_sums(basis, [x], weights)
-    # a parity that took no term (L_cap < 2) is still the float it started at
-    even, odd = (np.full(x.shape, s) if isinstance(s, float) else s for s in (even, odd))
-    return KernelValue(even, odd, L_cap + 1, tail, converged)
-
-
 @lru_cache(maxsize=256)
-def _even_table(t: float, D: float, k: int, L_cap: int) -> tuple:
-    """The even degrees 2n <= L_cap as one three-term recurrence in u = 2z^2 - 1:
-    per n = 1, 2, ..., the floats (a, b, c, w) with P_n = (a u + b) P_{n-1} -
-    c P_{n-2} from P_0 = 1, and the weight w that term n of the series puts on P_n.
+def _table(t: float, D: float, k: int, L_cap: int, parity: int) -> tuple[float, tuple]:
+    """The degrees L <= L_cap of one parity (0 even, 1 odd) as one three-term
+    recurrence in u = 2z^2 - 1: (head, rows), where head is the weight on
+    P_0 = 1 and, per n = 1, 2, ..., the row (a, b, c, w) steps P_n = (a u + b)
+    P_{n-1} - c P_{n-2} and puts the weight w on P_n.  The table's series is
+    the even degrees' sum, or the odd degrees' sum over z.
 
-    k >= 3: P_n is the Jacobi P_n^(lam-1/2, -1/2) (DLMF 18.9.2), lam = k/2 - 1,
-    and C_2n^lam(z) = s_n P_n(u) with s_n = (lam)_n / (1/2)_n (DLMF 18.7.15),
-    built as the running product s_n = s_{n-1} (lam+n-1)/(n-1/2); so w is the
-    sphere weight of degree 2n times s_n.  k = 2: P_n = T_n and 2 cos(2n a) =
-    2 T_n(cos 2a), so w = 2 exp(-4 D n^2 t).  Memoised like `_weights`.
+    k >= 3: P_n is the Jacobi P_n^(lam-1/2, parity-1/2) (DLMF 18.9.2), lam =
+    k/2 - 1, and C_2n+parity^lam(z) = s_n z^parity P_n(u) (module docstring)
+    with s_n = (lam)_{n+parity}/(1/2)_{n+parity}, built as a running product
+    from 1 (even) or 2 lam (odd); w is the sphere weight of degree 2n +
+    parity times s_n, and the odd head is 2 lam times the weight of degree 1.
+    k = 2: P_n is T_n (even) or V_n (odd), and w = 2 exp(-D L^2 t) at degree
+    L.  The table does not depend on the points, so it is memoised.
     """
-    lam = 0.5 * k - 1.0
-    al, be = lam - 0.5, -0.5
-    rows, scale = [], 1.0
-    for n in range(1, L_cap // 2 + 1):
+    def weight(L):
         if k == 2:
-            a, b, c = (1.0, 0.0, 0.0) if n == 1 else (2.0, 0.0, 1.0)
-            rows.append((a, b, c, 2.0 * math.exp(-4.0 * D * n * n * t)))
-            continue
-        sig = 2.0 * n + al + be
-        if n == 1:
-            a, b, c = 0.5 * sig, 0.5 * (al - be), 0.0
+            return 2.0 * math.exp(-D * L * L * t)
+        return (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
+
+    lam = 0.5 * k - 1.0
+    al, be = lam - 0.5, parity - 0.5
+    scale = 2.0 * lam if parity and k > 2 else 1.0
+    head = (weight(1.0) * scale if L_cap >= 1 else 0.0) if parity else 1.0
+    rows = []
+    for n in range(1, (L_cap - parity) // 2 + 1):
+        if k == 2:
+            a, b, c = (2.0, 0.0, 1.0) if n > 1 else (2.0, -1.0, 0.0) if parity else (1.0, 0.0, 0.0)
+        elif n == 1:
+            a, b, c = 0.5 * (2.0 + al + be), 0.5 * (al - be), 0.0
         else:
+            sig = 2.0 * n + al + be
             den = 2.0 * n * (n + al + be) * (sig - 2.0)
             a = (sig - 1.0) * sig * (sig - 2.0) / den
             b = (sig - 1.0) * (al * al - be * be) / den
             c = 2.0 * (n + al - 1.0) * (n + be - 1.0) * sig / den
-        scale *= (lam + n - 1.0) / (n - 0.5)
-        L = 2.0 * n
-        w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
-        rows.append((a, b, c, w * scale))
-    return tuple(rows)
+        if k > 2:
+            scale *= (lam + n - 1.0 + parity) / (n - 0.5 + parity)
+        rows.append((a, b, c, weight(2.0 * n + parity) * scale))
+    return head, tuple(rows)
 
 
-def _even_sums(to_u, points: list, table: tuple) -> list:
-    """1 plus the even-degree terms of `table` at each of `points`, summed by the
-    compensated step of `_compensated_sums`: Python floats, or one numpy array
-    taken as a single point, with the same IEEE operations in the same order.
-    to_u maps a point to u.  A sum that took no term is the float 1.0."""
+def _sums(to_u, points: list, head: float, rows: tuple) -> list:
+    """head plus the terms of the table rows at each of points, mapped to u by
+    to_u, summed by a compensated (Kahan) step: Python floats, or one numpy
+    array taken as a single point, whose operators run the same IEEE
+    operations elementwise in the same order.  A sum that took no term is the
+    float head."""
     out = []
     for z in points:
         u = to_u(z)
-        tot, comp, prev, cur = 1.0, 0.0, 0.0, 1.0
-        for a, b, c, w in table:
+        tot, comp, prev, cur = head, 0.0, 0.0, 1.0
+        for a, b, c, w in rows:
             prev, cur = cur, (a * u + b) * cur - c * prev
             y = cur * w - comp
             s = tot + y
@@ -332,25 +298,41 @@ def _even_sums(to_u, points: list, table: tuple) -> list:
     return out
 
 
-def _even_series(to_u, x: np.ndarray, t: float, D: float, k: int, trunc: Truncation):
-    """The even part of the series, (rho(z) + rho(-z))/2 = 1 + sum_n w_2n C_2n(z),
-    at the points x and averaged over their first axis, with an exact sum
-    (math.fsum) per column.  Returns a KernelValue of arrays shaped like x[0]
-    whose odd part is zero."""
+#: (to_z, to_u) for points that are dot products z, and for angles a, with
+#: z = cos a and u = cos 2a (math.cos at one float point, np.cos on an array)
+_DOTS = (lambda z: z, lambda z: 2.0 * z * z - 1.0)
+_ANGLES = (lambda a: (math.cos if isinstance(a, float) else np.cos)(a),
+           lambda a: (math.cos if isinstance(a, float) else np.cos)(2.0 * a))
+
+
+def _series(x: np.ndarray, maps: tuple, t: float, D: float, k: int, trunc: Truncation,
+            even: bool = False) -> KernelValue:
+    """1 plus w_L C_L(z), L = 1 .. L_cap, at the points x, each mapped to z and
+    u = 2z^2 - 1 by maps = (to_z, to_u): the two parities' tables summed in u,
+    the odd one times z.  Returns KernelValue(even, odd, ...), parts shaped
+    like x.  With even=True only the even part is summed, (rho(z) + rho(-z))/2,
+    and averaged over the first axis of x with an exact sum (math.fsum) per
+    column; the parts are then shaped like x[0], the odd one zero.
+    """
     L_cap, tail, converged = _cutoff(t, D, k, trunc)
-    table = _even_table(t, D, k, L_cap)
-    shape = x.shape[1:]
-    x = x.reshape(len(x) if x.ndim else 1, -1)  # (rows, columns)
-    rows = len(x)
-    if x.size <= _EVEN_FLOAT_MAX_POINTS:
-        flat = _even_sums(to_u, x.T.ravel().tolist(), table)
-    else:
-        (sums,) = _even_sums(to_u, [x], table)
-        flat = np.broadcast_to(sums, x.shape).T.ravel().tolist()
-    # column by column: the rows of one column are consecutive in flat
-    value = np.array([math.fsum(flat[i:i + rows]) / rows
-                      for i in range(0, len(flat), rows)]).reshape(shape)
-    return KernelValue(value, np.zeros(value.shape), L_cap + 1, tail, converged)
+    to_z, to_u = maps
+    shape = x.shape
+    if even:  # column by column: the rows of one column are consecutive
+        rows = len(x) if x.ndim else 1
+        x = x.reshape(rows, -1).T
+    on_floats = x.size <= _FLOAT_MAX_POINTS
+    points = x.ravel().tolist() if on_floats else [x]
+    evens = _sums(to_u, points, *_table(t, D, k, L_cap, 0))
+    if even:
+        flat = evens if on_floats else np.broadcast_to(evens[0], x.shape).ravel().tolist()
+        value = np.array([math.fsum(flat[i:i + rows]) / rows
+                          for i in range(0, len(flat), rows)]).reshape(shape[1:])
+        return KernelValue(value, np.zeros(value.shape), L_cap + 1, tail, converged)
+    odds = [to_z(p) * s for p, s in zip(points, _sums(to_u, points, *_table(t, D, k, L_cap, 1)))]
+    # floats, or one array (or the float head, where it took no term)
+    even_part, odd_part = (np.array(s).reshape(shape) if on_floats
+                           else np.array(np.broadcast_to(s[0], shape)) for s in (evens, odds))
+    return KernelValue(even_part, odd_part, L_cap + 1, tail, converged)
 
 
 def _at_one_point(series: KernelValue) -> KernelValue:
@@ -366,21 +348,13 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     Returns a KernelValue whose even_part/odd_part are arrays shaped like
     dots, holding the even-L and odd-L partial sums.  With even=True it sums
     only the even degrees, (rho(d) + rho(-d))/2, and averages them over the
-    first axis of dots (`_even_series`): the pushforward's sign sum.
+    first axis of dots: the pushforward's sign sum.
     """
     if k < 3:
         raise ValueError("zonal_series: k must be >= 3")
     # min/max, not np.clip: the same bits (NaN and -0.0 too) at half the call cost
     dots = np.minimum(np.maximum(np.asarray(dots, dtype=float), -1.0), 1.0)
-    if even:
-        return _even_series(lambda z: 2.0 * z * z - 1.0, dots, t, D, k, trunc)
-
-    def basis(z):
-        polys = gegenbauer_terms(0.5 * k - 1.0, z)
-        next(polys)  # C_0, the L = 0 term
-        return polys
-
-    return _series(basis, dots, t, D, k, trunc)
+    return _series(dots, _DOTS, t, D, k, trunc, even)
 
 
 def zonal_kernel(dot: float, t: float, D: float, k: int,
@@ -397,12 +371,13 @@ def heat_kernel(q: SphereKernelQuery) -> KernelValue:
     """Transition density w.r.t. the normalized measure (stationary value 1).
 
     Depends on (y, y') only through their dot product, so it is exactly
-    symmetric under exchanging the two points.
+    symmetric under exchanging the two points.  At k = 2 the dot goes to the
+    circle kernel's series as z = cos a itself, with no angle between.
     """
     k = q.y.k
     if k == 2:
-        angle = math.acos(_clamp_z(q.y.dot(q.y_prime), "heat_kernel: y.y_prime"))
-        return heat_kernel_circle(angle, q.t, q.D, q.trunc)
+        dot = _clamp_z(q.y.dot(q.y_prime), "heat_kernel: y.y_prime")
+        return _at_one_point(_series(np.asarray(dot), _DOTS, q.t, q.D, 2, q.trunc))
     return zonal_kernel(q.y.dot(q.y_prime), q.t, q.D, k, q.trunc)
 
 
@@ -421,16 +396,6 @@ def heat_kernel_circle(angle_diff: float, t: float, D: float,
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation, *,
                   even: bool = False):
     """Array version of the circle kernel; returns a KernelValue whose parts are
-    arrays shaped like angles.  even=True is zonal_series' even mode, in
-    u = cos 2a."""
-    angles = np.asarray(angles, dtype=float)
-    if even:
-        return _even_series(lambda a: (math.cos if isinstance(a, float) else np.cos)(2.0 * a),
-                            angles, t, D, 2, trunc)
-
-    def basis(a):
-        # math.cos at one float point; it gives np.cos's bits (the circle byte test)
-        cos = math.cos if isinstance(a, float) else np.cos
-        return (2.0 * cos(L * a) for L in count(1))
-
-    return _series(basis, angles, t, D, 2, trunc)
+    arrays shaped like angles.  The series runs in z = cos a and u = cos 2a;
+    even=True is zonal_series' even mode."""
+    return _series(np.asarray(angles, dtype=float), _ANGLES, t, D, 2, trunc, even)

@@ -123,7 +123,7 @@ __all__ = [
 GRIFFITHS_T_MIN = 0.01
 
 #: Default truncation for the simplex expansions.
-WF_TRUNCATION = Truncation(max_terms=200, tol=1e-10)
+WF_TRUNCATION = Truncation(max_terms=400, tol=1e-10)
 
 #: mode label: a law whose alternating sums reach a term above this is
 #: "resummed" (a float n-ordered scan would lose more than three digits)
@@ -309,64 +309,29 @@ def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> floa
     return math.exp(_log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, m)[m])
 
 
-@lru_cache(maxsize=64)
-def _q_base(mu: float, n0: int, n1: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x-independent parts of Q_n0 .. Q_n1 (n0 >= 1): one row per n, columns m = 0..n1.
-
-    Returns base[n, m] = log C(n, m) + log Gamma(mu+m+n-1) - log Gamma(mu+m)
-    (-inf for m > n), log n! per row and the signs (-1)^(n-m).
-    """
-    base = np.full((n1 - n0 + 1, n1 + 1), -np.inf)
-    for row, n in zip(base, range(n0, n1 + 1)):
-        row[:n + 1] = [math.log(math.comb(n, m)) + log_gamma(mu + m + n - 1.0) - log_gamma(mu + m)
-                       for m in range(n + 1)]
-    log_nfact = np.array([log_gamma(n + 1.0) for n in range(n0, n1 + 1)])
-    parity = np.add.outer(np.arange(n0, n1 + 1), np.arange(n1 + 1)) % 2
-    signs = np.where(parity, -1.0, 1.0)
-    for arr in (base, log_nfact, signs):
-        arr.flags.writeable = False
-    return base, log_nfact, signs
-
-
-def _q_rows(mu: float, log_xi: np.ndarray, n0: int, n1: int) -> tuple[list, list]:
-    """Q_n and its largest partial term magnitude for n = n0 .. n1 (n0 >= 1).
-
-    log_xi holds log xi_0 .. log xi_n1.  Each row is the alternating sum
-    (mu+2n-1)/n! sum_m (-1)^{n-m} C(n,m) (mu+m)_{(n-1)} xi_m, max-shifted
-    and summed exactly with fsum.
-    """
-    base, log_nfact, signs = _q_base(mu, n0, n1)
-    logs = base + log_xi[:n1 + 1]
-    logs -= log_nfact[:, None]
-    mx = logs.max(axis=1)
-    logs -= mx[:, None]
-    terms = np.exp(logs, out=logs)
-    terms *= signs
-    values: list[float] = []
-    scales: list[float] = []
-    for n, row, top in zip(range(n0, n1 + 1), terms.tolist(), mx.tolist()):
-        scale = (mu + 2.0 * n - 1.0) * math.exp(top)
-        values.append(scale * math.fsum(row[:n + 1]))
-        scales.append(scale)
-    return values, scales
-
-
 def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
     """Expansion coefficient Q_n(x, x'); Q_0 = 1 by definition.
 
-    The value degrades once the alternating sum cancels more than ~10
-    digits (large n, typical for small t); griffiths_density does not sum
-    Q_n.  The parameters are checked as GriffithsQuery checks them
-    (ValueError), at n = 0 too.
+    The alternating sum (mu+2n-1)/n! sum_m (-1)^{n-m} C(n,m) (mu+m)_{(n-1)}
+    xi_m, max-shifted in the log domain and summed exactly with fsum.  Its
+    value degrades once the sum cancels more than ~10 digits (large n,
+    typical for small t); griffiths_density does not sum Q_n.  The
+    parameters are checked as GriffithsQuery checks them (ValueError), at
+    n = 0 too.
     """
     if n < 0:
         raise ValueError("q_n: n must be >= 0")
     eps = _check_expansion("q_n", x, x_prime, epsilon)
     if n == 0:
         return 1.0
+    mu = x.k * eps
     log_xi = _log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, n)
-    values, _ = _q_rows(x.k * eps, log_xi, n, n)
-    return values[-1]
+    logs = np.array([math.log(math.comb(n, m)) + log_gamma(mu + m + n - 1.0) - log_gamma(mu + m)
+                     for m in range(n + 1)]) + log_xi
+    logs -= log_gamma(n + 1.0)
+    top = float(logs.max())
+    terms = np.exp(logs - top) * np.where((n - np.arange(n + 1)) % 2, -1.0, 1.0)
+    return (mu + 2.0 * n - 1.0) * math.exp(top) * math.fsum(terms.tolist())
 
 
 # --- the line-of-descent law ----------------------------------------------

@@ -2,6 +2,7 @@ import itertools
 import math
 from functools import partial
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -173,149 +174,108 @@ def test_kernel_value_float_conversion():
         assert float(res) == res.value
 
 
-def _kahan_add(total, comp, term):
-    # the series' compensated step as it was, with temporaries and in-place copies
-    y = term - comp
-    t = total + y
-    comp[...] = (t - total) - y
-    total[...] = t
-
-
-def _zonal_series_inline(dots, t, D, k, trunc):
-    # zonal_series as it was with its own copy of the Gegenbauer recurrence
-    dots = np.clip(np.asarray(dots, dtype=float), -1.0, 1.0)
-    p = 0.5 * k - 1.0
-    L_needed, tail, achieved = sphere_heat._cutoff_scan(t, D, k, trunc.tol)
-    L_cap = min(L_needed, trunc.max_terms)
-    converged = achieved and (L_needed <= trunc.max_terms)
-    if not converged:
-        tail = sphere_heat._tail_bound_after(L_cap, t, D, k)
-    kahan_add = _kahan_add
-    even = np.ones_like(dots)
-    odd = np.zeros_like(dots)
-    even_c = np.zeros_like(dots)
-    odd_c = np.zeros_like(dots)
-    if L_cap >= 1:
-        prev2 = np.ones_like(dots)
-        prev1 = 2.0 * p * dots
-        w = (2.0 + k - 2.0) / (k - 2.0) * math.exp(-D * (k - 1.0) * t)
-        kahan_add(odd, odd_c, w * prev1)
-        for L in range(2, L_cap + 1):
-            prev2, prev1 = prev1, (2.0 * dots * (L + p - 1.0) * prev1 - (L + 2.0 * p - 2.0) * prev2) / L
-            w = (2.0 * L + k - 2.0) / (k - 2.0) * math.exp(-D * L * (L + k - 2.0) * t)
-            if L % 2 == 0:
-                kahan_add(even, even_c, w * prev1)
-            else:
-                kahan_add(odd, odd_c, w * prev1)
-    return even, odd, L_cap + 1, tail, converged
-
-
-def _every_size(values):
-    """Arrays of every size from 1 to one past the float path's limit, shaped
-    (n,) and (n, 1), cycling through values."""
-    for n in range(1, sphere_heat._FLOAT_MAX_POINTS + 2):
-        d = np.resize(values, n)
-        yield d
-        yield d[:, None]
-
-
-@pytest.mark.parametrize("k", range(3, 11))
-def test_zonal_series_keeps_the_inline_recurrence_bytes(k):
-    rng = np.random.default_rng(30 + k)
-    specials = [-1.0, -0.0, 0.0, 1.0, 1.0 + 1e-12]
-    dots = np.concatenate([specials, rng.uniform(-1.0, 1.0, 40)])
-    # both sides of the float path's limit; the sizes below 5 hold a prefix of the specials
-    small = list(_every_size(np.concatenate([specials, rng.uniform(-1.0, 1.0, 3)])))
-    # at t = 8, D = 3 the cutoff is L = 0 (the degree-1 bound is about 4e-21 at
-    # k = 3), so no sum takes a term on either path
-    for d in (dots, np.asarray(dots[-1]), *small):
-        for t, D in ((T_MIN, 0.125), (0.01, 0.125), (0.1, 0.125), (1.0, 0.125), (8.0, 3.0)):
-            for max_terms in (1, 2, 3, 17, 400):
-                trunc = Truncation(max_terms=max_terms, tol=1e-12)
-                even, odd, *rest = zonal_series(d, t, D, k, trunc)
-                ref_even, ref_odd, *ref_rest = _zonal_series_inline(d, t, D, k, trunc)
-                assert even.shape == odd.shape == d.shape
-                assert even.dtype == odd.dtype == np.float64
-                assert even.tobytes() == ref_even.tobytes()
-                assert odd.tobytes() == ref_odd.tobytes()
-                assert rest == ref_rest  # terms, tail bound, converged
-
-
-def _circle_series_inline(angles, t, D, trunc):
-    # circle_series as it was with its own truncation loop
-    angles = np.asarray(angles, dtype=float)
-    kahan_add = _kahan_add
-    even = np.ones_like(angles)
-    odd = np.zeros_like(angles)
-    even_c = np.zeros_like(angles)
-    odd_c = np.zeros_like(angles)
-    terms, tail, converged, L = 1, math.inf, False, 0
-    while L < trunc.max_terms:
-        L += 1
-        term = 2.0 * np.cos(L * angles) * math.exp(-D * L * L * t)
-        if L % 2 == 0:
-            kahan_add(even, even_c, term)
+def _mp_parts(k, t, D, L_cap, points):
+    """Oracle: the series' even and odd parts to degree L_cap, in 40-digit
+    mpmath by the three-term recurrence: C_L^lam(z) at the dots for k >= 3,
+    T_L(cos a) = cos(L a) at the angles for k = 2."""
+    with mpmath.workdps(40):
+        t, D = mpmath.mpf(t), mpmath.mpf(D)
+        lam = mpmath.mpf(k) / 2 - 1
+        if k == 2:
+            w = [2 * mpmath.exp(-D * L * L * t) for L in range(L_cap + 1)]
         else:
-            kahan_add(odd, odd_c, term)
-        terms += 1
-        b_next = 2.0 * math.exp(-D * (L + 1.0) * (L + 1.0) * t)
-        ratio = math.exp(-D * (2.0 * L + 3.0) * t)
-        tail = b_next / (1.0 - ratio)
-        if tail < trunc.tol:
-            converged = True
-            break
-    return even, odd, terms, tail, converged
+            w = [(L + lam) / lam * mpmath.exp(-D * L * (L + 2 * lam) * t) for L in range(L_cap + 1)]
+        out = []
+        for p in points:
+            z = mpmath.cos(p) if k == 2 else mpmath.mpf(p)
+            parts = [mpmath.mpf(1), mpmath.mpf(0)]
+            prev, cur = mpmath.mpf(1), z if k == 2 else 2 * lam * z
+            for L in range(1, L_cap + 1):
+                if L > 1 and k == 2:
+                    prev, cur = cur, 2 * z * cur - prev
+                elif L > 1:
+                    prev, cur = cur, (2 * z * (L + lam - 1) * cur - (L + 2 * lam - 2) * prev) / L
+                parts[L % 2] += w[L] * cur
+            out.append([float(part) for part in parts])
+        return np.array(out)
 
 
-def test_circle_series_keeps_the_inline_loop_bytes():
-    rng = np.random.default_rng(31)
-    angles = np.concatenate([[0.0, math.pi, 2 * math.pi, 1e-9], rng.uniform(0.0, math.pi, 40)])
-    # both sides of the float path's limit; the sizes below 3 hold a prefix of 0, pi, 1e-9
-    small = list(_every_size(np.concatenate([[0.0, math.pi, 1e-9], rng.uniform(0.0, math.pi, 3)])))
-    sphere_heat._cutoff_scan.cache_clear()
-    for a in (angles, np.asarray(angles[-1]), *small):
-        for t in (T_MIN, 0.01, 0.1, 1.0, 50.0):
-            for D in (0.01, 0.125, 3.0):
-                for max_terms, tol in ((1, 1e-12), (3, 1e-12), (400, 1e-12), (5000, 1e-14)):
-                    trunc = Truncation(max_terms=max_terms, tol=tol)
-                    even, odd, *rest = circle_series(a, t, D, trunc)
-                    ref_even, ref_odd, *ref_rest = _circle_series_inline(a, t, D, trunc)
-                    assert even.shape == odd.shape == a.shape
-                    assert even.dtype == odd.dtype == np.float64
-                    assert even.tobytes() == ref_even.tobytes()
-                    assert odd.tobytes() == ref_odd.tobytes()
-                    assert rest == ref_rest  # terms, tail bound, converged
-    # both cap cases are really not converged
-    assert not circle_series(angles, T_MIN, 0.125, Truncation(max_terms=3, tol=1e-12))[4]
+#: per t, the bound on either part's error over max(1, |part|) at k <= 8 and
+#: at k = 9, 10.  Measured on these points (2-core VM, numpy 2.4), the
+#: Jacobi steps' worst errors are 4.6e-10, 1.7e-11, 5.1e-14, 4.6e-16 at k <= 8
+#: and 2.6e-9, 3.1e-10, 6.7e-14 at k = 9, 10; the parity loop that summed each
+#: degree by the Gegenbauer recurrence gave 5.4e-11, 1.8e-11, 5.1e-14,
+#: 5.1e-16 and 2.2e-8, 1.4e-10, 1.5e-13.  Both sit at the floor that the
+#: parts' cancellation sets: at t = 0.002 terms near 1e6 sum to 1e-18.
+_BOUNDS = {0.002: (5e-10, 3e-9), 0.01: (2e-11, 4e-10), 0.05: (6e-14, 1e-13), 0.5: (1e-15, 1e-15)}
+
+
+@pytest.mark.parametrize("k", range(2, 11))
+def test_series_parts_match_a_40_digit_sum(k):
+    # both parts, by the Jacobi steps in u = 2z^2 - 1 and the odd part times
+    # z, against an independent recurrence at the same cutoff; the parts
+    # reach 1e10 and cancel to 1e-20 at t = 0.002
+    rng = np.random.default_rng(50)
+    dots = np.concatenate([[1.0, -1.0, 0.0, 0.999999, -0.9999], rng.uniform(-1.0, 1.0, 6)])
+    points = np.arccos(dots) if k == 2 else dots
+    for t, bounds in _BOUNDS.items():
+        series = (circle_series(points, t, 0.125, SPHERE_TRUNCATION) if k == 2 else
+                  zonal_series(points, t, 0.125, k, SPHERE_TRUNCATION))
+        assert series.converged
+        ref = _mp_parts(k, t, 0.125, series.terms_used - 1, points.tolist())
+        got = np.stack([series.even_part, series.odd_part], axis=1)
+        err = (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max()
+        assert err <= bounds[k > 8], (t, err)
+
+
+def _full_and_even(k, dots, t, trunc):
+    """The full series at dots and the even mode's partial(even=True)."""
+    if k == 2:
+        series = partial(circle_series, np.arccos(dots), t, 0.125, trunc)
+    else:
+        series = partial(zonal_series, dots, t, 0.125, k, trunc)
+    return series(), partial(series, even=True)
 
 
 @pytest.mark.parametrize("k", range(2, 9))
 def test_even_mode_is_the_mean_of_the_even_parts(k, monkeypatch):
     # even=True: (rho(d) + rho(-d))/2 averaged over the first axis, which is
-    # the parity split's even part averaged; the float and array paths give
-    # the same bits
+    # the exact mean of the full series' even parts, bit for bit; the float
+    # and array paths give the same bits in both modes
     rng = np.random.default_rng(40 + k)
-    for rows, cols in ((1, 1), (4, 1), (8, 5), (16, 3), (64, 1)):
+    for rows, cols in ((1, 1), (1, 7), (4, 1), (8, 5), (16, 3), (64, 1)):
         dots = rng.uniform(-1.0, 1.0, (rows, cols))
         dots[0, 0] = 1.0
         for t, max_terms in ((T_MIN, 400), (0.05, 400), (0.5, 3), (5.0, 400)):
             trunc = Truncation(max_terms=max_terms, tol=1e-12)
-            if k == 2:
-                angles = np.arccos(dots)
-                series = partial(circle_series, angles, t, 0.125, trunc)
-            else:
-                series = partial(zonal_series, dots, t, 0.125, k, trunc)
-            full = series()
-            ref = full.even_part.mean(axis=0)
-            paths = []
+            full = _full_and_even(k, dots, t, trunc)[0]
+            ref = np.array([math.fsum(col) / rows for col in full.even_part.T.tolist()])
             for limit in (0, 10_000):
-                monkeypatch.setattr(sphere_heat, "_EVEN_FLOAT_MAX_POINTS", limit)
-                paths.append(series(even=True))
-            got = paths[0]
-            assert paths[1].value.tobytes() == got.value.tobytes()
-            assert got.value.shape == (cols,) and not got.odd_part.any()
-            assert got[2:] == full[2:]  # terms, tail bound, converged
-            assert np.abs(got.value - ref).max() <= 1e-13 * max(1.0, np.abs(ref).max()), (t, rows)
+                monkeypatch.setattr(sphere_heat, "_FLOAT_MAX_POINTS", limit)
+                again, even = _full_and_even(k, dots, t, trunc)
+                got = even()
+                assert again.even_part.tobytes() == full.even_part.tobytes()
+                assert again.odd_part.tobytes() == full.odd_part.tobytes()
+                assert got.value.tobytes() == ref.tobytes(), (t, rows, cols, limit)
+                assert got.value.shape == (cols,) and not got.odd_part.any()
+                assert got[2:] == full[2:]  # terms, tail bound, converged
+            monkeypatch.undo()
+            # one row: the even mode is the full series' even part itself
+            one_row = _full_and_even(k, dots[:1], t, trunc)[1]()
+            assert one_row.value.tobytes() == full.even_part[0].tobytes()
+
+
+def test_heat_kernel_takes_the_dot_straight_to_the_circle_series():
+    # at k = 2 the dot is z = cos a, with no arccos round trip
+    edge = 1.0 - 1e-12
+    for dot in (1.0, -1.0, 0.0, edge, -edge, 0.3, -0.77):
+        y = SpherePoint([dot, math.sqrt(1.0 - dot * dot)])
+        dot = y.dot(SpherePoint([1.0, 0.0]))
+        for t in (T_MIN, 0.05, 0.5, 5.0):
+            got = heat_kernel(SphereKernelQuery(y, SpherePoint([1.0, 0.0]), t, 0.125))
+            ref = heat_kernel_circle(math.acos(dot), t, 0.125)
+            assert got[2:] == ref[2:]
+            assert abs(got.value - ref.value) <= 1e-13 * max(1.0, abs(ref.value)), (dot, t)
 
 
 @pytest.mark.parametrize("D", [0.0, -0.1, math.nan])

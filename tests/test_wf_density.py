@@ -344,18 +344,15 @@ def test_griffiths_nonconvergence_flagged():
 def test_griffiths_default_truncation_builds_the_whole_law(t):
     # the law's inner sums stopped at max_terms = 200 gave -7.6e57 at t =
     # 0.01 and -1.1e14 at t = 0.015; they run to the law's own n_max (about
-    # 370 at t = 0.01), and max_terms caps only the mixture: M is 198 at
-    # t = 0.015 and 278 at t = 0.01
+    # 370 at t = 0.01), and max_terms caps only the mixture, whose M + 1 is
+    # 199 at t = 0.015 and 279 at t = 0.01: within the default 400, so the
+    # default query at the floor holds the whole mixture
     x, xp = SimplexPoint([0.2, 0.3, 0.5]), SimplexPoint([0.4, 0.4, 0.2])
     res = griffiths_density(GriffithsQuery(x, xp, t, 0.5))
     full = griffiths_density(GriffithsQuery(x, xp, t, 0.5, Truncation(400, 1e-10)))
     push = pushforward_density(PushforwardQuery(x, xp, t)).value
     assert full.converged and full.value == pytest.approx(push, rel=1e-5)
-    if full.terms_used <= WF_TRUNCATION.max_terms:
-        assert res.converged and res.value == full.value
-    else:  # the first max_terms terms of the mixture, all positive
-        assert not res.converged and res.terms_used == WF_TRUNCATION.max_terms
-        assert 0.0 < res.value < full.value
+    assert res.converged and res == full
 
 
 def test_griffiths_takes_any_valid_tolerance():
@@ -674,9 +671,6 @@ def _log_xi_table_inline(log_xx, k, eps, n):
 
 #: 1/3 makes mu + m + n - 1.0 round differently from mu + (m + n) - 1.0
 SAME_BYTES_EPS = (0.05, 1.0 / 3.0, 0.5, 0.6, 1.7, 4.0)
-#: row ranges ending at each xi table size of a scan to 200 terms; a row's
-#: bytes do not depend on the range, so the scan's 16-row blocks match too
-SCAN_BLOCKS = ((1, 16), (17, 32), (33, 64), (65, 128), (129, 200))
 
 
 def _seeded_pair(rng, k, min_coord=0.01):
@@ -687,25 +681,16 @@ def _seeded_pair(rng, k, min_coord=0.01):
     return point(), point()
 
 
-def _q_rows_by_scalar(mu, log_xi, n0, n1):
-    pairs = [_q_n_scalar(n, mu, log_xi[:n + 1]) for n in range(n0, n1 + 1)]
-    return [p[0] for p in pairs], [p[1] for p in pairs]
-
-
 def test_q_rows_match_the_scalar_loop_bytes():
     rng = np.random.default_rng(20)
     for k in range(2, 9):
         for eps in SAME_BYTES_EPS:
             x, xp = _seeded_pair(rng, k)
             log_xx = np.log(x.coords * xp.coords)
-            mu = k * eps
-            for n0, n1 in SCAN_BLOCKS:
-                log_xi = wf_density._log_xi_table(log_xx, k, eps, n1)
-                assert log_xi.tobytes() == _log_xi_table_inline(log_xx, k, eps, n1).tobytes()
-                got = wf_density._q_rows(mu, log_xi, n0, n1)
-                assert got == _q_rows_by_scalar(mu, log_xi, n0, n1), (k, eps, n0, n1)
-            for n in (1, 2, 7, 40, 113, 200):
-                ref = _q_n_scalar(n, mu, _log_xi_table_inline(log_xx, k, eps, n))[0]
+            for n in (1, 2, 7, 16, 32, 40, 64, 113, 128, 200):
+                log_xi = wf_density._log_xi_table(log_xx, k, eps, n)
+                assert log_xi.tobytes() == _log_xi_table_inline(log_xx, k, eps, n).tobytes()
+                ref = _q_n_scalar(n, k * eps, log_xi)[0]
                 assert q_n(n, x, xp, eps) == ref, (k, eps, n)
 
 
@@ -732,9 +717,8 @@ def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
     assert calls == [(q.x.k, q.epsilon) for q in queries]
 
 
-CACHES = (wf_density._xi_constants, wf_density._q_base, wf_density._law,
-          wf_density._half_sign_law, sphere_heat._cutoff_scan, sphere_heat._weights,
-          sphere_heat._even_table)
+CACHES = (wf_density._xi_constants, wf_density._law, wf_density._half_sign_law,
+          sphere_heat._cutoff_scan, sphere_heat._table)
 
 
 def test_density_caches_are_bounded_and_hold_no_state():
