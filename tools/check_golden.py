@@ -6,7 +6,7 @@ tests/golden/ holds the repository's byte record, one file per generator
 of GOLDENS:
 
 - density_tiny.txt and density.txt: `tools/density_values.py` (seed 12)
-  with --tiny (48 lines) and in full (1,566 lines);
+  with --tiny (48 lines) and in full (1,586 lines);
 - paths_tiny.txt and paths.txt: `tools/path_values.py` (seed 13) with
   --tiny (48 lines) and in full (448 lines);
 - reports.jsonl: the 12 `verify --suite all` reports that run no

@@ -9,7 +9,11 @@ t = 0.02..5, at seeded pairs whose smallest coordinate is 1e-3, 0.02 or
 t: x = x' at the centroid for k = 3..8, where sign vectors give dots of
 exactly 0 (even k) and of +-1 to an ulp, and one k = 10 pair per floor
 (the 0.1 floor leaves only the centroid there), whose 2^9 sign vectors
-with s_1 = +1 are too many for the series' float path.  Each line names
+with s_1 = +1 are too many for the series' float path, and then with
+Griffiths lines at t = 0.05 and 0.5, one seeded pair each (smallest
+coordinate 0.02): eps 1/3 and 1/2 at k = 9, 11, 12 and 14, on both
+sides of the k limit of the eps = 1/2 half-sign sums, and eps = 1e-9
+(k = 8) and 50 (k = 5), far from 1/2 on either side.  Each line names
 its query and then gives the value's repr, which spells every float to
 the last bit, so the files of two source trees agree under `diff` only
 when every value has the same bytes:
@@ -91,6 +95,12 @@ def lines(seed: int, tiny: bool):
         for t in times:
             value = pushforward_density(PushforwardQuery(a, b, t, D))
             yield f"pushforward {where} t={t!r} D={D!r}: {value!r}"
+    wide = [(k, eps) for k in (9, 11, 12, 14) for eps in EPSILONS[:2]] + [(8, 1e-9), (5, 50.0)]
+    for k, eps in wide:
+        a, b = (SimplexPoint(p) for p in _pairs(rng, k, 0.02, 1)[0])
+        for t in (0.05, 0.5):
+            value = griffiths_density(GriffithsQuery(a, b, t, eps))
+            yield f"griffiths k={k} t={t!r} min=0.02 pair=0 eps={eps!r}: {value!r}"
 
 
 def dump(argv: list[str], lines, description: str, seed: int) -> int:
