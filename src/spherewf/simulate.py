@@ -812,7 +812,7 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     rate = moran_event_rate(state)
     cum = list(accumulate(state.counts.tolist()))  # the running cumulative counts
     idx = [0]
-    rows = [cum[:]]
+    rows = cum[:]  # the recorded cums, one flat list
     record = min(record_stride, events)  # the next event to record
     for first in range(0, events, _MORAN_BLOCK):
         last = min(first + _MORAN_BLOCK, events)
@@ -843,9 +843,9 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
             ev = stop
             if ev == record:
                 idx.append(ev)
-                rows.append(cum[:])
+                rows.extend(cum)
                 record = min(ev + record_stride, events)
-    counts_arr = np.diff(np.array(rows, dtype=np.int64), axis=1, prepend=0)
+    counts_arr = np.diff(np.array(rows, dtype=np.int64).reshape(-1, len(cum)), axis=1, prepend=0)
     x = counts_arr / N
     het = 1.0 - (x * x).sum(axis=1)
     idx_arr = np.array(idx, dtype=np.int64)

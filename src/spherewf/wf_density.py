@@ -19,8 +19,9 @@ measure dx_1...dx_{k-1} on the simplex:
       f(u) = sum_l u^l / (l! Gamma(l + eps)),
 
   where a_{(m)} is the rising factorial.  xi_0..xi_n come from k-1
-  truncated convolutions in O(k n^2) time, for any k.  Summed by the
-  xi_m, the series is Griffiths' line-of-descent mixture
+  truncated convolutions of positive running products in O(k n^2) time,
+  for any k (`_xi_table`).  Summed by the xi_m, the series is Griffiths'
+  line-of-descent mixture
 
       sum_n e_n(t) Q_n = sum_m q_m(t) xi_m,
       q_m(t) = sum_{n>=m} (-1)^{n-m} e_n(t) (mu+2n-1) (mu+m)_{(n-1)} / (m! (n-m)!)
@@ -40,7 +41,7 @@ measure dx_1...dx_{k-1} on the simplex:
       xi_m = (k/2)_m / (1/2)_m * 2^{-(k-1)} sum_{s_1 = +1} (s.y)^{2m},
 
   a power sum over the pushforward's half-sign dots (below).  For k <=
-  _HALF_SIGN_MAX_K (11) `griffiths_density` sums the mixture on them;
+  _HALF_SIGN_MAX_K (8) `griffiths_density` sums the mixture on them;
   other eps, and larger k, whose 2^(k-1) dots would outgrow the k - 1
   convolutions, take the series product.
 
@@ -68,13 +69,15 @@ them in float.  For each (t, k, eps, trunc) it computes the law
 q_0 .. q_M once, in arbitrary precision on mpmath's raw mpf tuples
 (`_hp_weights`), and caches it (`_law`); a query is then one xi table
 of M + 1 entries and one exact float sum (`math.fsum`) of the terms
-q_m xi_m.  At eps = 1/2 (k <= 11) the table is the dots' power sums,
-each power d^2m <= 1 from one cumulative product, times
-c_m = q_m (k/2)_m/(1/2)_m / 2^(k-1), cached per law (`_half_sign_law`):
-no log or exp.  To m = 300 its xi_m stay within 1e-13 of a 40-digit
-reference, where those of the log-domain table reach 6.5e-13.  Both
-cuts come from trunc.tol (tol^2, kept between the smallest float and 1)
-and neither depends on x:
+q_m xi_m.  The table takes no log or exp.  The series product runs on
+h -> c h, so that each coordinate's coefficients are running products
+of positive ratios, scaled by powers of two in between (exact); to
+m = 400 its xi_m stay within about 1e-14 of a 40-digit product, for eps
+from 1e-15 to 1e15.  At eps = 1/2 (k <= 8) the table is the dots' power
+sums, each power d^2m <= 1 from one cumulative product, times
+c_m = q_m (k/2)_m/(1/2)_m / 2^(k-1), cached per law (`_half_sign_law`).
+Both cuts come from trunc.tol (tol^2, kept between the smallest float
+and 1) and neither depends on x:
 
 * the inner sums stop at n_max, the first row of the (n, m) triangle
   past its largest term whose next row stays below tol^2; the rows fall
@@ -132,6 +135,12 @@ _RESUMMED_TERM = 1e3
 #: log of the smallest positive float
 _LOG_TINY = math.log(math.ulp(0.0))
 
+#: The largest degree of `xi_m` and `q_n`.  To it, at k = 2-20 and eps from
+#: 1e-15 to 1e15, every xi_m within e^-300 of its table's largest holds to
+#: 1e-14; from about m = 500 such an entry can leave the float range of
+#: `_xi_table`'s scaled products (0, inf or nan by m = 1000).
+_XI_MAX_M = 400
+
 #: Sign-preimage enumeration guard for the pushforward (2^k terms).
 _MAX_SIGN_K = 20
 
@@ -152,12 +161,15 @@ def _check_pair(who: str, x: SimplexPoint, x_prime: SimplexPoint) -> None:
         raise ValueError(f"{who}: x and x_prime must be interior points (all coordinates > 0)")
 
 
-def _check_expansion(who: str, x: SimplexPoint, x_prime: SimplexPoint, epsilon) -> float:
+def _check_expansion(who: str, x: SimplexPoint, x_prime: SimplexPoint, epsilon,
+                     degree: int = 0) -> float:
     """The rules of the expansion's parameters, for `who` (ValueError naming
-    the argument): the points' rule (`_check_pair`), and epsilon finite and
-    > 0 with k*epsilon + 1 != 1 (at a smaller epsilon mu + m + n - 1 rounds
-    to 0 at m = 0, n = 1, where log_gamma has a pole).  Returns epsilon as
-    a float."""
+    the argument): the degree m of xi_m or n of q_n in [0, _XI_MAX_M], the
+    points' rule (`_check_pair`), and epsilon finite and > 0 with
+    k*epsilon + 1 != 1 (at a smaller epsilon mu + m + n - 1 rounds to 0 at
+    m = 0, n = 1, where log_gamma has a pole).  Returns epsilon as a float."""
+    if not 0 <= degree <= _XI_MAX_M:
+        raise ValueError(f"{who}: degree {degree!r} is outside [0, {_XI_MAX_M}]")
     _check_pair(who, x, x_prime)
     eps = float(epsilon)
     if not (0.0 < eps < math.inf):  # NaN too
@@ -267,46 +279,53 @@ def dirichlet_stationary(x: SimplexPoint, epsilon) -> float:
 
 
 @lru_cache(maxsize=128)
-def _xi_constants(k: int, eps: float, n: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """x-independent parts of the xi table: (log j!, log_denom, log mu_(j)), j = 0..n."""
-    log_fact = np.array([log_gamma(j + 1.0) for j in range(n + 1)])
-    # log of l! Gamma(l + eps) / Gamma(eps), so that the l = 0 term is exactly 0
-    log_denom = log_fact + np.array([log_gamma(j + eps) for j in range(n + 1)]) - log_gamma(eps)
-    mu = k * eps
-    log_rising = np.array([log_gamma(mu + j) for j in range(n + 1)]) - log_gamma(mu)
-    for arr in (log_fact, log_denom, log_rising):
-        arr.flags.writeable = False
-    return log_fact, log_denom, log_rising
+def _xi_scales(k: int, eps: float, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The x-independent parts of the xi table at the scale
+    c = max(1, n (n + mu) / e^2): the ratios c / (l ((l-1) + eps)) of each
+    coordinate's running product, l = 1 .. n, and the running product
+    prod_{i<=m} i ((i-1) + mu) / c, m = 0 .. n.  (i-1) + eps, and not
+    eps + i - 1, keeps a tiny eps from rounding away at i = 1."""
+    c = max(1.0, n * (n + k * eps) / math.e ** 2)
+    i = np.arange(1.0, n + 1.0)
+    ratios = c / (i * ((i - 1.0) + eps))
+    rising = np.cumprod(np.concatenate(([1.0], i * ((i - 1.0) + k * eps) / c)))
+    ratios.flags.writeable = rising.flags.writeable = False
+    return ratios, rising
 
 
-def _log_xi_table(log_xx: np.ndarray, k: int, eps: float, n: int) -> np.ndarray:
-    """log xi_0 .. log xi_n from log(x_j * x'_j) by the series product.
+def _xi_table(xx: np.ndarray, eps: float, n: int) -> np.ndarray:
+    """xi_0 .. xi_n from xx = x * x' by the series product, with h -> c h.
 
-    The coefficients are positive, so the k-1 truncated convolutions run
-    in the log domain with a max-shifted log-sum-exp per output degree.
+    Coordinate j contributes the running product b_j(l) = prod_{i<=l}
+    c u_j / (i ((i-1) + eps)), u_j = xx[j], and xi_m is
+    prod_{i<=m} i ((i-1) + mu) / c times [h^m] prod_j B_j(h) (`_xi_scales`).
+    Every term is positive, so the k - 1 truncated convolutions lose no
+    digits to cancellation.  After each one the running product is scaled
+    by the power of two at its largest entry, exactly, and the powers are
+    put back at the end, so no entry overflows unless xi does (at k = 20
+    and eps = 1e-15 each coordinate's l >= 1 terms carry a factor 1/eps);
+    an entry that underflows is a positive term far below the largest.
     """
-    log_fact, log_denom, log_rising = _xi_constants(k, eps, n)
-    lags = np.arange(n + 1)
-    acc = lags * log_xx[0] - log_denom
-    for log_z in log_xx[1:]:
-        # view row p, column i: degree n - p - i (-inf below 0); pair row p: degree n - p
-        series = np.concatenate(((lags * log_z - log_denom)[::-1], np.full(n, -np.inf)))
-        pair = np.ndarray((n + 1, n + 1), buffer=series, strides=(8, 8)) + acc
-        top = pair.max(axis=1)
-        pair -= top[:, None]  # pair is the only (n+1)^2 array; exp runs in place
-        acc = (top + np.log(np.exp(pair, out=pair).sum(axis=1)))[::-1].copy()
-    return acc + log_fact + log_rising
+    ratios, rising = _xi_scales(xx.size, eps, n)
+    series = np.ones((xx.size, n + 1))
+    series[:, 1:] = xx[:, None] * ratios
+    series.cumprod(axis=1, out=series)
+    acc, exp2 = series[0], 0
+    for b in series[1:]:
+        acc = np.convolve(acc, b)[:n + 1]
+        top = math.frexp(acc.max())[1]
+        acc, exp2 = np.ldexp(acc, -top), exp2 + top
+    return np.ldexp(acc * rising, exp2)
 
 
 def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
     """xi_m of the expansion: the coefficient of the series product at degree m.
 
-    The parameters are checked as GriffithsQuery checks them (ValueError).
+    m is limited to [0, _XI_MAX_M] (400), where the table holds, and the
+    parameters are checked as GriffithsQuery checks them (ValueError).
     """
-    if m < 0:
-        raise ValueError("xi_m: m must be >= 0")
-    eps = _check_expansion("xi_m", x, x_prime, epsilon)
-    return math.exp(_log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, m)[m])
+    eps = _check_expansion("xi_m", x, x_prime, epsilon, m)
+    return float(_xi_table(x.coords * x_prime.coords, eps, m)[m])
 
 
 def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
@@ -315,17 +334,15 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
     The alternating sum (mu+2n-1)/n! sum_m (-1)^{n-m} C(n,m) (mu+m)_{(n-1)}
     xi_m, max-shifted in the log domain and summed exactly with fsum.  Its
     value degrades once the sum cancels more than ~10 digits (large n,
-    typical for small t); griffiths_density does not sum Q_n.  The
-    parameters are checked as GriffithsQuery checks them (ValueError), at
-    n = 0 too.
+    typical for small t); griffiths_density does not sum Q_n.  n is limited
+    as xi_m limits m, and the parameters are checked as GriffithsQuery
+    checks them, at n = 0 too (ValueError).
     """
-    if n < 0:
-        raise ValueError("q_n: n must be >= 0")
-    eps = _check_expansion("q_n", x, x_prime, epsilon)
+    eps = _check_expansion("q_n", x, x_prime, epsilon, n)
     if n == 0:
         return 1.0
     mu = x.k * eps
-    log_xi = _log_xi_table(np.log(x.coords * x_prime.coords), x.k, eps, n)
+    log_xi = np.log(_xi_table(x.coords * x_prime.coords, eps, n))
     logs = np.array([math.log(math.comb(n, m)) + log_gamma(mu + m + n - 1.0) - log_gamma(mu + m)
                      for m in range(n + 1)]) + log_xi
     logs -= log_gamma(n + 1.0)
@@ -429,13 +446,13 @@ def _law(t: float, k: int, eps: float, trunc: Truncation) -> tuple[np.ndarray, b
 
 
 #: eps = 1/2 queries up to this k take the half-sign power table
-#: (`_half_sign_sums`), larger k the series product: the table has
-#: 2^(k-1) (M+1) entries against the product's k - 1 convolutions of
-#: (M+1)^2.  Measured on a 2-core VM, the table's power sums against the
-#: product's xi table: 450 vs 640 us at k = 11 and 922 vs 725 us at k = 12
-#: (t = 0.05, M = 75); k = 12 loses at t = 0.02 and 0.5 too, and k = 14
-#: at every t.  Whole warm queries at k = 11 gain x1.06-2.9.
-_HALF_SIGN_MAX_K = 11
+#: (`_half_sign_sums`), larger k the series product (`_xi_table`): the
+#: table has 2^(k-1) (M+1) entries against the product's k - 1
+#: convolutions of M + 1 terms.  Measured on a 2-core VM (warm, best of 9),
+#: power sums against the product at M = 16 / 76 / 157 (t = 0.5 / 0.05 /
+#: 0.02): 25 / 47 / 101 vs 40 / 54 / 186 us at k = 8; 28 / 99 / 188 vs
+#: 44 / 60 / 207 us at k = 9; 56 / 200 / 440 vs 45 / 67 / 263 us at k = 10.
+_HALF_SIGN_MAX_K = 8
 
 
 def _half_sign_scale(k: int, n: int) -> np.ndarray:
@@ -479,7 +496,7 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     _HALF_SIGN_MAX_K the terms are c_m sum_s d_s^2m over the half-sign
     dots, with c_m = q_m (k/2)_m/(1/2)_m / 2^(k-1) cached per law
     (`_half_sign_law`); otherwise the query builds one xi table by the
-    series product (`_log_xi_table`).
+    series product (`_xi_table`).
     """
     k = q.x.k
     eps = float(q.epsilon)
@@ -489,7 +506,7 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     if eps == 0.5 and k <= _HALF_SIGN_MAX_K:
         terms = _half_sign_law(q.t, k, q.trunc) * _half_sign_sums(xx, len(law) - 1)
     else:
-        terms = np.exp(_log_xi_table(np.log(xx), k, eps, len(law) - 1)) * law
+        terms = _xi_table(xx, eps, len(law) - 1) * law
     series = math.fsum(terms.tolist())
     return DensityValue(
         value=prefactor * series,

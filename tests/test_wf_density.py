@@ -111,6 +111,31 @@ def _xi_by_series_product(m, x, xp, eps):
     return poch * math.gamma(eps) ** k * math.factorial(m) * coeffs[m]
 
 
+def _mp_series_product(us, eps, n):
+    """Oracle: [h^m] prod_j sum_l (h u_j)^l / (l! eps_(l)), m = 0..n, in mp
+    arithmetic at the working precision (each u_j taken as it is given)."""
+    e = mpmath.mpf(eps)
+    acc = None
+    for u in us:
+        c = [mpmath.mpf(1)]
+        for lag in range(1, n + 1):
+            c.append(c[-1] * u / (lag * (e + lag - 1)))
+        acc = c if acc is None else [mpmath.fdot(acc[:m + 1], c[m::-1]) for m in range(n + 1)]
+    return acc
+
+
+def _mp_xi_table(xx, eps, n, dps=40):
+    """Oracle: xi_m = mu_(m) m! `_mp_series_product` at u = xx (floats,
+    exactly), m = 0..n, as dps-digit mp numbers."""
+    with mpmath.workdps(dps):
+        mu = len(xx) * mpmath.mpf(eps)
+        rising, out = mpmath.mpf(1), []
+        for m, a in enumerate(_mp_series_product([mpmath.mpf(float(u)) for u in xx], eps, n)):
+            rising *= m * (mu + m - 1) if m else 1
+            out.append(rising * a)
+        return out
+
+
 def test_xi_low_order_closed_forms():
     for x, xp in ((X3, X3B), (X4, X4B)):
         k = x.k
@@ -164,20 +189,47 @@ def test_xi_oracle_property():
     check()
 
 
+#: epsilons far below and far above the 0.05-4 of the other tests
+EXTREME_EPS = (1e-15, 1e-9, 50.0, 1e6, 1e9, 1e15)
+
+
+@pytest.mark.parametrize("eps", EXTREME_EPS)
+def test_xi_holds_at_extreme_epsilon(eps):
+    # xi_1 = k sum_j x_j x'_j: the log-domain table's lgamma(l + eps) -
+    # lgamma(eps) cancelled to 0.3 of it at eps = 1e15, and eps + i - 1 in
+    # place of (i - 1) + eps rounds eps away, to 0.9 of it at 1e-15.  The
+    # m = 400 table is finite, as a 40-digit product's xi_m are (the largest
+    # is e^615, at k = 20 and eps = 1e-15); its first n_ref + 1 entries are
+    # within 2e-14 of that product's (9.5e-15 measured to m = 400), or within
+    # 1e-150 of the table's largest entry where an entry left the float
+    # range of the scaled convolutions: xi_0 .. xi_7 at k = 20 and
+    # eps = 1e-15, e^-421 of the largest, which no mixture term moves by
+    rng = np.random.default_rng(28)
+    for k, n_ref in ((2, 400), (3, 120), (8, 60), (20, 60)):
+        x, xp = _seeded_pair(rng, k, 1e-3)
+        xx = x.coords * xp.coords
+        assert xi_m(1, x, xp, eps) == pytest.approx(k * xx.sum(), rel=1e-14), k
+        table = wf_density._xi_table(xx, eps, 400)
+        assert np.isfinite(table).all() and xi_m(400, x, xp, eps) == table[400], k
+        ref = np.array([float(v) for v in _mp_xi_table(xx, eps, n_ref)])
+        err = np.abs(table[:n_ref + 1] - ref)
+        assert (err <= 2e-14 * ref + 1e-150 * table.max()).all(), (k, err / ref)
+
+
 def test_half_sign_xi_matches_the_series_product():
     # at eps = 1/2, xi_m = (k/2)_m/(1/2)_m mean_s d_s^2m over the half-sign dots;
     # the series product's table is its oracle, to m = 200, at pairs whose
-    # smallest coordinate is 1e-3
+    # smallest coordinate is 1e-3, for k to 11, past the half-sign k limit
     rng = np.random.default_rng(25)
     n = 200
-    for k in range(2, wf_density._HALF_SIGN_MAX_K + 1):
+    for k in range(2, 12):
         for _ in range(2):
             x, xp = (np.concatenate([[1e-3], (1.0 - 1e-3) * rng.dirichlet(np.ones(k - 1))])
                      for _ in range(2))
             xx = x * xp
             got = wf_density._half_sign_scale(k, n) * wf_density._half_sign_sums(xx, n)
-            ref = np.exp(wf_density._log_xi_table(np.log(xx), k, 0.5, n))
-            assert got == pytest.approx(ref, rel=1e-12, abs=0.0), k
+            ref = wf_density._xi_table(xx, 0.5, n)
+            assert got == pytest.approx(ref, rel=1e-13, abs=0.0), k
 
 
 def test_half_sign_table_stops_at_its_k_limit(monkeypatch):
@@ -185,12 +237,12 @@ def test_half_sign_table_stops_at_its_k_limit(monkeypatch):
     # memory grows as k (M+1)^2 and not as 2^(k-1) (M+1)
     calls = []
 
-    def counted(*args):
-        calls.append(args[1])
-        return xi_table(*args)
+    def counted(xx, eps, n):
+        calls.append(xx.size)
+        return xi_table(xx, eps, n)
 
-    xi_table = wf_density._log_xi_table
-    monkeypatch.setattr(wf_density, "_log_xi_table", counted)
+    xi_table = wf_density._xi_table
+    monkeypatch.setattr(wf_density, "_xi_table", counted)
     top = wf_density._HALF_SIGN_MAX_K
     for k in (2, top, top + 1):
         x, xp = _seeded_pair(np.random.default_rng(k), k)
@@ -199,6 +251,15 @@ def test_half_sign_table_stops_at_its_k_limit(monkeypatch):
 
 
 # --- expansion coefficients -----------------------------------------------------
+
+@pytest.mark.parametrize("entry", [xi_m, q_n])
+def test_degrees_past_the_table_range_are_refused(entry):
+    # past m = 500 an entry of the scaled table can leave the float range
+    for m in (-1, 401):
+        with pytest.raises(ValueError, match=r"degree .* is outside \[0, 400\]"):
+            entry(m, X3, X3B, 0.5)
+    assert math.isfinite(entry(400, X3, X3B, 0.5))
+
 
 def test_q0_is_one():
     assert q_n(0, X3, X3B, 0.5) == 1.0
@@ -383,16 +444,9 @@ def _mp_direct_series(x, xp, eps, times, n_terms, dps=50):
     (mu+2n-1) sum_m (-1)^(n-m) mu_(m+n-1) / (mu_(m) m! (n-m)!) xi_m.
     """
     with mpmath.workdps(dps):
-        e = mpmath.mpf(eps)
-        mu = len(x) * e
-        acc = None
-        for a, b in zip(x, xp):
-            z = mpmath.mpf(float(a)) * mpmath.mpf(float(b))
-            c = [mpmath.mpf(1)]
-            for lag in range(1, n_terms + 1):
-                c.append(c[-1] * z / (lag * (e + lag - 1)))
-            acc = c if acc is None else [mpmath.fdot(acc[:n + 1], c[n::-1])
-                                         for n in range(n_terms + 1)]
+        mu = len(x) * mpmath.mpf(eps)
+        acc = _mp_series_product([mpmath.mpf(float(a)) * mpmath.mpf(float(b))
+                                  for a, b in zip(x, xp)], eps, n_terms)
         rising, inv_fact = [mpmath.mpf(1)], [mpmath.mpf(1)]  # mu_(j), 1/j!
         for j in range(1, 2 * n_terms):
             rising.append(rising[-1] * (mu + j - 1))
@@ -409,8 +463,7 @@ def _mp_direct_series(x, xp, eps, times, n_terms, dps=50):
 
 def test_griffiths_density_matches_a_50_digit_direct_sum():
     # the mixture against the expansion it resums, at pairs whose smallest
-    # coordinate is 1e-3: |v - ref| <= 1e-12 max(1, |ref|), and 2e-14 max(1, |ref|)
-    # at eps = 1/2, whose xi_m are powers of the half-sign dots
+    # coordinate is 1e-3: |v - ref| <= 2e-14 max(1, |ref|) at every eps
     rng = np.random.default_rng(26)
     times = (0.02, 0.1, 1.0)
     for k in (2, 3, 5, 8):
@@ -421,11 +474,10 @@ def test_griffiths_density_matches_a_50_digit_direct_sum():
                 prefactor = (mpmath.gamma(k * mpmath.mpf(eps)) / mpmath.gamma(eps) ** k
                              * mpmath.fprod(mpmath.mpf(float(c)) ** (eps - 1) for c in x.coords))
                 refs = [prefactor * s for s in _mp_direct_series(x.coords, xp.coords, eps, times, 170)]
-            bound = 2e-14 if eps == 0.5 else 1e-12
             for t, ref in zip(times, refs):
                 v = griffiths_density(GriffithsQuery(x, xp, t, eps))
                 assert v.converged
-                assert abs(v.value - ref) <= bound * max(1, abs(ref)), (k, eps, t, v.value, ref)
+                assert abs(v.value - ref) <= 2e-14 * max(1, abs(ref)), (k, eps, t, v.value, ref)
 
 
 # --- pushforward density ----------------------------------------------------------
@@ -631,7 +683,7 @@ def test_pushforward_k2_against_direct_circle_sum():
     assert got == pytest.approx(ref, rel=1e-12)
 
 
-# --- block Q_n rows and cached constants: the scalar forms' bytes -------------------
+# --- q_n's sum and the series-product path ---------------------------------------
 
 def _q_n_scalar(n, mu, log_xi):
     """Oracle: the scalar Q_n loop (Q_n, largest partial term) it replaced."""
@@ -652,23 +704,6 @@ def _q_n_scalar(n, mu, log_xi):
     return scale * s, scale
 
 
-def _log_xi_table_inline(log_xx, k, eps, n):
-    """Oracle: the xi table with its x-independent constants built inline."""
-    lags = np.arange(n + 1)
-    log_fact = np.array([math.lgamma(j + 1.0) for j in range(n + 1)])
-    log_denom = log_fact + np.array([math.lgamma(j + eps) for j in range(n + 1)]) - math.lgamma(eps)
-    acc = lags * log_xx[0] - log_denom
-    for log_z in log_xx[1:]:
-        series = np.concatenate(((lags * log_z - log_denom)[::-1], np.full(n, -np.inf)))
-        pair = np.ndarray((n + 1, n + 1), buffer=series, strides=(8, 8)) + acc
-        top = pair.max(axis=1)
-        pair -= top[:, None]
-        acc = (top + np.log(np.exp(pair, out=pair).sum(axis=1)))[::-1].copy()
-    mu = k * eps
-    log_rising = np.array([math.lgamma(mu + j) for j in range(n + 1)]) - math.lgamma(mu)
-    return acc + log_fact + log_rising
-
-
 #: 1/3 makes mu + m + n - 1.0 round differently from mu + (m + n) - 1.0
 SAME_BYTES_EPS = (0.05, 1.0 / 3.0, 0.5, 0.6, 1.7, 4.0)
 
@@ -681,43 +716,48 @@ def _seeded_pair(rng, k, min_coord=0.01):
     return point(), point()
 
 
-def test_q_rows_match_the_scalar_loop_bytes():
+def test_q_n_matches_the_scalar_loop_bytes():
     rng = np.random.default_rng(20)
-    for k in range(2, 9):
+    for k in (2, 3, 5, 8):
         for eps in SAME_BYTES_EPS:
             x, xp = _seeded_pair(rng, k)
-            log_xx = np.log(x.coords * xp.coords)
-            for n in (1, 2, 7, 16, 32, 40, 64, 113, 128, 200):
-                log_xi = wf_density._log_xi_table(log_xx, k, eps, n)
-                assert log_xi.tobytes() == _log_xi_table_inline(log_xx, k, eps, n).tobytes()
-                ref = _q_n_scalar(n, k * eps, log_xi)[0]
-                assert q_n(n, x, xp, eps) == ref, (k, eps, n)
+            for n in (1, 2, 7, 40, 113):
+                log_xi = np.log(wf_density._xi_table(x.coords * xp.coords, eps, n))
+                assert q_n(n, x, xp, eps) == _q_n_scalar(n, k * eps, log_xi)[0], (k, eps, n)
 
 
-def test_griffiths_density_matches_the_scalar_forms_bytes(monkeypatch):
+def test_series_product_mixture_matches_an_mp_xi_table(monkeypatch):
     # every query takes the series product here, eps = 1/2 too (as above
-    # _HALF_SIGN_MAX_K), and each one calls the inline table once
+    # _HALF_SIGN_MAX_K), and builds one xi table; its mixture is the law
+    # times a 40-digit product's xi_m, summed in mp, to 4e-15
     monkeypatch.setattr(wf_density, "_HALF_SIGN_MAX_K", 0)
+    calls = []
+    table = wf_density._xi_table
+
+    def counted(xx, eps, n):
+        calls.append((xx.size, eps))
+        return table(xx, eps, n)
+
+    monkeypatch.setattr(wf_density, "_xi_table", counted)
     rng = np.random.default_rng(21)
     queries = []
-    for k in range(2, 9):
+    for k in (2, 3, 5, 8):
         for eps in SAME_BYTES_EPS:
             x, xp = _seeded_pair(rng, k)
             queries += [GriffithsQuery(x, xp, t, eps) for t in (0.05, 0.3, 2.0)]
-    got = [repr(griffiths_density(q)) for q in queries]
-    assert {v.split("mode=")[1] for v in got} == {"'direct')", "'resummed')"}
-    calls = []
-
-    def inline(*args):
-        calls.append(args[1:3])
-        return _log_xi_table_inline(*args)
-
-    monkeypatch.setattr(wf_density, "_log_xi_table", inline)
-    assert got == [repr(griffiths_density(q)) for q in queries]
+    values = [griffiths_density(q) for q in queries]
     assert calls == [(q.x.k, q.epsilon) for q in queries]
+    assert {v.mode for v in values} == {"direct", "resummed"}
+    for q, v in zip(queries, values):
+        law = wf_density._law(q.t, q.x.k, q.epsilon, q.trunc)[0]
+        xi = _mp_xi_table(q.x.coords * q.x_prime.coords, q.epsilon, len(law) - 1)
+        with mpmath.workdps(40):
+            ref = mpmath.fdot([mpmath.mpf(float(w)) for w in law], xi)
+        assert v.value == v.prefactor * v.series_sum
+        assert abs(v.series_sum - ref) <= 4e-15 * ref, (q, v.series_sum, ref)
 
 
-CACHES = (wf_density._xi_constants, wf_density._law, wf_density._half_sign_law,
+CACHES = (wf_density._xi_scales, wf_density._law, wf_density._half_sign_law,
           sphere_heat._cutoff_scan, sphere_heat._table)
 
 
@@ -799,7 +839,7 @@ def test_hp_weights_match_the_mpf_loop_bytes():
 
 def test_a_warm_pass_adds_no_cache_misses():
     # one law per (t, k, eps, trunc), one half-sign law per (t, k, trunc) and
-    # one xi constant table per (k, eps, M): a second pass must find all of them.
+    # one pair of xi scales per (k, eps, M): a second pass must find all of them.
     # eps = 1/3 and eps = 1/2 above _HALF_SIGN_MAX_K take the series-product
     # path, so every cache is filled on the first pass
     rng = np.random.default_rng(24)
@@ -810,7 +850,7 @@ def test_a_warm_pass_adds_no_cache_misses():
                     for eps in (0.5, 1.0 / 3.0)]
     x, xp = _seeded_pair(rng, wf_density._HALF_SIGN_MAX_K + 1)
     queries.append(GriffithsQuery(x, xp, 0.5, 0.5))
-    caches = (wf_density._law, wf_density._half_sign_law, wf_density._xi_constants)
+    caches = (wf_density._law, wf_density._half_sign_law, wf_density._xi_scales)
     for cache in caches:
         cache.cache_clear()
     first = [griffiths_density(q) for q in queries]
