@@ -66,13 +66,14 @@ Numerical note: the alternating sums behind Q_n and q_m cancel once n
 is moderately large (small t); their largest term is about 1e5 at
 t = 0.1 and 1e31 at t = 0.02.  `griffiths_density` therefore never sums
 them in float.  For each (t, k, eps, trunc) it computes the law
-q_0 .. q_M once, in arbitrary precision on mpmath's raw mpf tuples
-(`_hp_weights`), and caches it (`_law`); a query is then one xi table
-of M + 1 entries and one exact float sum (`math.fsum`) of the terms
-q_m xi_m.  The table takes no log or exp.  The series product runs on
-h -> c h, so that each coordinate's coefficients are running products
-of positive ratios, scaled by powers of two in between (exact); to
-m = 400 its xi_m stay within about 1e-14 of a 40-digit product, for eps
+q_0 .. q_M once, in stdlib `decimal` arithmetic at P + 50 significant
+digits, where about 10^P is the triangle's largest term (`_hp_weights`;
+each q_m within about 1e-45 of the exact sum to n_max), and caches it
+(`_law`); a query is then one xi table of M + 1 entries and one exact
+float sum (`math.fsum`) of the terms q_m xi_m.  The table takes no log
+or exp.  The series product runs on h -> c h, so that each
+coordinate's coefficients are running products of positive ratios,
+scaled by powers of two in between (exact); to m = 400 its xi_m stay within about 1e-14 of a 40-digit product, for eps
 from 1e-15 to 1e15.  At eps = 1/2 (k <= 8) the table is the dots' power
 sums, each power d^2m <= 1 from one cumulative product, times
 c_m = q_m (k/2)_m/(1/2)_m / 2^(k-1), cached per law (`_half_sign_law`).
@@ -84,6 +85,7 @@ and 1) and neither depends on x:
   from there on, so each q_m is within about tol^2 of its limit;
 * the mixture stops at M, the first m past the law's mode with
   q_m < tol^2 (n_max if none); the law stays below tol^2 after it.
+  trunc.max_terms caps it and may not pass _XI_MAX_M + 1.
 
 At the default tol = 1e-10 that is n_max = 190-196 and M = 150-157 at
 t = 0.02, n_max = 82-89 and M = 71-77 at t = 0.05, and M <= 17 for
@@ -92,15 +94,14 @@ t >= 0.5, for k = 2-8 and eps 1/3-1.7.
 
 from __future__ import annotations
 
+import decimal
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 
-import mpmath
 import numpy as np
-from mpmath.libmp import (fzero, mpf_add, mpf_mul, mpf_mul_int, mpf_sub,
-                          round_nearest, to_float)
 
 from .specfun import log_gamma
 from .sphere_heat import KernelValue, _check_series, circle_series, zonal_series
@@ -194,6 +195,10 @@ class GriffithsQuery:
         _check_expansion("GriffithsQuery", self.x, self.x_prime, self.epsilon)
         if not (self.t >= GRIFFITHS_T_MIN):  # NaN too
             raise ValueError(f"GriffithsQuery: t below supported floor {GRIFFITHS_T_MIN}")
+        # the mixture's xi_m hold to degree _XI_MAX_M; a longer law is not converged
+        if self.trunc.max_terms > _XI_MAX_M + 1:
+            raise ValueError(f"GriffithsQuery: trunc.max_terms = {self.trunc.max_terms} is above "
+                             f"{_XI_MAX_M + 1}, the mixture's limit (xi_m to m = {_XI_MAX_M})")
 
 
 @dataclass(frozen=True)
@@ -245,13 +250,16 @@ class DensityValue:
         return self.value
 
 
+@lru_cache(maxsize=128)
+def _log_dirichlet_norm(eps: tuple[float, ...]) -> float:
+    """log Gamma(sum eps) - sum_i log Gamma(eps_i), per tuple of eps_i."""
+    return log_gamma(float(np.sum(eps))) - sum(log_gamma(e) for e in eps)
+
+
 def _log_dirichlet(coords: np.ndarray, eps: np.ndarray, keep=slice(None)) -> float:
     # the product runs over coords[keep]; a coordinate left out must have eps_i = 1
-    return float(
-        log_gamma(float(eps.sum()))
-        - sum(log_gamma(e) for e in eps)
-        + float(((eps[keep] - 1.0) * np.log(coords[keep])).sum())
-    )
+    return float(_log_dirichlet_norm(tuple(eps.tolist()))
+                 + float(((eps[keep] - 1.0) * np.log(coords[keep])).sum()))
 
 
 def dirichlet_stationary(x: SimplexPoint, epsilon) -> float:
@@ -372,45 +380,44 @@ def _row_peak(n: int, t: float, mu: float) -> float:
     )
 
 
-def _weights_dps(t: float, k: int, eps: float, n_max: int) -> int:
-    """Working precision for _hp_weights: enough digits to make the largest
-    alternating term's absolute rounding error negligible (< 1e-30)."""
-    peak = max(_row_peak(n, t, k * eps) for n in range(n_max + 1))
-    return int(peak / math.log(10.0)) + 40
+def _weights_dps(rows: list[float]) -> int:
+    """Working precision for _hp_weights from the row peaks `rows`
+    (`_row_peak`): enough digits to make the largest alternating term's
+    absolute rounding error negligible (< 1e-30)."""
+    return int(max(rows) / math.log(10.0)) + 40
 
 
-def _hp_weights(t: float, k: int, eps: float, n_max: int) -> np.ndarray:
-    """W_m(t) with sum_{n<=n_max} e_n Q_n = sum_{m<=n_max} xi_m W_m, in mp arithmetic.
+def _hp_weights(t: float, k: int, eps: float, n_max: int, dps: int) -> np.ndarray:
+    """W_m(t) with sum_{n<=n_max} e_n Q_n = sum_{m<=n_max} xi_m W_m, in decimal arithmetic.
 
-    W_m = sum_{n=max(m,1)}^{n_max} (-1)^{n-m} e_n(t) (mu+2n-1)/n! C(n,m) (mu+m)_{(n-1)},
-    plus the n = 0 contribution (Q_0 = 1, xi_0 = 1) folded into W_0: the
-    law q_m(t) with its inner sums stopped at n_max.
+    W_m = ((-1)^m / m!) sum_{n=m}^{n_max} g_n (mu+m)_{(n-1)} / (n-m)!, with
+    g_n = (-1)^n e_n(t) (mu+2n-1) for n >= 1 and g_0 = 1 (e_0 Q_0, xi_0 = 1,
+    read at m = 0 with (mu)_{(-1)} taken as 1): the law q_m(t) with its
+    inner sums stopped at n_max.
 
-    The double loop runs on mpmath's raw mpf tuples (`mpmath.libmp`), each
-    operation rounded to nearest at the working precision, which is what
-    mpf arithmetic does: every term is ((c_n * C(n,m)) * rising), with the
-    n-only head c_n = (e_n * (mu+2n-1)) * (1/n!) built once per n.
+    Every operation runs inside one stdlib `decimal` context (libmpdec,
+    correctly rounded, half-even) of dps plus 10 guard digits, against the
+    rounding that the running products below pile up over n_max steps; an
+    operator outside it would round at the default 28 digits.  e_n =
+    e_{n-1} a b^(n-1) takes two exps (a = e^(-mu t/2), b = e^(-t));
+    (mu+m)_{(n-1)} is (mu)_{(m+n-1)} / (mu)_{(m)}, from one table of rising
+    factorials; and 1/d! is one table.  A term is then two products, and
+    each inner sum runs in C (`sum` over `map`).
     """
-    with mpmath.workdps(_weights_dps(t, k, eps, n_max)):
-        prec, rnd = mpmath.mp.prec, round_nearest
-        mu = mpmath.mpf(k) * mpmath.mpf(eps)
-        tm = mpmath.mpf(t)
-        e = [mpmath.e ** (-(mpmath.mpf(n) * (n - 1) + mu * n) * tm / 2) for n in range(n_max + 1)]
-        inv_fact = [1 / mpmath.mpf(math.factorial(n)) for n in range(n_max + 1)]
-        head = [(e[n] * (mu + 2 * n - 1) * inv_fact[n])._mpf_ for n in range(n_max + 1)]
-        # mu + j is exact (k eps has at most 57 significant bits, prec >= 136;
-        # true for 1e-16 < eps < 1e30), so it equals the rounded mu + m + n - 1
-        mu_plus = [(mu + j)._mpf_ for j in range(2 * n_max)]
+    with decimal.localcontext(decimal.Context(prec=dps + 10, rounding=decimal.ROUND_HALF_EVEN,
+                                              Emin=decimal.MIN_EMIN, Emax=decimal.MAX_EMAX)):
+        dec, mul, acc = decimal.Decimal, operator.mul, itertools.accumulate
+        mu, tm = dec(k) * dec(eps), dec(t)
+        steps = acc(itertools.repeat((-tm).exp(), n_max), mul, initial=(-(mu * tm) / 2).exp())
+        e = [*acc(steps, mul, initial=dec(1))]  # e_n = e_{n-1} a b^(n-1)
+        g = [dec(1)] + [(-1) ** n * e[n] * (mu + (2 * n - 1)) for n in range(1, n_max + 1)]
+        # rising[j] = (mu)_{(j-1)}, rising[0] = 1
+        rising = [dec(1), *acc(map(mu.__add__, range(2 * n_max)), mul, initial=dec(1))]
+        inv_fact = [*acc(range(n_max, 0, -1), mul, initial=1 / dec(math.factorial(n_max)))][::-1]
         out = np.empty(n_max + 1)
         for m in range(n_max + 1):
-            total = e[0]._mpf_ if m == 0 else fzero
-            start = max(m, 1)
-            rising = mpmath.rf(mu + m, start - 1)._mpf_  # (mu+m)_{(n-1)} at n = start
-            for n in range(start, n_max + 1):
-                term = mpf_mul(mpf_mul_int(head[n], math.comb(n, m), prec, rnd), rising, prec, rnd)
-                total = (mpf_sub if (n - m) % 2 else mpf_add)(total, term, prec, rnd)
-                rising = mpf_mul(rising, mu_plus[m + n - 1], prec, rnd)
-            out[m] = to_float(total, rnd=rnd)
+            s = sum(map(mul, map(mul, g[m:], rising[2 * m:]), inv_fact))
+            out[m] = float((-1) ** m * s * inv_fact[m] / rising[m + 1])
     return out
 
 
@@ -435,7 +442,7 @@ def _law(t: float, k: int, eps: float, trunc: Truncation) -> tuple[np.ndarray, b
     while not rows[-1] < min(log_cut, rows[-2]):  # e_n(t) drives the rows to -inf
         rows.append(_row_peak(len(rows), t, mu))
     n_max = len(rows) - 2
-    w = _hp_weights(t, k, eps, n_max)
+    w = _hp_weights(t, k, eps, n_max, _weights_dps(rows))
     cut = math.exp(log_cut)
     m_cut = next((m for m in range(int(w.argmax()), len(w)) if w[m] < cut), len(w) - 1)
     converged = m_cut < trunc.max_terms
@@ -501,7 +508,8 @@ def griffiths_density(q: GriffithsQuery) -> DensityValue:
     k = q.x.k
     eps = float(q.epsilon)
     law, converged, mode = _law(q.t, k, eps, q.trunc)
-    prefactor = math.exp(_log_dirichlet(q.x.coords, np.full(k, eps)))
+    log_x = float(((eps - 1.0) * np.log(q.x.coords)).sum())
+    prefactor = math.exp(_log_dirichlet_norm((eps,) * k) + log_x)
     xx = q.x.coords * q.x_prime.coords
     if eps == 0.5 and k <= _HALF_SIGN_MAX_K:
         terms = _half_sign_law(q.t, k, q.trunc) * _half_sign_sums(xx, len(law) - 1)

@@ -110,6 +110,7 @@ def test_density_nonconvergence_exit_code(tmp_path):
     ("griffiths", ["--tol", "inf"], "tol"),
     ("griffiths", ["--epsilon", "inf"], "epsilon"),
     ("griffiths", ["--epsilon", "nan"], "epsilon"),
+    ("griffiths", ["--max-terms", "1000"], "max_terms"),
 ])
 def test_density_bad_series_settings_are_config_errors(tmp_path, capsys, kernel, flags, field):
     out = tmp_path / "o.csv"
@@ -676,6 +677,13 @@ def test_import_defers_the_harness():
     assert out.splitlines() == [
         "False", "run_suite VerificationReport spherewf.harness",
         "module 'spherewf' has no attribute 'no_such_name'"]
+
+
+def test_import_loads_neither_mpmath_nor_scipy():
+    # mpmath is the tests' oracle only, and the harness's scipy loads on first use
+    out = _python("import sys, spherewf\n"
+                  "print(sorted({m.partition('.')[0] for m in sys.modules} & {'mpmath', 'scipy'}))\n")
+    assert out.strip() == "[]"
 
 
 def test_simulate_does_not_load_scipy_stats(tmp_path):

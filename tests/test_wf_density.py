@@ -395,6 +395,21 @@ def test_expansion_parameters_are_refused_alike(entry, x, xp, eps, message):
         _EXPANSION_ENTRIES[entry](x, xp, eps)
 
 
+def test_griffiths_mixture_is_bounded_by_the_xi_degree_limit():
+    # max_terms = 2000 at tol = 1e-200 summed 548 terms at t = 0.01, past the
+    # degree to which the xi table holds
+    limit = wf_density._XI_MAX_M + 1
+    GriffithsQuery(X3, X3B, 0.5, 0.5, Truncation(limit, 1e-10))
+    for bad in (limit + 1, 2000):
+        with pytest.raises(ValueError, match="GriffithsQuery: trunc.max_terms"):
+            GriffithsQuery(X3, X3B, 0.5, 0.5, Truncation(bad, 1e-10))
+    # a law longer than the default truncation is reported, not summed past it
+    res = griffiths_density(GriffithsQuery(X3, X3B, GRIFFITHS_T_MIN, 0.5,
+                                           Truncation(WF_TRUNCATION.max_terms, 1e-300)))
+    assert not res.converged and res.terms_used == WF_TRUNCATION.max_terms
+    assert math.isfinite(res.value)
+
+
 def test_griffiths_nonconvergence_flagged():
     res = griffiths_density(GriffithsQuery(X3, X3B, 0.05, 0.5,
                                            Truncation(max_terms=4, tol=1e-10)))
@@ -758,7 +773,7 @@ def test_series_product_mixture_matches_an_mp_xi_table(monkeypatch):
 
 
 CACHES = (wf_density._xi_scales, wf_density._law, wf_density._half_sign_law,
-          sphere_heat._cutoff_scan, sphere_heat._table)
+          wf_density._log_dirichlet_norm, sphere_heat._cutoff_scan, sphere_heat._table)
 
 
 def test_density_caches_are_bounded_and_hold_no_state():
@@ -804,11 +819,15 @@ def test_density_hooks_see_calls_cold_and_warm(monkeypatch):
             assert counts["log_gamma"] > 0 and counts[series] > 0, (k, state, counts)
 
 
-# --- high-precision weights: the mpf-object loop's bytes -----------------------------
+# --- high-precision weights against an mpf-object loop at 40 more digits ------------
 
-def _hp_weights_mpf(t, k, eps, n_max):
+def _row_dps(t, k, eps, n_max):
+    return wf_density._weights_dps([wf_density._row_peak(n, t, k * eps) for n in range(n_max + 1)])
+
+
+def _hp_weights_mpf(t, k, eps, n_max, dps):
     """Oracle: the resummation weights on mpf objects, each term as the formula reads."""
-    with mpmath.workdps(wf_density._weights_dps(t, k, eps, n_max)):
+    with mpmath.workdps(dps):
         mu = mpmath.mpf(k) * mpmath.mpf(eps)
         tm = mpmath.mpf(t)
         e = [mpmath.e ** (-(mpmath.mpf(n) * (n - 1) + mu * n) * tm / 2) for n in range(n_max + 1)]
@@ -826,20 +845,36 @@ def _hp_weights_mpf(t, k, eps, n_max):
     return out
 
 
-def test_hp_weights_match_the_mpf_loop_bytes():
-    # every k meets every eps; t and n_max rotate so each value of both occurs
+def test_hp_weights_match_the_mpf_loop_at_40_more_digits(monkeypatch):
+    # every k meets every eps; t and n_max rotate so each value of both occurs;
+    # t = 0.01 takes the law's own n_max (about 370).  Entries below about
+    # 1e-40 are rounding noise at the working precision, so they are held in
+    # absolute terms; every entry the mixture can feel is held to its bits
     times, sizes = (0.02, 0.05, 0.1, 0.3), (16, 40, 72, 128, 24)
     cases = [(times[(k + i) % 4], k, eps, sizes[(3 * k + i) % 5])
              for k in range(2, 9) for i, eps in enumerate((1.0 / 3.0, 0.5, 1.7))]
     assert {c[0] for c in cases} == set(times) and {c[3] for c in cases} == set(sizes)
-    for case in cases:
-        got = wf_density._hp_weights(*case)
-        assert got.tobytes() == _hp_weights_mpf(*case).tobytes(), case
+    built = []
+    hp_weights = wf_density._hp_weights
+    monkeypatch.setattr(wf_density, "_hp_weights", lambda *a: built.append(a) or hp_weights(*a))
+    for k in (3, 8):  # the law's own n_max and working precision
+        wf_density._law.cache_clear()
+        wf_density._law(0.01, k, 0.5, WF_TRUNCATION)
+        cases.append(built[-1][:4])
+        assert built[-1][4] == _row_dps(*cases[-1])
+    for t, k, eps, n_max in cases:
+        dps = _row_dps(t, k, eps, n_max)
+        got = hp_weights(t, k, eps, n_max, dps)
+        ref = _hp_weights_mpf(t, k, eps, n_max, dps + 40)
+        big = np.abs(ref) >= 1e-30
+        assert got[big].tobytes() == ref[big].tobytes(), (t, k, eps, n_max)
+        assert np.abs(got - ref).max() <= 1e-45, (t, k, eps, n_max)
 
 
 def test_a_warm_pass_adds_no_cache_misses():
-    # one law per (t, k, eps, trunc), one half-sign law per (t, k, trunc) and
-    # one pair of xi scales per (k, eps, M): a second pass must find all of them.
+    # one law per (t, k, eps, trunc), one half-sign law per (t, k, trunc), one
+    # pair of xi scales per (k, eps, M) and one prefactor constant per (k, eps):
+    # a second pass must find all of them.
     # eps = 1/3 and eps = 1/2 above _HALF_SIGN_MAX_K take the series-product
     # path, so every cache is filled on the first pass
     rng = np.random.default_rng(24)
@@ -850,7 +885,8 @@ def test_a_warm_pass_adds_no_cache_misses():
                     for eps in (0.5, 1.0 / 3.0)]
     x, xp = _seeded_pair(rng, wf_density._HALF_SIGN_MAX_K + 1)
     queries.append(GriffithsQuery(x, xp, 0.5, 0.5))
-    caches = (wf_density._law, wf_density._half_sign_law, wf_density._xi_scales)
+    caches = (wf_density._law, wf_density._half_sign_law, wf_density._xi_scales,
+              wf_density._log_dirichlet_norm)
     for cache in caches:
         cache.cache_clear()
     first = [griffiths_density(q) for q in queries]
