@@ -10,27 +10,28 @@ measure on S^{k-1} (total mass 1), so the stationary value is exactly 1.
 Divide by the surface area A_{k-1} (`specfun.sphere_surface_area`) for
 the density with respect to the raw surface measure.
 
-k = 2 is served by a dedicated Fourier cosine kernel: the weight
-(2L+k-2)/(k-2) is singular there, and the standard limit
-(L+p)/p * C_L^p(cos a) -> 2 cos(L a) as p -> 0 replaces the
-Gegenbauer terms.
+The series is one function of the dot product z = y.y' at every k >= 2.
+At k = 2 the weight (2L+k-2)/(k-2) is singular, and the standard limit
+(L+p)/p * C_L^p(z) -> 2 T_L(z) as p -> 0 gives the circle's Fourier
+cosine series, 2 cos(L a) at z = cos a.  Angles enter only through
+`circle_series` and `heat_kernel_circle`, which pass cos a on.
 
-Both series are truncated at one memoised cutoff, the smallest L whose
+The series is truncated at one memoised cutoff, the smallest L whose
 rigorous tail bound is below tol: from |C_L^p(z)| <= C_L^p(1) =
-poch(2p, L)/L! for k >= 3 and from |cos| <= 1 for k = 2.  Times below
+poch(2p, L)/L! for k >= 3 and from |T_L| <= 1 for k = 2.  Times below
 T_MIN are refused: the series would need thousands of terms.
 
-One loop sums both.  By the quadratic transformations (DLMF 18.7.15-16)
+One loop sums it.  By the quadratic transformations (DLMF 18.7.15-16)
 
     C_2n^lam(z)   = (lam)_n/(1/2)_n           P_n^(lam-1/2, -1/2)(2z^2 - 1),
     C_2n+1^lam(z) = (lam)_{n+1}/(1/2)_{n+1} z P_n^(lam-1/2, +1/2)(2z^2 - 1),
 
-and at k = 2 by 2 cos(2n a) = 2 T_n(cos 2a) and 2 cos((2n+1) a) =
-2 cos a V_n(cos 2a) (V_n the Chebyshev polynomial of the third kind),
-each parity is one three-term recurrence in
-u = 2z^2 - 1, one step per degree of that parity.  `_table` builds its
+and at k = 2 by T_2n(z) = T_n(u) and T_2n+1(z) = z V_n(u) (V_n the
+Chebyshev polynomial of the third kind), each parity is one three-term
+recurrence in u = 2z^2 - 1, one step per degree of that parity; only
+`_table` and the tail bound tell k = 2 apart.  `_table` builds the
 coefficients and weights once per (t, D, k, L, parity), and `_sums` steps
-it with a compensated (Kahan) sum; the odd part is z times its sum.  The
+them with a compensated (Kahan) sum; the odd part is z times its sum.  The
 loop takes each point as a Python float for at most `_FLOAT_MAX_POINTS`
 points, and the whole array as one point otherwise, whose cost per term is
 call overhead up to about 128 points.  The same code runs the same IEEE
@@ -75,18 +76,21 @@ T_MIN = 1e-3
 SPHERE_TRUNCATION = Truncation(max_terms=5000, tol=1e-12)
 
 
-def _check_diffusion(who: str, D: float) -> None:
-    """The series' rule of D, for `who`: D > 0 (ValueError naming D; NaN fails)."""
+def _check_diffusion(who: str, D: float, k: int) -> None:
+    """The rules of a diffusion on S^(k-1), for `who`: D > 0 and k >= 2
+    (ValueError naming the argument; NaN fails)."""
     if not (D > 0.0):
         raise ValueError(f"{who}: D = {D!r} is not > 0")
+    if not (k >= 2):
+        raise ValueError(f"{who}: k = {k!r} is not >= 2")
 
 
-def _check_series(who: str, t: float, D: float) -> None:
-    """The series' floor, for `who`: t >= T_MIN and D > 0 (ValueError naming
-    the argument; NaN fails both)."""
+def _check_series(who: str, t: float, D: float, k: int) -> None:
+    """The series' floor, for `who`: t >= T_MIN, D > 0 and k >= 2 (ValueError
+    naming the argument; NaN fails)."""
     if not (t >= T_MIN):
         raise ValueError(f"{who}: t = {t:.3e} below the supported floor {T_MIN:.0e}")
-    _check_diffusion(who, D)
+    _check_diffusion(who, D, k)
 
 
 @dataclass(frozen=True)
@@ -102,7 +106,7 @@ class SphereKernelQuery:
     def __post_init__(self):
         if self.y.k != self.y_prime.k:
             raise ValueError("SphereKernelQuery: y and y_prime dimensions differ")
-        _check_series("SphereKernelQuery", self.t, self.D)
+        _check_series("SphereKernelQuery", self.t, self.D, self.y.k)
 
 
 class KernelValue(NamedTuple):
@@ -117,8 +121,8 @@ class KernelValue(NamedTuple):
     points from `zonal_series` and `circle_series` (shaped like their first
     row, the odd part zero, with even=True and from
     `pushforward_series_batch`), and Python floats from `zonal_kernel`,
-    `heat_kernel` and `heat_kernel_circle`.  terms_used stays at index 2,
-    where a tracer of the series calls reads it.
+    which `heat_kernel` and `heat_kernel_circle` call.  terms_used stays at
+    index 2, where a tracer of the series calls reads it.
     """
 
     even_part: float | np.ndarray
@@ -201,13 +205,12 @@ def truncation_cutoff(t: float, D: float, k: int, tol: float) -> tuple[int, bool
 
     Returns (L_max, achieved); achieved is False if the internal hard cap
     was reached first (only possible for extremely small t).  D must be > 0
-    (ValueError naming D).
+    and k >= 2 (ValueError naming the argument); k = 2 is the circle's
+    series.
     """
     if not (t > 0.0 and tol > 0.0):
         raise ValueError("truncation_cutoff: need t > 0 and tol > 0")
-    _check_diffusion("truncation_cutoff", D)
-    if k < 3:
-        raise ValueError("truncation_cutoff: k must be >= 3 (k = 2 is the circle kernel)")
+    _check_diffusion("truncation_cutoff", D, k)
     L, _, achieved = _cutoff_scan(t, D, k, tol)
     return L, achieved
 
@@ -225,7 +228,7 @@ _FLOAT_MAX_POINTS = 40
 def _cutoff(t: float, D: float, k: int, trunc: Truncation) -> tuple[int, float, bool]:
     """The series' cutoff L_cap, its tail bound and whether it converged: the
     memoised scan's L, capped at trunc.max_terms."""
-    _check_series("the sphere series", t, D)
+    _check_series("the sphere series", t, D, k)
     # the scan stops past max_terms: a longer cutoff is not converged anyway
     L_needed, tail, achieved = _cutoff_scan(t, D, k, trunc.tol, trunc.max_terms)
     L_cap = min(L_needed, trunc.max_terms)
@@ -278,15 +281,15 @@ def _table(t: float, D: float, k: int, L_cap: int, parity: int) -> tuple[float, 
     return head, tuple(rows)
 
 
-def _sums(to_u, points: list, head: float, rows: tuple) -> list:
-    """head plus the terms of the table rows at each of points, mapped to u by
-    to_u, summed by a compensated (Kahan) step: Python floats, or one numpy
-    array taken as a single point, whose operators run the same IEEE
-    operations elementwise in the same order.  A sum that took no term is the
-    float head."""
+def _sums(points: list, head: float, rows: tuple) -> list:
+    """head plus the terms of the table rows at each dot product z of points,
+    stepped in u = 2z^2 - 1 and summed by a compensated (Kahan) step: Python
+    floats, or one numpy array taken as a single point, whose operators run
+    the same IEEE operations elementwise in the same order.  A sum that took
+    no term is the float head."""
     out = []
     for z in points:
-        u = to_u(z)
+        u = 2.0 * z * z - 1.0
         tot, comp, prev, cur = head, 0.0, 0.0, 1.0
         for a, b, c, w in rows:
             prev, cur = cur, (a * u + b) * cur - c * prev
@@ -298,47 +301,33 @@ def _sums(to_u, points: list, head: float, rows: tuple) -> list:
     return out
 
 
-#: (to_z, to_u) for points that are dot products z, and for angles a, with
-#: z = cos a and u = cos 2a (math.cos at one float point, np.cos on an array)
-_DOTS = (lambda z: z, lambda z: 2.0 * z * z - 1.0)
-_ANGLES = (lambda a: (math.cos if isinstance(a, float) else np.cos)(a),
-           lambda a: (math.cos if isinstance(a, float) else np.cos)(2.0 * a))
-
-
-def _series(x: np.ndarray, maps: tuple, t: float, D: float, k: int, trunc: Truncation,
+def _series(x: np.ndarray, t: float, D: float, k: int, trunc: Truncation,
             even: bool = False) -> KernelValue:
-    """1 plus w_L C_L(z), L = 1 .. L_cap, at the points x, each mapped to z and
-    u = 2z^2 - 1 by maps = (to_z, to_u): the two parities' tables summed in u,
-    the odd one times z.  Returns KernelValue(even, odd, ...), parts shaped
-    like x.  With even=True only the even part is summed, (rho(z) + rho(-z))/2,
-    and averaged over the first axis of x with an exact sum (math.fsum) per
-    column; the parts are then shaped like x[0], the odd one zero.
+    """1 plus w_L C_L(z), L = 1 .. L_cap, at the dot products z = x: the two
+    parities' tables summed in u = 2z^2 - 1, the odd one times z.  Returns
+    KernelValue(even, odd, ...), parts shaped like x.  With even=True only the
+    even part is summed, (rho(z) + rho(-z))/2, and averaged over the first
+    axis of x with an exact sum (math.fsum) per column; the parts are then
+    shaped like x[0], the odd one zero.
     """
     L_cap, tail, converged = _cutoff(t, D, k, trunc)
-    to_z, to_u = maps
     shape = x.shape
     if even:  # column by column: the rows of one column are consecutive
         rows = len(x) if x.ndim else 1
         x = x.reshape(rows, -1).T
     on_floats = x.size <= _FLOAT_MAX_POINTS
     points = x.ravel().tolist() if on_floats else [x]
-    evens = _sums(to_u, points, *_table(t, D, k, L_cap, 0))
+    evens = _sums(points, *_table(t, D, k, L_cap, 0))
     if even:
         flat = evens if on_floats else np.broadcast_to(evens[0], x.shape).ravel().tolist()
         value = np.array([math.fsum(flat[i:i + rows]) / rows
                           for i in range(0, len(flat), rows)]).reshape(shape[1:])
         return KernelValue(value, np.zeros(value.shape), L_cap + 1, tail, converged)
-    odds = [to_z(p) * s for p, s in zip(points, _sums(to_u, points, *_table(t, D, k, L_cap, 1)))]
+    odds = [z * s for z, s in zip(points, _sums(points, *_table(t, D, k, L_cap, 1)))]
     # floats, or one array (or the float head, where it took no term)
     even_part, odd_part = (np.array(s).reshape(shape) if on_floats
                            else np.array(np.broadcast_to(s[0], shape)) for s in (evens, odds))
     return KernelValue(even_part, odd_part, L_cap + 1, tail, converged)
-
-
-def _at_one_point(series: KernelValue) -> KernelValue:
-    """A series result at a single point, its parts as Python floats."""
-    return KernelValue(float(series.even_part), float(series.odd_part), series.terms_used,
-                       series.tail_bound, series.converged)
 
 
 def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation, *,
@@ -348,54 +337,51 @@ def zonal_series(dots: np.ndarray, t: float, D: float, k: int, trunc: Truncation
     Returns a KernelValue whose even_part/odd_part are arrays shaped like
     dots, holding the even-L and odd-L partial sums.  With even=True it sums
     only the even degrees, (rho(d) + rho(-d))/2, and averages them over the
-    first axis of dots: the pushforward's sign sum.
+    first axis of dots: the pushforward's sign sum.  k >= 2 (ValueError naming
+    k); at k = 2 this is the circle's Fourier cosine series in d = cos a.
     """
-    if k < 3:
-        raise ValueError("zonal_series: k must be >= 3")
     # min/max, not np.clip: the same bits (NaN and -0.0 too) at half the call cost
     dots = np.minimum(np.maximum(np.asarray(dots, dtype=float), -1.0), 1.0)
-    return _series(dots, _DOTS, t, D, k, trunc, even)
+    return _series(dots, t, D, k, trunc, even)
 
 
 def zonal_kernel(dot: float, t: float, D: float, k: int,
                  trunc: Truncation = SPHERE_TRUNCATION) -> KernelValue:
-    """Kernel as a function of the dot product y.y' (k >= 3).
+    """Kernel as a function of the dot product y.y' (k >= 2, ValueError naming
+    k otherwise), its parts Python floats.
 
     A dot within 1e-9 of [-1, 1] is clamped into it; one further out, or
     NaN, is refused (ValueError).
     """
-    return _at_one_point(zonal_series(_clamp_z(dot, "zonal_kernel: dot"), t, D, k, trunc))
+    even, odd, *rest = _series(np.asarray(_clamp_z(dot, "zonal_kernel: dot")), t, D, k, trunc)
+    return KernelValue(float(even), float(odd), *rest)
 
 
 def heat_kernel(q: SphereKernelQuery) -> KernelValue:
     """Transition density w.r.t. the normalized measure (stationary value 1).
 
-    Depends on (y, y') only through their dot product, so it is exactly
-    symmetric under exchanging the two points.  At k = 2 the dot goes to the
-    circle kernel's series as z = cos a itself, with no angle between.
+    Depends on (y, y') only through their dot product, which goes to
+    `zonal_kernel` at every k, so it is exactly symmetric under exchanging
+    the two points.
     """
-    k = q.y.k
-    if k == 2:
-        dot = _clamp_z(q.y.dot(q.y_prime), "heat_kernel: y.y_prime")
-        return _at_one_point(_series(np.asarray(dot), _DOTS, q.t, q.D, 2, q.trunc))
-    return zonal_kernel(q.y.dot(q.y_prime), q.t, q.D, k, q.trunc)
+    return zonal_kernel(q.y.dot(q.y_prime), q.t, q.D, q.y.k, q.trunc)
 
 
 def heat_kernel_circle(angle_diff: float, t: float, D: float,
                        trunc: Truncation = SPHERE_TRUNCATION) -> KernelValue:
     """Circle (k = 2) kernel: 1 + 2*sum_{L>=1} cos(L*da) exp(-D*L^2*t).
 
-    Density with respect to the normalized arc measure d(da)/(2*pi).  A
-    non-finite angle is refused (ValueError).
+    Density with respect to the normalized arc measure d(da)/(2*pi), its
+    parts Python floats: the k = 2 series at cos(da).  A non-finite angle is
+    refused (ValueError).
     """
     if not math.isfinite(angle_diff):
         raise ValueError(f"heat_kernel_circle: angle_diff = {angle_diff!r} is not finite")
-    return _at_one_point(circle_series(angle_diff, t, D, trunc))
+    return zonal_kernel(np.cos(angle_diff), t, D, 2, trunc)
 
 
 def circle_series(angles: np.ndarray, t: float, D: float, trunc: Truncation, *,
                   even: bool = False):
-    """Array version of the circle kernel; returns a KernelValue whose parts are
-    arrays shaped like angles.  The series runs in z = cos a and u = cos 2a;
-    even=True is zonal_series' even mode."""
-    return _series(np.asarray(angles, dtype=float), _ANGLES, t, D, 2, trunc, even)
+    """The circle kernel at an array of angles: the k = 2 series at the dots
+    cos(angles), with zonal_series' parts, shapes and even mode."""
+    return _series(np.cos(np.asarray(angles, dtype=float)), t, D, 2, trunc, even)

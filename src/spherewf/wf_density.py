@@ -105,7 +105,7 @@ import numpy as np
 
 from .specfun import log_gamma
 from .sphere_heat import KernelValue, _check_series, circle_series, zonal_series
-from .types import SimplexPoint, Truncation
+from .types import SimplexPoint, Truncation, _whole
 
 __all__ = [
     "GRIFFITHS_T_MIN",
@@ -163,12 +163,14 @@ def _check_pair(who: str, x: SimplexPoint, x_prime: SimplexPoint) -> None:
 
 
 def _check_expansion(who: str, x: SimplexPoint, x_prime: SimplexPoint, epsilon,
-                     degree: int = 0) -> float:
+                     degree: int = 0) -> tuple[float, int]:
     """The rules of the expansion's parameters, for `who` (ValueError naming
-    the argument): the degree m of xi_m or n of q_n in [0, _XI_MAX_M], the
-    points' rule (`_check_pair`), and epsilon finite and > 0 with
-    k*epsilon + 1 != 1 (at a smaller epsilon mu + m + n - 1 rounds to 0 at
-    m = 0, n = 1, where log_gamma has a pole).  Returns epsilon as a float."""
+    the argument): the degree m of xi_m or n of q_n a whole number in [0,
+    _XI_MAX_M], the points' rule (`_check_pair`), and epsilon finite and > 0
+    with k*epsilon + 1 != 1 (at a smaller epsilon mu + m + n - 1 rounds to 0
+    at m = 0, n = 1, where log_gamma has a pole).  Returns epsilon as a float
+    and the degree as an int."""
+    degree = _whole(degree, f"{who}: degree")
     if not 0 <= degree <= _XI_MAX_M:
         raise ValueError(f"{who}: degree {degree!r} is outside [0, {_XI_MAX_M}]")
     _check_pair(who, x, x_prime)
@@ -178,7 +180,7 @@ def _check_expansion(who: str, x: SimplexPoint, x_prime: SimplexPoint, epsilon,
     if x.k * eps + 1.0 == 1.0:
         raise ValueError(f"{who}: epsilon = {epsilon!r} is too small: k*epsilon + 1 "
                          f"rounds to 1 at k = {x.k}")
-    return eps
+    return eps, degree
 
 
 @dataclass(frozen=True)
@@ -214,7 +216,7 @@ class PushforwardQuery:
     def __post_init__(self):
         # interior points: the prefactor diverges on the boundary
         _check_pair("PushforwardQuery", self.x, self.x_prime)
-        _check_series("PushforwardQuery", self.t, self.D)
+        _check_series("PushforwardQuery", self.t, self.D, self.x.k)
         _check_sign_k("PushforwardQuery", self.x.k)
 
 
@@ -329,10 +331,10 @@ def _xi_table(xx: np.ndarray, eps: float, n: int) -> np.ndarray:
 def xi_m(m: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float:
     """xi_m of the expansion: the coefficient of the series product at degree m.
 
-    m is limited to [0, _XI_MAX_M] (400), where the table holds, and the
+    m is a whole number in [0, _XI_MAX_M] (400), where the table holds, and the
     parameters are checked as GriffithsQuery checks them (ValueError).
     """
-    eps = _check_expansion("xi_m", x, x_prime, epsilon, m)
+    eps, m = _check_expansion("xi_m", x, x_prime, epsilon, m)
     return float(_xi_table(x.coords * x_prime.coords, eps, m)[m])
 
 
@@ -346,7 +348,7 @@ def q_n(n: int, x: SimplexPoint, x_prime: SimplexPoint, epsilon: float) -> float
     as xi_m limits m, and the parameters are checked as GriffithsQuery
     checks them, at n = 0 too (ValueError).
     """
-    eps = _check_expansion("q_n", x, x_prime, epsilon, n)
+    eps, n = _check_expansion("q_n", x, x_prime, epsilon, n)
     if n == 0:
         return 1.0
     mu = x.k * eps

@@ -141,8 +141,20 @@ def test_truncation_cutoff_properties():
     assert tail_after < 1.0
     Lc, _ = truncation_cutoff(8.0, 0.125, 3, 1.0)
     assert Lc == 0
-    with pytest.raises(ValueError):
-        truncation_cutoff(0.5, 0.125, 2, 1e-8)
+    # k = 2 is the circle's series: the cutoff its evaluations use
+    for t, tol in itertools.product((T_MIN, 0.05, 0.5, 8.0), (1e-12, 1e-6, 1.0)):
+        series = circle_series(np.array([0.3]), t, 0.125, Truncation(5000, tol))
+        assert truncation_cutoff(t, 0.125, 2, tol) == (series.terms_used - 1, series.converged)
+
+
+@pytest.mark.parametrize("k", [1, 0])
+def test_series_refuse_a_dimension_below_two(k):
+    with pytest.raises(ValueError, match=f"truncation_cutoff: k = {k} "):
+        truncation_cutoff(0.5, 0.125, k, 1e-8)
+    with pytest.raises(ValueError, match=f"k = {k} "):
+        zonal_series(np.array([0.3, -0.2]), 0.5, 0.125, k, SPHERE_TRUNCATION)
+    with pytest.raises(ValueError, match=f"k = {k} "):
+        zonal_kernel(0.3, 0.5, 0.125, k)
 
 
 def test_kernel_value_float_conversion():
@@ -174,10 +186,10 @@ def test_kernel_value_float_conversion():
         assert float(res) == res.value
 
 
-def _mp_parts(k, t, D, L_cap, points):
+def _mp_parts(k, t, D, L_cap, points, angles=False):
     """Oracle: the series' even and odd parts to degree L_cap, in 40-digit
-    mpmath by the three-term recurrence: C_L^lam(z) at the dots for k >= 3,
-    T_L(cos a) = cos(L a) at the angles for k = 2."""
+    mpmath by the three-term recurrence: C_L^lam(z) for k >= 3 and T_L(z)
+    for k = 2, at the dots z, or at z = cos a of the angles a."""
     with mpmath.workdps(40):
         t, D = mpmath.mpf(t), mpmath.mpf(D)
         lam = mpmath.mpf(k) / 2 - 1
@@ -187,7 +199,7 @@ def _mp_parts(k, t, D, L_cap, points):
             w = [(L + lam) / lam * mpmath.exp(-D * L * (L + 2 * lam) * t) for L in range(L_cap + 1)]
         out = []
         for p in points:
-            z = mpmath.cos(p) if k == 2 else mpmath.mpf(p)
+            z = mpmath.cos(p) if angles else mpmath.mpf(p)
             parts = [mpmath.mpf(1), mpmath.mpf(0)]
             prev, cur = mpmath.mpf(1), z if k == 2 else 2 * lam * z
             for L in range(1, L_cap + 1):
@@ -214,18 +226,21 @@ _BOUNDS = {0.002: (5e-10, 3e-9), 0.01: (2e-11, 4e-10), 0.05: (6e-14, 1e-13), 0.5
 def test_series_parts_match_a_40_digit_sum(k):
     # both parts, by the Jacobi steps in u = 2z^2 - 1 and the odd part times
     # z, against an independent recurrence at the same cutoff; the parts
-    # reach 1e10 and cancel to 1e-20 at t = 0.002
+    # reach 1e10 and cancel to 1e-20 at t = 0.002.  k = 2 runs at the dots
+    # and at their angles
     rng = np.random.default_rng(50)
     dots = np.concatenate([[1.0, -1.0, 0.0, 0.999999, -0.9999], rng.uniform(-1.0, 1.0, 6)])
-    points = np.arccos(dots) if k == 2 else dots
     for t, bounds in _BOUNDS.items():
-        series = (circle_series(points, t, 0.125, SPHERE_TRUNCATION) if k == 2 else
-                  zonal_series(points, t, 0.125, k, SPHERE_TRUNCATION))
-        assert series.converged
-        ref = _mp_parts(k, t, 0.125, series.terms_used - 1, points.tolist())
-        got = np.stack([series.even_part, series.odd_part], axis=1)
-        err = (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max()
-        assert err <= bounds[k > 8], (t, err)
+        runs = [(zonal_series(dots, t, 0.125, k, SPHERE_TRUNCATION), dots, False)]
+        if k == 2:
+            angles = np.arccos(dots)
+            runs.append((circle_series(angles, t, 0.125, SPHERE_TRUNCATION), angles, True))
+        for series, points, angles in runs:
+            assert series.converged
+            ref = _mp_parts(k, t, 0.125, series.terms_used - 1, points.tolist(), angles)
+            got = np.stack([series.even_part, series.odd_part], axis=1)
+            err = (np.abs(got - ref) / np.maximum(1.0, np.abs(ref))).max()
+            assert err <= bounds[k > 8], (t, angles, err)
 
 
 def _full_and_even(k, dots, t, trunc):
@@ -266,13 +281,15 @@ def test_even_mode_is_the_mean_of_the_even_parts(k, monkeypatch):
 
 
 def test_heat_kernel_takes_the_dot_straight_to_the_circle_series():
-    # at k = 2 the dot is z = cos a, with no arccos round trip
+    # at k = 2 the dot is z = cos a, with no arccos round trip: heat_kernel is
+    # zonal_kernel at the dot, as at every k
     edge = 1.0 - 1e-12
     for dot in (1.0, -1.0, 0.0, edge, -edge, 0.3, -0.77):
         y = SpherePoint([dot, math.sqrt(1.0 - dot * dot)])
         dot = y.dot(SpherePoint([1.0, 0.0]))
         for t in (T_MIN, 0.05, 0.5, 5.0):
             got = heat_kernel(SphereKernelQuery(y, SpherePoint([1.0, 0.0]), t, 0.125))
+            assert tuple(got) == tuple(zonal_kernel(dot, t, 0.125, 2))
             ref = heat_kernel_circle(math.acos(dot), t, 0.125)
             assert got[2:] == ref[2:]
             assert abs(got.value - ref.value) <= 1e-13 * max(1.0, abs(ref.value)), (dot, t)

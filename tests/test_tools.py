@@ -191,3 +191,23 @@ def test_check_golden_passes_on_a_fast_golden():
                             capture_output=True, text=True, timeout=120)
     assert result.returncode == 0, result.stdout + result.stderr
     assert result.stdout == "paths_tiny.txt: keeps its bytes\n"
+
+
+CODE_LINES = Path(__file__).resolve().parents[1] / "tools" / "code_lines.py"
+
+
+def test_code_lines_skip_blanks_comments_and_docstrings(tmp_path):
+    # module, class and function docstrings do not count; other strings,
+    # continuation lines and code after a comment-only line do
+    (tmp_path / "pkg").mkdir()
+    (tmp_path / "pkg" / "a.py").write_text(
+        '"""Module\n\ndocstring."""\n\n# comment\nimport math  # trailing\n\n\n'
+        'class A:\n    """Class docstring."""\n\n    x = """not\na docstring"""\n\n'
+        '    def f(self):\n        """One\n        more."""\n        return (1 +\n'
+        '                2)\n')
+    (tmp_path / "b.py").write_text("# only a comment\n\n")
+    result = subprocess.run([sys.executable, str(CODE_LINES), str(tmp_path)],
+                            capture_output=True, text=True, timeout=60)
+    assert result.returncode == 0, result.stderr
+    # import, class, x (two lines), def, return (two lines)
+    assert result.stdout == "     0 b.py\n     7 pkg/a.py\n     7 total\n"

@@ -259,6 +259,11 @@ def test_degrees_past_the_table_range_are_refused(entry):
         with pytest.raises(ValueError, match=r"degree .* is outside \[0, 400\]"):
             entry(m, X3, X3B, 0.5)
     assert math.isfinite(entry(400, X3, X3B, 0.5))
+    # a degree that is not whole used to fail inside numpy with a TypeError
+    for m in (2.5, math.nan, math.inf):
+        with pytest.raises(ValueError, match=f"{entry.__name__}: degree must be a whole number"):
+            entry(m, X3, X3B, 0.5)
+    assert entry(3.0, X3, X3B, 0.5) == entry(3, X3, X3B, 0.5)
 
 
 def test_q0_is_one():
