@@ -61,9 +61,9 @@ __version__ = "0.1.0"
 
 
 def __getattr__(name):
-    # The harness imports scipy.special, which costs more than the rest of
-    # the package together, so it loads on first use.  Spawned pool workers
-    # and callers that never verify do not pay for it.
+    # The harness loads on first use, and the scipy.special its checks
+    # import loads only inside them.  Spawned pool workers and callers that
+    # never verify pay for neither.
     if name in ("harness", "VerificationReport", "run_suite"):
         harness = importlib.import_module(".harness", __name__)
         return harness if name == "harness" else getattr(harness, name)

@@ -192,7 +192,7 @@ def _resolve(args: argparse.Namespace) -> None:
     if pick:
         value = getattr(args, pick)
         if pick == "suite" and value is not None:  # an unknown suite is refused first
-            from . import harness  # scipy.special: loaded only when verifying
+            from . import harness  # loaded only when verifying
             harness._suite_keys(value)
         reads = {pick: _NEEDED, **reads, **variants.get(value, {})}
         reader = f"{pick}={value}"
@@ -336,7 +336,7 @@ def _cmd_simulate(args) -> int:
 # --- verify --------------------------------------------------------------------
 
 def _cmd_verify(args) -> int:
-    from . import harness  # scipy.special: loaded only when verifying
+    from . import harness  # loaded only when verifying
 
     reports = harness.run_suite(args.suite, seed=args.seed, workers=args.threads, k=args.k)
     if args.output:

@@ -23,7 +23,6 @@ from fractions import Fraction
 from functools import partial, wraps
 
 import numpy as np
-from scipy.special import betainc, kolmogorov, roots_jacobi
 
 from .simulate import (
     DEFAULT_SEED,
@@ -155,6 +154,7 @@ def zonal_cdf(t: float, D: float, tol: float = 1e-12):
 
 def ks_one_sample(samples: np.ndarray, cdf) -> tuple[float, float]:
     """KS statistic and asymptotic-Kolmogorov p-value against a given CDF."""
+    from scipy.special import kolmogorov  # scipy loads on the first check that needs it
     x = np.sort(np.asarray(samples, dtype=float))
     n = x.size
     F = np.asarray(cdf(x), dtype=float)
@@ -165,6 +165,7 @@ def ks_one_sample(samples: np.ndarray, cdf) -> tuple[float, float]:
 
 def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
     """Two-sample KS with the asymptotic Kolmogorov p-value."""
+    from scipy.special import kolmogorov
     a = np.sort(np.asarray(a, dtype=float))
     b = np.sort(np.asarray(b, dtype=float))
     everything = np.concatenate([a, b])
@@ -177,6 +178,7 @@ def ks_two_sample(a: np.ndarray, b: np.ndarray) -> tuple[float, float]:
 
 def jacobi_01(n: int, exp0: float, exp1: float) -> tuple[np.ndarray, np.ndarray]:
     """Nodes/weights with sum w g(u) ~ int_0^1 g(u) u^exp0 (1-u)^exp1 du."""
+    from scipy.special import roots_jacobi
     x, w = roots_jacobi(n, exp1, exp0)
     return 0.5 * (x + 1.0), w * 0.5 ** (exp0 + exp1 + 1.0)
 
@@ -750,6 +752,7 @@ def stationary_law_check(eps: float = 2.0, n_paths: int = 4000, T: float = 6.0,
     slowest decay rate is mu/2 = eps per unit time), so the samples are
     independent across paths.  One reseed allowed.
     """
+    from scipy.special import betainc
     cdf = partial(betainc, eps, eps)  # the Beta(eps, eps) CDF
 
     def attempt(s):

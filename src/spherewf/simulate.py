@@ -17,23 +17,28 @@ c = 1, (ii) its stationary law is Dirichlet(eps), and (iii) its
 eigenvalues are n(n-1)/2 + mu*n/2, matching the exact expansion in
 `wf_density`.
 
-Every Euler loop draws a step's increments, then steps.  One
-function, `advance`, takes an Euler step, in place, of a coordinate-major
+Every Euler loop draws a block of steps' increments, then steps.  One
+generator, `_steps`, takes Euler steps, in place, of a coordinate-major
 (k, n) block of paths of any of the four models (row i holds coordinate
-i of every path, column r is path r) from the step's scaled increments:
+i of every path, column r is path r), one per step of the draw block:
 a model supplies only its drift, its boundary rule and, in
-`_noise_amplitude`, the scale of its increments.  An ensemble chunk is a
-batch of up to ENSEMBLE_CHUNK drawing from one stream, and the CLI's
-paths one batch whose columns draw from their own streams.  The callers
-make the block and the step's buffers once and turn the block into (n,
-k) rows only at the edges: `ensemble_final`'s states and the path
-records.  A single path (`simulate_path`, `simulate --paths 1`) steps on
-Python floats instead (`_step_path`): the same operations as `advance`
-on a (k, 1) block, in the same order, so the same bytes, without the ~20
-numpy calls per step that cost a batch of one 21-28 us a step.
+`_noise_amplitude`, the scale of its increments.  `advance` is its
+one-step case.  The work that does not change within a block is done
+once per block: small batches scatter all of the block's draws into
+their draw matrices at once.  An ensemble chunk is a batch of up to
+ENSEMBLE_CHUNK drawing from one stream, and the CLI's paths one batch
+whose columns draw from their own streams.  The callers make the block
+and the step's buffers once and turn the block into (n, k) rows only at
+the edges: `ensemble_final`'s states and the path records.  A single
+path (`simulate_path`, `simulate --paths 1`) steps on Python floats
+instead (`_step_path`): the same operations as `advance` on a (k, 1)
+block, in the same order, so the same bytes, without the ~20 numpy calls
+per step that cost a batch of one 21-28 us a step.
 
 Each element goes through the same IEEE operations as in the row-major
-(n, k) step this layout replaced: the drift expressions; g * y_j added
+(n, k) step this layout replaced: the drift expressions (wf-mutation's
+0.5 * x * dt as x * (0.5 * dt), the same bits since halving is exact
+for |x| >= 2^-1021); g * y_j added
 to (subtracted from) dy_i in ascending order of the partner j; y + dy.
 The squared norm of a sphere step is written out as (sum of the
 even-index squares, in order) + (sum of the odd-index squares, in
@@ -69,7 +74,9 @@ Each event takes 3 uniforms (first particle, second particle, winner),
 drawn in blocks of _MORAN_BLOCK rows.  The event loop runs on Python
 ints: the running cumulative counts, bisected at the integer thresholds
 floor(u1 N) and floor(u2 (N - 1)) that numpy takes for a whole block,
-which pick the same types as the float comparisons.
+which pick the same types as the float comparisons.  With two types the
+loop keeps the one count c0 = cum[0] and an event is at most two integer
+comparisons against the same thresholds.
 """
 
 from __future__ import annotations
@@ -191,28 +198,32 @@ def _noise_amplitude(model: Model, c: float) -> float:
 
 #: the largest batch, per k, that takes the matrix noise sum (fewer numpy
 #: calls per step); larger batches take the pair loop (less memory traffic
-#: per path).  These are the measured crossovers of the two forms, sphere
-#: and simplex, on the (k, n) layout; at k = 2 the pair loop is the faster
-#: one at every batch size, and k above 6 takes the k = 6 value
-_MATRIX_MAX_ROWS = {2: 0, 3: 64, 4: 256, 5: 512, 6: 768}
+#: per path).  These are the measured crossovers of the two forms on the
+#: (k, n) layout, with a draw block scattered at once: there the sphere's
+#: two forms tie within a few percent, and the simplex's matrix form, whose
+#: crossover lies a little lower from k = 4, costs up to 10% more.  At
+#: k = 2 the pair loop is the faster one at every batch size, and k above 6
+#: takes the k = 6 value
+_MATRIX_MAX_ROWS = {2: 0, 3: 96, 4: 192, 5: 384, 6: 512}
 
 
 class _Work:
-    """The buffers of one Euler step of a (k, n) block, made once per block
-    and reused by every step (see `advance`)."""
+    """The buffers of the Euler steps of a (k, n) block, made once per block
+    of paths and reused by every step (see `_steps`); `steps` is the most
+    steps of one draw block, which the matrix form scatters at once."""
 
     __slots__ = ("matrix", "draws", "neg_draws", "terms", "noise_terms", "drift", "amp", "acc",
-                 "row", "squares", "square_rows", "halves", "even", "odd", "nrm2", "defect",
+                 "row", "squares", "square_rows", "halves", "even", "odd", "nrm2", "defects",
                  "neg")
 
-    def __init__(self, k: int, n: int):
+    def __init__(self, k: int, n: int, steps: int = 1):
         self.matrix = n <= _MATRIX_MAX_ROWS[min(k, 6)]
         if self.matrix:
-            # draws[j, i] is the draw of coordinate i with partner j, +-db_ij,
-            # and stays 0 on the diagonal; terms[0] is the drift and
+            # draws[s, j, i] is step s's draw of coordinate i with partner j,
+            # +-db_ij, and stays 0 on the diagonal; terms[0] is the drift and
             # terms[1 + j, i] the noise term of coordinate i with partner j
-            self.draws = np.zeros((k, k, n))
-            self.neg_draws = np.empty((k * (k - 1) // 2, n))
+            self.draws = np.zeros((steps, k, k, n))
+            self.neg_draws = np.empty((steps, k * (k - 1) // 2, n))
             self.terms = np.empty((k + 1, k, n))
             self.noise_terms = self.terms[1:]
             self.drift = self.terms[0]
@@ -228,53 +239,58 @@ class _Work:
         self.halves = np.empty((2, n))
         self.even, self.odd = self.halves
         self.nrm2 = np.empty(n)
-        self.defect = np.empty(n)
+        self.defects = np.empty((steps, n))  # row s: the defects of step s of a block
         self.neg = np.empty((k, n), dtype=bool)
 
 
-def _noise_by_pairs(sphere: bool, Y: np.ndarray, G: np.ndarray, work: _Work) -> np.ndarray:
-    """The drift plus the noise, one pair at a time (in work.acc)."""
+def _noise_by_pairs(sphere: bool, Y: np.ndarray, g: np.ndarray, work: _Work) -> np.ndarray:
+    """The drift plus the noise, one pair at a time (in work.acc); g is one
+    step's (m, n) increments."""
     dY, row = work.acc, work.row
     for p, (i, j) in enumerate(_pairs(len(Y))):
-        g, dY_i, dY_j = G[p], dY[i], dY[j]
+        g_p, dY_i, dY_j = g[p], dY[i], dY[j]
         if sphere:
-            np.multiply(g, Y[j], out=row)
+            np.multiply(g_p, Y[j], out=row)
             dY_i += row
-            np.multiply(g, Y[i], out=row)
+            np.multiply(g_p, Y[i], out=row)
             dY_j -= row
         else:
             np.multiply(Y[i], Y[j], out=row)
             np.sqrt(row, out=row)
-            row *= g
+            row *= g_p
             dY_i += row
             dY_j -= row
     return dY
 
 
-def _noise_by_matrix(sphere: bool, Y: np.ndarray, G: np.ndarray, work: _Work) -> np.ndarray:
+def _scatter(G: np.ndarray, work: _Work) -> np.ndarray:
+    """The (B, k, k, n) draw matrices of a block's (B, m, n) increments G,
+    in work.draws: entry [s, j, i] is +db_ij of step s for i > j, -db_ji for
+    i < j, and 0 on the diagonal.  One negation and two fancy assignments
+    serve all B steps."""
+    i, j = _pair_index(work.draws.shape[1])
+    D, neg = work.draws[:len(G)], work.neg_draws[:len(G)]
+    D[:, j, i] = G
+    D[:, i, j] = np.negative(G, out=neg)
+    return D
+
+
+def _noise_by_matrix(sphere: bool, Y: np.ndarray, d: np.ndarray, work: _Work) -> np.ndarray:
     """The drift plus the noise, as a sum over the partners j of the (k, k)
-    matrix of terms (in work.acc)."""
-    i, j = _pair_index(len(Y))
-    D = work.draws
-    D[j, i] = G
-    D[i, j] = np.negative(G, out=work.neg_draws)
+    matrix of terms (in work.acc); d is one step's (k, k, n) draw matrix
+    from `_scatter`."""
     if sphere:
-        np.multiply(D, Y[:, None, :], out=work.noise_terms)
+        np.multiply(d, Y[:, None, :], out=work.noise_terms)
     else:
         amp = np.multiply(Y[:, None, :], Y, out=work.amp)
-        np.multiply(D, np.sqrt(amp, out=amp), out=work.noise_terms)
+        np.multiply(d, np.sqrt(amp, out=amp), out=work.noise_terms)
     return np.add.reduce(work.terms, axis=0, out=work.acc)
 
 
-def _ordered_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
-    """The sum of the rows of the (m, n) block `rows`, added in ascending
-    order for any n (in `out`).
-
-    numpy adds the rows of a block in order, except when n = 1 and m >= 8,
-    where it sums the one column pairwise; that case goes row by row.
-    """
-    if rows.shape[1] > 1 or len(rows) < 8:
-        return np.add.reduce(rows, axis=0, out=out)
+def _column_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The sum of the rows of the (m, 1) block `rows`, added in ascending
+    order (in `out`): numpy adds the rows of a block in order, except when
+    n = 1 and m >= 8, where it sums the one column pairwise."""
     np.copyto(out, rows[0])
     for r in rows[1:]:
         out += r
@@ -283,6 +299,90 @@ def _ordered_sum(rows: np.ndarray, out: np.ndarray) -> np.ndarray:
 
 #: the clamped paths of a step that clamps none
 _NO_ROWS = np.empty(0, dtype=np.intp)
+
+
+def _steps(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
+           G: np.ndarray, work: _Work):
+    """Euler steps, in place, of the (k, n) block Y, one per step s of the
+    (B, m, n) increments G; yields (defect per path, clamped paths) after
+    each step, as `advance` returns them; the defects of step s are row s
+    of work.defects.
+
+    The block's work that does not change from step to step is done once:
+    the matrix form scatters all B steps' draws at once (`_scatter`), and
+    wf-neutral's zero drift, which the matrix sum only reads, is filled
+    once.  The matrix form, whose batches are small, also tests a simplex
+    step for a clamp with min(Y) >= 0.0 first, one call where the exact
+    per-element test takes two; NaN fails it and falls through to that
+    test.  A large batch takes the per-element test alone, which a
+    clamping step would otherwise pay for on top.
+    """
+    k, n = Y.shape
+    sphere, matrix = model is Model.SPHERE, work.matrix
+    neutral, mutation = model is Model.WF_NEUTRAL, model is Model.WF_MUTATION
+    dY = work.drift
+    if sphere:
+        scale = (-c * c / 8.0) * (k - 1.0) * dt
+    elif mutation:
+        # 0.5 * (eps - sum(eps) * Y) * dt: halving is exact, so (x * 0.5) * dt
+        # is x * (0.5 * dt) for every x of at least 2^-1021 in magnitude
+        eps_sum, eps_col, half_dt = float(eps.sum()), eps[:, None], 0.5 * dt
+    elif not neutral:
+        rate = 0.25 * c * c
+    if matrix:
+        draws, noise = _scatter(G, work), _noise_by_matrix
+        if neutral:
+            dY.fill(0.0)
+    else:
+        draws, noise = G, _noise_by_pairs
+    # the simplex sum, in ascending order of the coordinates
+    row_sum = _column_sum if n == 1 and k >= 8 else partial(np.add.reduce, axis=0)
+    for g, defect in zip(draws, work.defects):
+        if sphere:
+            np.multiply(Y, scale, out=dY)
+        elif neutral:
+            if not matrix:  # the pair loop adds its terms into the drift
+                dY.fill(0.0)
+        elif mutation:
+            np.multiply(Y, eps_sum, out=dY)
+            np.subtract(eps_col, dY, out=dY)
+            dY *= half_dt
+        else:
+            # 0.25 * c * c * (1 - k Y) * dt
+            np.multiply(Y, k, out=dY)
+            np.subtract(1.0, dY, out=dY)
+            dY *= rate
+            dY *= dt
+        Y += noise(sphere, Y, g, work)
+        if sphere:
+            # projection Euler: back onto the sphere.  The even and the odd
+            # squares are each summed in order (numpy never sums the outer
+            # axis of `squares` pairwise, whatever n is); adding the pad
+            # square +0 leaves a sum of squares as it is
+            nrm2, root = work.nrm2, work.row
+            np.multiply(Y, Y, out=work.square_rows)
+            np.add.reduce(work.squares, axis=0, out=work.halves)
+            np.add(work.even, work.odd, out=nrm2)
+            Y /= np.sqrt(nrm2, out=root)
+            np.subtract(nrm2, 1.0, out=defect)
+            yield np.abs(defect, out=defect), _NO_ROWS
+            continue
+        # simplex: clip negative coordinates to zero, then renormalise
+        sums = row_sum(Y, out=work.nrm2)
+        np.subtract(sums, 1.0, out=defect)
+        np.abs(defect, out=defect)
+        if matrix and np.minimum.reduce(Y, None) >= 0.0:
+            Y /= sums
+            yield defect, _NO_ROWS
+            continue
+        neg = np.less(Y, 0.0, out=work.neg)
+        if not neg.any():  # the common case, so the per-path test waits for a clamp
+            Y /= sums
+            yield defect, _NO_ROWS
+            continue
+        np.clip(Y, 0.0, None, out=Y)
+        Y /= row_sum(Y, out=sums)
+        yield defect, np.flatnonzero(neg.any(axis=0))
 
 
 def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | None,
@@ -302,57 +402,14 @@ def advance(model: Model, Y: np.ndarray, dt: float, c: float, eps: np.ndarray | 
     and the pre-clamp |sum x - 1| on the simplex, held in `work` until its
     next step; the clamped paths are the ascending indices of the paths
     that had a negative coordinate (empty on the sphere).  The order of
-    every sum is pinned in the module docstring.
+    every sum is pinned in the module docstring.  This is the one-step
+    case of `_steps`, which the simulators run a draw block at a time.
     """
     # a member passes through: Model(member) would cost a tenth of a small step
     model = model if isinstance(model, Model) else Model(model)
-    k, n = Y.shape
     if work is None:
-        work = _Work(k, n)
-    sphere = model is Model.SPHERE
-    dY = work.drift
-    if sphere:
-        np.multiply(Y, (-c * c / 8.0) * (k - 1.0) * dt, out=dY)
-    elif model is Model.WF_NEUTRAL:
-        dY.fill(0.0)
-    elif model is Model.WF_MUTATION:
-        # 0.5 * (eps - sum(eps) * Y) * dt
-        np.multiply(Y, float(eps.sum()), out=dY)
-        np.subtract(eps[:, None], dY, out=dY)
-        dY *= 0.5
-        dY *= dt
-    else:
-        # 0.25 * c * c * (1 - k Y) * dt
-        np.multiply(Y, k, out=dY)
-        np.subtract(1.0, dY, out=dY)
-        dY *= 0.25 * c * c
-        dY *= dt
-    noise = _noise_by_matrix if work.matrix else _noise_by_pairs
-    Y += noise(sphere, Y, G, work)
-    defect = work.defect
-    if sphere:
-        # projection Euler: back onto the sphere.  The even and the odd
-        # squares are each summed in order (numpy never sums the outer axis
-        # of `squares` pairwise, whatever n is); adding the pad square +0
-        # leaves a sum of squares as it is
-        nrm2, root = work.nrm2, work.row
-        np.multiply(Y, Y, out=work.square_rows)
-        np.add.reduce(work.squares, axis=0, out=work.halves)
-        np.add(work.even, work.odd, out=nrm2)
-        Y /= np.sqrt(nrm2, out=root)
-        np.subtract(nrm2, 1.0, out=defect)
-        return np.abs(defect, out=defect), _NO_ROWS
-    # simplex: clip negative coordinates to zero, then renormalise
-    sums = _ordered_sum(Y, work.nrm2)
-    np.subtract(sums, 1.0, out=defect)
-    np.abs(defect, out=defect)
-    neg = np.less(Y, 0.0, out=work.neg)
-    if not neg.any():  # the common case, so the per-path test waits for a clamp
-        Y /= sums
-        return defect, _NO_ROWS
-    np.clip(Y, 0.0, None, out=Y)
-    Y /= _ordered_sum(Y, sums)
-    return defect, np.flatnonzero(neg.any(axis=0))
+        work = _Work(*Y.shape)
+    return next(_steps(model, Y, dt, c, eps, G[None], work))
 
 
 #: steps of one path whose normals one draw_skew call takes (`_step_path`):
@@ -384,7 +441,7 @@ def _step_path(model: Model, y: list[float], n_steps: int, dt: float, c: float,
     if sphere:
         scale = (-c * c / 8.0) * (k - 1.0) * dt
     elif mutation:
-        eps_sum, eps = float(eps.sum()), eps.tolist()
+        eps_sum, eps, half_dt = float(eps.sum()), eps.tolist(), 0.5 * dt
     else:
         rate = 0.25 * c * c
     clamp_count = 0
@@ -415,7 +472,7 @@ def _step_path(model: Model, y: list[float], n_steps: int, dt: float, c: float,
                 if neutral:
                     dy = [0.0] * k
                 elif mutation:
-                    dy = [((e - v * eps_sum) * 0.5) * dt for e, v in zip(eps, y)]
+                    dy = [(e - v * eps_sum) * half_dt for e, v in zip(eps, y)]
                 else:
                     dy = [((1.0 - v * k) * rate) * dt for v in y]
                 for (i, j), g in zip(pairs, draws):
@@ -546,7 +603,7 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
     amp = _noise_amplitude(model, params.c)
     block = max(8, _PATH_BLOCK // n)
     Y = np.repeat(point.coords[:, None], n, axis=1)  # (k, n): column r is path r
-    work = _Work(k, n)
+    work = _Work(k, n, min(block, n_steps))
     G = np.empty((min(block, n_steps), m, n))  # G[s]: step s of a block, as advance reads it
     # per row, as Python numbers: cheaper per step than numpy arrays of n
     clamp_counts = [0] * n
@@ -558,8 +615,9 @@ def _simulate_paths(model: Model, start, T: float, dt: float, params: ModelParam
         size = min(block, n_steps - first)
         for r, gen in enumerate(rngs):
             G[:size, :, r] = draw_skew(k, dt, gen, size, amp).reshape(size, m)
-        for step, g in zip(range(first + 1, first + size + 1), G):
-            d, clamped = advance(model, Y, dt, params.c, params.epsilon, g, work)
+        for step, (d, clamped) in zip(range(first + 1, first + size + 1),
+                                      _steps(model, Y, dt, params.c, params.epsilon, G[:size],
+                                             work)):
             if clamped.size:
                 clamp_counts = clamp_counts[:]  # the recorded counts stay as they are
                 for r in clamped.tolist():
@@ -649,30 +707,29 @@ def _run_chunk(model: Model, start: np.ndarray, n_steps: int, dt: float, c: floa
 
     One draw_skew call takes the normals of B = max(1, _PATH_BLOCK // size)
     steps, laid out (B, m, size): in flat order the stream of B one-step
-    draws.  The step defects of a block go into its rows, and the sums
-    and the maxima of the rows are taken in step order, so the diagnostics
-    are those of one d.sum() and one d.max() per step.
+    draws.  `_steps` takes the block's B steps, so a chunk on the matrix
+    form scatters the block's draws once.  The step defects of a block fill
+    the rows of work.defects, and the sums and the maxima of the rows are
+    taken in step order, so the diagnostics are those of one d.sum() and
+    one d.max() per step.
     """
     index, size = chunk
     k = len(start)
     m = k * (k - 1) // 2
     Y = np.repeat(start[:, None], size, axis=1)
-    work = _Work(k, size)
+    block = max(1, _PATH_BLOCK // size)
+    work = _Work(k, size, min(block, n_steps))
     rng = chunk_rng(seed, index)
     amp = _noise_amplitude(model, c)
-    block = max(1, _PATH_BLOCK // size)
-    defects = np.empty((min(block, n_steps), size))
     defect_sum = 0.0
     defect_max = 0.0
     clamp_events = 0
     for first in range(0, n_steps, block):
         steps = min(block, n_steps - first)
         G = draw_skew(k, dt, rng, steps * size, amp).reshape(steps, m, size)
-        for g, row in zip(G, defects):
-            d, clamped = advance(model, Y, dt, c, eps, g, work)
-            row[:] = d
+        for _, clamped in _steps(model, Y, dt, c, eps, G, work):
             clamp_events += clamped.size
-        rows = defects[:steps]
+        rows = work.defects[:steps]
         for s, top in zip(np.add.reduce(rows, axis=1).tolist(), rows.max(axis=1).tolist()):
             defect_sum += s
             defect_max = max(defect_max, top)
@@ -796,7 +853,12 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     cumulative counts as Python ints and finds each type by bisection on
     the integer thresholds floor(u1 * N) and floor(u2 * (N - 1)), taken for
     a block of events at once: the same types as the float comparisons.
-    It turns the cumulative counts back into counts only at a record.  A
+    With two types, cum = [c0, N], the bisections reduce to comparisons
+    on c0 alone: a first particle of type 0 (t1 < c0) meets one of type 1
+    when t2 >= c0 - 1, and c0 rises by one if the first wins and falls if
+    it loses; a first of type 1 meets one of type 0 when t2 < c0, and c0
+    falls by one if the first wins and rises if it loses.  The loop turns
+    the cumulative counts back into counts only at a record.  A
     count of events that is not a whole number, below 0 or above
     MAX_STEPS is refused (ValueError), and so is a record_stride that is
     not a whole number >= 1.
@@ -811,6 +873,7 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
     N = state.N
     rate = moran_event_rate(state)
     cum = list(accumulate(state.counts.tolist()))  # the running cumulative counts
+    two_types = len(cum) == 2  # then the events move one count, cum[0]
     idx = [0]
     rows = cum[:]  # the recorded cums, one flat list
     record = min(record_stride, events)  # the next event to record
@@ -824,22 +887,35 @@ def simulate_moran(state: MoranState, events: int, rng: np.random.Generator,
         ev = first
         while ev < last:  # the events up to the next record, or to the block's end
             stop = min(record, last)
-            for t1, t2, win in islice(draws, stop - ev):
-                # the first particle's type a is the first with t1 < cum[a]; the
-                # second's, b, the same among the other N - 1, whose cums from a on
-                # are one less
-                a = bisect_right(cum, t1)
-                b = bisect_right(cum, t2)
-                if b >= a:
-                    b = bisect_right(cum, t2 + 1, a)
-                # the winner's count rises by one and the loser's falls: the cums
-                # from the lower of the two types up to the higher move
-                if a < b:
-                    for i in range(a, b):
-                        cum[i] += win
-                elif b < a:
-                    for i in range(b, a):
-                        cum[i] -= win
+            if two_types:
+                # the bisections below on cum = [c0, N]: the first particle is of
+                # type 0 when t1 < c0, the second then of type 1 when t2 >= c0 - 1,
+                # and after a first of type 1 the second is of type 0 when t2 < c0
+                c0 = cum[0]
+                for t1, t2, win in islice(draws, stop - ev):
+                    if t1 < c0:
+                        if t2 >= c0 - 1:
+                            c0 += win
+                    elif t2 < c0:
+                        c0 -= win
+                cum[0] = c0
+            else:
+                for t1, t2, win in islice(draws, stop - ev):
+                    # the first particle's type a is the first with t1 < cum[a]; the
+                    # second's, b, the same among the other N - 1, whose cums from
+                    # a on are one less
+                    a = bisect_right(cum, t1)
+                    b = bisect_right(cum, t2)
+                    if b >= a:
+                        b = bisect_right(cum, t2 + 1, a)
+                    # the winner's count rises by one and the loser's falls: the
+                    # cums from the lower of the two types up to the higher move
+                    if a < b:
+                        for i in range(a, b):
+                            cum[i] += win
+                    elif b < a:
+                        for i in range(b, a):
+                            cum[i] -= win
             ev = stop
             if ev == record:
                 idx.append(ev)

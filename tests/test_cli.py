@@ -549,17 +549,17 @@ _BATCH_EDGES = [(p, steps) for p in (2, 3, 40) for steps in ("edge", "past-edge"
     ("wf-neutral", "0.01,0.02,0.03,0.94"),  # near the boundary: rows clamp
 ], ids=["sphere", "wf-neutral"])
 @pytest.mark.parametrize("paths, steps", [
-    (3, "100"), (40, "100"),  # either side of simulate._MATRIX_MAX_ROWS
+    (3, "100"), (16, "100"), (40, "100"),  # either side of simulate._MATRIX_MAX_ROWS
     *_BATCH_EDGES,
-], ids=["3", "40", *(f"{p}-{steps}" for p, steps in _BATCH_EDGES)])
+], ids=["3", "16", "40", *(f"{p}-{steps}" for p, steps in _BATCH_EDGES)])
 def test_simulate_paths_step_as_one_batch(tmp_path, monkeypatch, paths, steps, model, start,
                                           stride):
     # the rows of a --paths P run are the P records simulate_path gives
     # one at a time, row r from path_rng(seed, r).  Each row reads its
     # stream in blocks of max(8, _PATH_BLOCK // P) steps, all shorter than
-    # a single path's: 128 at P = 2, 85 at P = 3 and the floor of 8 at
-    # P = 40.  "edge" ends on the first block edge at or past step 100 and
-    # "past-edge" one step later, in a block of one step
+    # a single path's: 128 at P = 2, 85 at P = 3, 16 at P = 16 and the
+    # floor of 8 at P = 40.  "edge" ends on the first block edge at or
+    # past step 100 and "past-edge" one step later, in a block of one step
     monkeypatch.setattr(simulate, "_MATRIX_MAX_ROWS", dict.fromkeys(range(2, 7), 32))
     block = max(8, simulate._PATH_BLOCK // paths)
     assert block < simulate._PATH_BLOCK
@@ -684,6 +684,13 @@ def test_import_loads_neither_mpmath_nor_scipy():
     out = _python("import sys, spherewf\n"
                   "print(sorted({m.partition('.')[0] for m in sys.modules} & {'mpmath', 'scipy'}))\n")
     assert out.strip() == "[]"
+
+
+def test_harness_import_loads_no_scipy():
+    # scipy.special loads inside the checks that use it, not with the harness
+    out = _python("import sys, spherewf.harness\n"
+                  "print('scipy' in sys.modules)\n")
+    assert out.strip() == "False"
 
 
 def test_simulate_does_not_load_scipy_stats(tmp_path):

@@ -84,8 +84,11 @@ def test_skew_increment_structure(monkeypatch):
         for j in range(k):
             work = simulate._Work(k, 1)
             work.drift.fill(0.0)
-            noise = simulate._noise_by_matrix if work.matrix else simulate._noise_by_pairs
-            b[:, j] = noise(True, np.eye(k)[:, j:j + 1].copy(), G, work)[:, 0]
+            if work.matrix:  # the matrix form reads the step's scattered draw matrix
+                noise, g = simulate._noise_by_matrix, simulate._scatter(G[None], work)[0]
+            else:
+                noise, g = simulate._noise_by_pairs, G
+            b[:, j] = noise(True, np.eye(k)[:, j:j + 1].copy(), g, work)[:, 0]
         forms.add(work.matrix)
         assert np.array_equal(b, -b.T)
         for p, (i, j) in enumerate(simulate._pairs(k)):
@@ -514,18 +517,28 @@ _CHUNK_STEPS = {1: 300, 16: 37, 100: 5, ENSEMBLE_CHUNK: 3}
 
 @pytest.mark.parametrize("model", list(Model), ids=lambda m: m.value)
 def test_block_drawn_chunks_keep_the_one_draw_per_step_bytes(model, monkeypatch):
-    # a chunk draws B steps per draw_skew call; the loop with one draw per
-    # step is the oracle of its finals, its three diagnostics and the
-    # generator's state after the run.  Starts near the boundary, c = 1.3:
-    # the simplex chunks clamp.  A defect is a multiple of 2^-53, so a
-    # defect sum below 1 is exact in any order; dt = 1e-2 takes the sphere's
-    # sums past 1, where the order of the additions shows
+    # a chunk draws B steps per draw_skew call, and on the matrix form
+    # scatters them at once; the loop with one draw per step is the oracle
+    # of its finals, its three diagnostics and the generator's state after
+    # the run.  Starts near the boundary, c = 1.3: the simplex chunks clamp.
+    # A defect is a multiple of 2^-53, so a defect sum below 1 is exact in
+    # any order; dt = 1e-2 takes the sphere's sums past 1, where the order
+    # of the additions shows.  At k = 3 and 6 also 7 paths and either side
+    # of the form threshold, from Dirichlet(0.3) starts, over a partial
+    # last block
     rng = np.random.default_rng(61)
     clamps = 0
     for k in (2, 3, 6, 8):
         eps = rng.uniform(0.1, 2.0, k) if model is Model.WF_MUTATION else None
-        for size, n_steps in _CHUNK_STEPS.items():
-            start = _boundary_start(model, k, rng).coords
+        sizes = [(size, n_steps, False) for size, n_steps in _CHUNK_STEPS.items()]
+        if k in (3, 6):
+            rows = simulate._MATRIX_MAX_ROWS[k]
+            for size in (7, rows, rows + 1):
+                block = max(1, simulate._PATH_BLOCK // size)
+                sizes.append((size, block + max(1, block // 2), True))
+        for size, n_steps, dirichlet in sizes:
+            start = (_start_block(model, k, 1, rng)[:, 0] if dirichlet
+                     else _boundary_start(model, k, rng).coords)
             seed = int(rng.integers(2**32))
             gen = chunk_rng(seed, 5)
             monkeypatch.setattr(simulate, "chunk_rng", lambda s, i: gen)
@@ -653,9 +666,9 @@ def test_ensemble_starts_from_the_callers_bytes(monkeypatch):
     # inside RENORMALIZE_TOL the start is accepted and used as given
     start = Y3.coords * (1.0 + 1e-12)
     seen = []
-    step = simulate.advance
-    monkeypatch.setattr(simulate, "advance",
-                        lambda m, Y, *a: seen.append(Y.T.copy()) or step(m, Y, *a))
+    steps = simulate._steps  # one call per draw block, before its first step
+    monkeypatch.setattr(simulate, "_steps",
+                        lambda m, Y, *a: seen.append(Y.T.copy()) or steps(m, Y, *a))
     ensemble_final(Model.SPHERE, t=1e-3, dt=1e-3, n_paths=2, seed=45, start=start)
     assert len(seen) == 1
     assert seen[0].tobytes() == np.tile(start, (2, 1)).tobytes()
@@ -780,6 +793,18 @@ _MORAN_CASES = [
     ([250] * 4, 2 * simulate._MORAN_BLOCK + 37, 124),  # more than one draw block
     # records at block ends and inside blocks, the last at the last block's end
     ([10, 20, 0, 30, 40], 3 * simulate._MORAN_BLOCK, simulate._MORAN_BLOCK // 2),
+    # two types, which step one count: both fixed points and one particle from
+    # each, N = 2 and N = 3, more than one draw block, records at block ends
+    # and no events
+    ([0, 100], 400, 7),
+    ([1, 99], 500, 3),
+    ([99, 1], 500, 3),
+    ([0, 2], 50, 1),
+    ([1, 2], 300, 1),
+    ([2, 1], 300, 4),
+    ([600, 401], 2 * simulate._MORAN_BLOCK + 37, 124),
+    ([30, 70], 3 * simulate._MORAN_BLOCK, simulate._MORAN_BLOCK // 2),
+    ([1, 99], 0, 1),
 ]
 
 
